@@ -194,22 +194,11 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
     # f carries layer tails of height ~N^-sigma varying on the sub-cell
     # scale eps/beta into the coarse cells at the transition; integrate
     # those cells with the refined composite rule instead
-    for c, cix, ciy, rx, ry in layerquad.refined_cells(mesh, spec):
-        rule = layerquad.cell_rule(mesh, spec, cix, ciy, n, rx, ry)
-        F[c, iu] = rule.basis(k) @ (rule.W * spec.f(rule.X, rule.Y))
+    for b in layerquad.layer_batches(mesh, spec, n):
+        F[b.cells, iu] = np.einsum("cbg,cg->cb", b.basis(k),
+                                   b.W * spec.f(b.X, b.Y))
 
     return LocalBlocks(k, A, C, G, D, F)
-
-
-def local_matrices(mesh: ShishkinMesh, spec: ProblemSpec, cfg: HdgConfig,
-                   cell: int) -> LocalBlocks:
-    """Local system of a single cell (flattened index), for diagnostics."""
-    if not 0 <= cell < mesh.n_cells:
-        raise IndexError(f"cell index {cell} out of range")
-    blk = build_local_systems(mesh, spec, cfg)
-    sl = slice(cell, cell + 1)
-    return LocalBlocks(blk.k, blk.A[sl], blk.C[sl], blk.G[sl], blk.D[sl],
-                       blk.F[sl])
 
 
 def condense(blocks: LocalBlocks) -> CondensedSystem:
@@ -293,15 +282,14 @@ def _recover(mesh: ShishkinMesh, cond: CondensedSystem, k: int,
 
 
 def assemble_and_solve(mesh: ShishkinMesh, spec: ProblemSpec, cfg: HdgConfig,
-                       solver_tol: float = 1e-12,
-                       method: str = "lu") -> SolutionFields:
+                       solver_tol: float = 1e-12) -> SolutionFields:
     """Full pipeline: local systems, condensation, global trace solve with
     homogeneous boundary traces, interior recovery."""
     check_stabilization(mesh, spec, cfg)
     blocks = build_local_systems(mesh, spec, cfg)
     cond = condense(blocks)
     A, b = assemble_trace_system(mesh, cond, cfg.k)
-    x = A.solve(b, tol=solver_tol, method=method)
+    x = A.solve(b, tol=solver_tol)
     return _recover(mesh, cond, cfg.k, x)
 
 

@@ -13,7 +13,9 @@ import numpy as np
 
 from . import assembly, norms, projections
 from .assembly import HdgConfig, assemble_and_solve
+from .linalg import SolveError
 from .mesh import MeshConfig, build_mesh
+from .norms import StabilizationError
 from .problems import get_problem, verify_assumptions
 
 log = logging.getLogger(__name__)
@@ -177,7 +179,8 @@ def run_sweep(cfg: StudyConfig) -> SweepResult:
                 try:
                     rep, _, _ = solve_cell(cfg, k, eps, n)
                     cells[eps][n] = rep
-                except Exception as exc:
+                except (SolveError, StabilizationError,
+                        np.linalg.LinAlgError) as exc:
                     log.error("cell (k=%d, eps=%g, N=%d) failed: %s",
                               k, eps, n, exc)
                     cells[eps][n] = f"{type(exc).__name__}: {exc}"

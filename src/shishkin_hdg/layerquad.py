@@ -11,6 +11,8 @@ layer side; all other cells keep the plain tensor rule.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .mesh import ShishkinMesh
@@ -63,64 +65,94 @@ def layer_flags(mesh: ShishkinMesh, spec: ProblemSpec):
     return fx, fy
 
 
-def refined_cells(mesh: ShishkinMesh, spec: ProblemSpec):
-    """Flattened indices of cells needing refined integration, with their
-    (ix, iy) and per-direction flags."""
-    fx, fy = layer_flags(mesh, spec)
-    out = []
-    for ix in range(mesh.nx):
-        for iy in range(mesh.ny):
-            if fx[ix] or fy[iy]:
-                out.append((ix * mesh.ny + iy, ix, iy, bool(fx[ix]),
-                            bool(fy[iy])))
-    return out
+@dataclass
+class LayerBatch:
+    """Layer-refined cells that share one tensor rule shape: every cell of
+    a set of mesh columns crossed with a set of rows.
 
-
-class CellRule:
-    """Tensor quadrature on one cell, possibly layer-refined per direction.
-
-    Provides flattened physical points (X, Y), physical weights W (summing
-    to the cell area) and the reference coordinates (tx, ty) of the 1D point
-    sets for basis evaluation.
+    Batch cell i*nrows + j lies in the i-th column and the j-th row; its
+    points are ordered g = gx*npy + gy. Holds the flat mesh ids of the
+    cells, physical points (X, Y) and weights W of shape (cells, points),
+    the Jacobians J = hx*hy/4, and per-column / per-row reference
+    coordinates (tx, ty) of the 1D point sets for basis evaluation.
     """
 
-    def __init__(self, x0, x1, y0, y1, n, refine_x, refine_y, sx, sy):
-        if refine_x:
-            px, wx = composite_layer_rule(x1 - x0, sx, n)
-            px += x0
-        else:
-            rule = gauss_rule(n)
-            px = (x0 + x1) / 2.0 + (x1 - x0) / 2.0 * rule.nodes
-            wx = (x1 - x0) / 2.0 * rule.weights
-        if refine_y:
-            py, wy = composite_layer_rule(y1 - y0, sy, n)
-            py += y0
-        else:
-            rule = gauss_rule(n)
-            py = (y0 + y1) / 2.0 + (y1 - y0) / 2.0 * rule.nodes
-            wy = (y1 - y0) / 2.0 * rule.weights
-        self.px, self.wx = px, wx
-        self.py, self.wy = py, wy
-        self.tx = 2.0 * (px - x0) / (x1 - x0) - 1.0
-        self.ty = 2.0 * (py - y0) / (y1 - y0) - 1.0
-        self.X = np.repeat(px, len(py))
-        self.Y = np.tile(py, len(px))
-        self.W = np.outer(wx, wy).reshape(-1)
+    cells: np.ndarray
+    X: np.ndarray
+    Y: np.ndarray
+    W: np.ndarray
+    J: np.ndarray
+    tx: np.ndarray  # (ncols, npx)
+    ty: np.ndarray  # (nrows, npy)
 
-    def basis(self, k: int):
-        """Tensor basis values at the rule's points, (k+1)^2 x npoints, in
-        the pulled-back (reference-orthonormal) convention."""
-        vx = Basis1D(k).eval(self.tx)[0]
-        vy = Basis1D(k).eval(self.ty)[0]
+    def basis(self, k: int) -> np.ndarray:
+        """Tensor basis values at each cell's points, (cells, (k+1)^2,
+        points), in the pulled-back (reference-orthonormal) convention."""
         kp = k + 1
-        return np.einsum("mp,nq->mnpq", vx, vy).reshape(
-            kp * kp, len(self.tx) * len(self.ty))
+        (nx, px), (ny, py) = self.tx.shape, self.ty.shape
+        vx = Basis1D(k).eval(self.tx.reshape(-1))[0].reshape(kp, nx, px)
+        vy = Basis1D(k).eval(self.ty.reshape(-1))[0].reshape(kp, ny, py)
+        return np.einsum("mip,njq->ijmnpq", vx, vy).reshape(
+            nx * ny, kp * kp, px * py)
 
 
-def cell_rule(mesh: ShishkinMesh, spec: ProblemSpec, ix: int, iy: int,
-              n: int, refine_x: bool, refine_y: bool) -> CellRule:
-    sx = spec.epsilon / spec.beta_lb[0]
-    sy = spec.epsilon / spec.beta_lb[1]
-    return CellRule(mesh.x_nodes[ix], mesh.x_nodes[ix + 1],
-                    mesh.y_nodes[iy], mesh.y_nodes[iy + 1],
-                    n, refine_x, refine_y, sx, sy)
+def _line_rules(nodes, idx, rule, scale):
+    """1D rules on the mesh intervals [nodes[i], nodes[i+1]], i in idx, as
+    (points, weights, reference coordinates), each (len(idx), npoints).
+
+    With a decay length `scale` the intervals get the composite layer rule,
+    and must all have the same width; otherwise the plain Gauss rule."""
+    x0, x1 = nodes[idx][:, None], nodes[idx + 1][:, None]
+    if scale is None:
+        pts = (x0 + x1) / 2.0 + (x1 - x0) / 2.0 * rule.nodes
+        wts = (x1 - x0) / 2.0 * rule.weights
+    else:
+        cp, cw = composite_layer_rule(x1[0, 0] - x0[0, 0], scale, rule.n)
+        pts = cp + x0
+        wts = np.broadcast_to(cw, pts.shape)
+    return pts, wts, 2.0 * (pts - x0) / (x1 - x0) - 1.0
+
+
+def layer_batches(mesh: ShishkinMesh, spec: ProblemSpec, n: int,
+                  composite: bool = True) -> list:
+    """The cells needing layer-refined integration, as dense LayerBatches.
+
+    A cell is refined when its column or row is flagged; flagged columns
+    and rows are grouped by exact width, so each group shares one composite
+    rule. With one width per direction this gives at most three batches:
+    (composite x, plain y), (plain x, composite y) and (composite,
+    composite). With composite=False the same batches carry the plain rule
+    in both directions.
+    """
+    fx, fy = layer_flags(mesh, spec)
+    rule = gauss_rule(n)
+
+    def groups(flags, nodes, h, scale):
+        """(line indices, 1D rules) of the unflagged lines, then of the
+        flagged lines of each width."""
+        plain, layer = np.flatnonzero(~flags), np.flatnonzero(flags)
+        out = [(plain, _line_rules(nodes, plain, rule, None))]
+        for width in np.unique(h[layer]):
+            idx = layer[h[layer] == width]
+            out.append((idx, _line_rules(nodes, idx, rule,
+                                         scale if composite else None)))
+        return out
+
+    xg = groups(fx, mesh.x_nodes, mesh.hx, spec.epsilon / spec.beta_lb[0])
+    yg = groups(fy, mesh.y_nodes, mesh.hy, spec.epsilon / spec.beta_lb[1])
+    batches = []
+    for i, (ix, (px, wx, tx)) in enumerate(xg):
+        for j, (iy, (py, wy, ty)) in enumerate(yg):
+            if (i == 0 and j == 0) or not (ix.size and iy.size):
+                continue
+            a, b, npx, npy = len(ix), len(iy), px.shape[1], py.shape[1]
+            shape = (a, b, npx, npy)
+            X = np.broadcast_to(px[:, None, :, None], shape)
+            Y = np.broadcast_to(py[None, :, None, :], shape)
+            W = wx[:, None, :, None] * wy[None, :, None, :]
+            J = mesh.hx[ix][:, None] * mesh.hy[iy][None, :] / 4.0
+            batches.append(LayerBatch(
+                (ix[:, None] * mesh.ny + iy[None, :]).reshape(-1),
+                X.reshape(a * b, -1), Y.reshape(a * b, -1),
+                W.reshape(a * b, -1), J.reshape(-1), tx, ty))
+    return batches

@@ -1,9 +1,8 @@
 """Sparse storage and linear solution for the condensed trace system.
 
 Backed by scipy CSR storage and SuperLU (sparse direct LU with COLAMD
-fill-reducing ordering and partial pivoting); a restarted GMRES path with an
-ILU preconditioner is available for memory-capped runs. Small dense oracles
-live in the test suite.
+fill-reducing ordering and partial pivoting) with iterative refinement.
+The small dense monolithic oracle lives in `assembly`.
 """
 
 from __future__ import annotations
@@ -70,27 +69,10 @@ class SparseMatrix:
     def nnz(self) -> int:
         return self.csr.nnz
 
-    def matvec(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
-            raise ValueError(f"matvec dimension mismatch: {x.shape} vs {self.n}")
-        return self.csr @ x
-
-    def residual_norm(self, x, b) -> float:
-        b = np.asarray(b, dtype=float)
-        if b.shape != (self.n,):
-            raise ValueError("rhs dimension mismatch")
-        return float(np.linalg.norm(self.matvec(x) - b))
-
-    def solve(self, b, tol: float = 1e-12, method: str = "lu") -> np.ndarray:
-        """Solve Ax = b to a relative residual <= tol (2-norm).
-
-        The direct path uses SuperLU plus iterative refinement; it raises
-        SolveError if the residual target is not met. method="gmres" uses
-        ILU-preconditioned restarted GMRES instead.
-        """
-        if method not in ("lu", "gmres"):
-            raise ValueError(f"unknown solve method {method!r}")
+    def solve(self, b, tol: float = 1e-12) -> np.ndarray:
+        """Solve Ax = b to a relative residual <= tol (2-norm) with SuperLU
+        plus iterative refinement; raises SolveError if the residual target
+        is not met."""
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
             raise ValueError(f"rhs dimension mismatch: {b.shape} vs {self.n}")
@@ -99,40 +81,19 @@ class SparseMatrix:
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros(self.n)
-        csc = self.csr.tocsc()
-        if method == "lu":
-            try:
-                lu = spla.splu(csc)
-            except RuntimeError as exc:  # singular factorization
-                raise SolveError(f"sparse LU factorization failed: {exc}") from exc
-            x = lu.solve(b)
-            for _ in range(2):  # iterative refinement to hit the residual target
-                r = b - self.csr @ x
-                if np.linalg.norm(r) <= tol * bnorm:
-                    break
-                x = x + lu.solve(r)
-            res = np.linalg.norm(b - self.csr @ x)
-            if not np.isfinite(res) or res > tol * bnorm:
-                raise SolveError(
-                    f"direct solve residual {res:.3e} exceeds {tol:.1e} * ||b|| "
-                    f"= {tol * bnorm:.3e} (n={self.n}, nnz={self.nnz})")
-            return x
-        if method == "gmres":
-            try:
-                ilu = spla.spilu(csc, drop_tol=1e-6, fill_factor=20)
-            except RuntimeError as exc:
-                raise SolveError(f"ILU preconditioner failed: {exc}") from exc
-            M = spla.LinearOperator((self.n, self.n), ilu.solve)
-            x, info = spla.gmres(self.csr, b, rtol=tol, atol=0.0,
-                                 restart=100, maxiter=2000, M=M)
-            if info != 0:
-                raise SolveError(f"GMRES did not converge (info={info}, "
-                                 f"n={self.n})")
-            return x
-        raise AssertionError("unreachable: method validated above")
-
-    def dump_coo(self) -> str:
-        """Coordinate text format: 'row col value' per structural entry."""
-        coo = self.csr.tocoo()
-        return "".join(f"{r} {c} {v:.17g}\n"
-                       for r, c, v in zip(coo.row, coo.col, coo.data))
+        try:
+            lu = spla.splu(self.csr.tocsc())
+        except RuntimeError as exc:  # singular factorization
+            raise SolveError(f"sparse LU factorization failed: {exc}") from exc
+        x = lu.solve(b)
+        for _ in range(2):  # iterative refinement to hit the residual target
+            r = b - self.csr @ x
+            if np.linalg.norm(r) <= tol * bnorm:
+                break
+            x = x + lu.solve(r)
+        res = np.linalg.norm(b - self.csr @ x)
+        if not np.isfinite(res) or res > tol * bnorm:
+            raise SolveError(
+                f"direct solve residual {res:.3e} exceeds {tol:.1e} * ||b|| "
+                f"= {tol * bnorm:.3e} (n={self.n}, nnz={self.nnz})")
+        return x

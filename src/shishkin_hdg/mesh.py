@@ -162,15 +162,6 @@ _REGION_BY_CODE = [Region.SMOOTH, Region.X_LAYER, Region.Y_LAYER,
                    Region.CORNER_LAYER]
 
 
-def from_nodes(x_nodes, y_nodes) -> ShishkinMesh:
-    """Tensor mesh from arbitrary node arrays (diagnostic/oracle meshes)."""
-    x = np.asarray(x_nodes, dtype=float)
-    y = np.asarray(y_nodes, dtype=float)
-    return ShishkinMesh(x, y, tau_x=float(1 - x[len(x) // 2]),
-                        tau_y=float(1 - y[len(y) // 2]),
-                        split_x=(len(x) - 1) // 2, split_y=(len(y) - 1) // 2)
-
-
 def build_mesh(cfg: MeshConfig) -> ShishkinMesh:
     """Build the Shishkin mesh: transition points tau = min(1/2, sigma*eps/beta * ln N),
     N/2 uniform cells on each side of the transition in each direction."""
@@ -202,38 +193,6 @@ def classify_cell(mesh: ShishkinMesh, i: int, j: int) -> Region:
         raise IndexError(f"cell index ({i}, {j}) out of range")
     code = int(i - 1 >= mesh.split_x) + 2 * int(j - 1 >= mesh.split_y)
     return _REGION_BY_CODE[code]
-
-
-@dataclass(frozen=True)
-class EdgeGeometry:
-    endpoints: tuple
-    axis: int  # 0: vertical edge (normal +-x), 1: horizontal (normal +-y)
-    length: float
-    cells: tuple
-    boundary: bool
-
-
-def edge_geometry(mesh: ShishkinMesh, edge_id: int) -> EdgeGeometry:
-    """Endpoints (in ascending-parameter order), length and adjacency of an edge.
-
-    A vertical edge has outward normal (1,0) for the cell on its left and
-    (-1,0) for the cell on its right; horizontal edges likewise in y.
-    """
-    if not 0 <= edge_id < mesh.n_edges:
-        raise IndexError(f"edge id {edge_id} out of range")
-    axis = int(mesh.edge_axis[edge_id])
-    line, seg = int(mesh.edge_line[edge_id]), int(mesh.edge_seg[edge_id])
-    if axis == 0:
-        x = mesh.x_nodes[line]
-        p0, p1 = (x, mesh.y_nodes[seg]), (x, mesh.y_nodes[seg + 1])
-        length = mesh.hy[seg]
-    else:
-        y = mesh.y_nodes[line]
-        p0, p1 = (mesh.x_nodes[seg], y), (mesh.x_nodes[seg + 1], y)
-        length = mesh.hx[seg]
-    return EdgeGeometry((p0, p1), axis, float(length),
-                        tuple(int(c) for c in mesh.edge_cells[edge_id]),
-                        bool(mesh.edge_boundary[edge_id]))
 
 
 def dump_mesh(mesh: ShishkinMesh) -> str:

@@ -313,30 +313,25 @@ def refined_error_corrections(mesh: ShishkinMesh, spec: ProblemSpec, fields,
     """
     ex = spec.exact
     k = fields.k
-    codes = mesh.cell_region()
+    dq, dr, du = (np.zeros(mesh.n_cells) for _ in range(3))
+    for composite, sign in ((True, 1.0), (False, -1.0)):
+        for b in layerquad.layer_batches(mesh, spec, n, composite):
+            B = b.basis(k) / np.sqrt(b.J)[:, None, None]
+            q1h, q2h, uh = (np.einsum("ca,cag->cg", coef[b.cells], B)
+                            for coef in (fields.q1, fields.q2, fields.u))
+            q1t = ex.q1(b.X, b.Y) - q1h
+            q2t = ex.q2(b.X, b.Y) - q2h
+            ut = ex.u(b.X, b.Y) - uh
+            cw = spec.c(b.X, b.Y) - 0.5 * spec.div_beta(b.X, b.Y)
+            dq[b.cells] += sign * np.einsum("cg,cg->c", b.W, q1t**2 + q2t**2)
+            dr[b.cells] += sign * np.einsum("cg,cg->c", b.W, cw * ut**2)
+            du[b.cells] += sign * np.einsum("cg,cg->c", b.W, ut**2)
+    region = np.bincount(mesh.cell_region(), weights=dq / spec.epsilon + dr,
+                         minlength=4)
     names = [Region.SMOOTH.value, Region.X_LAYER.value,
              Region.Y_LAYER.value, Region.CORNER_LAYER.value]
-    d_flux = d_react = d_l2u = 0.0
-    d_region = dict.fromkeys(names, 0.0)
-    for c, cix, ciy, rx, ry in layerquad.refined_cells(mesh, spec):
-        J = mesh.hx[cix] * mesh.hy[ciy] / 4.0
-        dq = dr = du = 0.0
-        for refined, sign in ((True, 1.0), (False, -1.0)):
-            rule = layerquad.cell_rule(mesh, spec, cix, ciy, n,
-                                       rx and refined, ry and refined)
-            B = rule.basis(k) / np.sqrt(J)
-            q1t = ex.q1(rule.X, rule.Y) - fields.q1[c] @ B
-            q2t = ex.q2(rule.X, rule.Y) - fields.q2[c] @ B
-            ut = ex.u(rule.X, rule.Y) - fields.u[c] @ B
-            cw = spec.c(rule.X, rule.Y) - 0.5 * spec.div_beta(rule.X, rule.Y)
-            dq += sign * float(rule.W @ (q1t**2 + q2t**2))
-            dr += sign * float(rule.W @ (cw * ut**2))
-            du += sign * float(rule.W @ ut**2)
-        d_flux += dq
-        d_react += dr
-        d_l2u += du
-        d_region[names[codes[c]]] += dq / spec.epsilon + dr
-    return d_flux, d_react, d_l2u, d_region
+    return (float(dq.sum()), float(dr.sum()), float(du.sum()),
+            {name: float(v) for name, v in zip(names, region)})
 
 
 @dataclass

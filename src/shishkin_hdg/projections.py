@@ -40,11 +40,10 @@ def project_cell_scalar(mesh: ShishkinMesh, func, k: int, n_quad: int,
     coef = np.sqrt(cq.J)[:, None] * \
         np.einsum("cg,bg->cb", fv * cq.W2, R.B0)
     if layer_spec is not None:
-        for c, cix, ciy, rx, ry in layerquad.refined_cells(mesh, layer_spec):
-            rule = layerquad.cell_rule(mesh, layer_spec, cix, ciy, n_quad,
-                                       rx, ry)
-            coef[c] = rule.basis(k) @ (rule.W * func(rule.X, rule.Y)) \
-                / np.sqrt(cq.J[c])
+        for b in layerquad.layer_batches(mesh, layer_spec, n_quad):
+            coef[b.cells] = np.einsum("cbg,cg->cb", b.basis(k),
+                                      b.W * func(b.X, b.Y)) \
+                / np.sqrt(b.J)[:, None]
     return coef
 
 

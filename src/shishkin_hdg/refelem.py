@@ -1,5 +1,6 @@
 """Reference-element machinery: Gauss-Legendre quadrature, orthonormal
-Legendre bases, tensor-product tables on the reference square, affine maps."""
+Legendre bases, tensor-product tables on the reference square and the
+tensor rule over all cells of a mesh."""
 
 from __future__ import annotations
 
@@ -26,11 +27,16 @@ class QuadRule1D:
         return len(self.nodes)
 
 
+@lru_cache(maxsize=None)
 def gauss_rule(n: int) -> QuadRule1D:
+    """The n-point rule, computed once per n and shared by every caller,
+    so its arrays are read-only."""
     if not 1 <= n <= MAX_GAUSS_POINTS:
         raise ValueError(f"Gauss rule with {n} points outside supported range "
                          f"[1, {MAX_GAUSS_POINTS}]")
     nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
     return QuadRule1D(nodes, weights)
 
 
@@ -72,56 +78,6 @@ class Basis1D:
                 dp_prev, dp_cur = dp_cur, dp_next
         scale = np.sqrt((2 * np.arange(k + 1) + 1) / 2.0)
         return vals * scale[:, None], ders * scale[:, None]
-
-
-@dataclass(frozen=True)
-class CellMap:
-    """Affine map from the reference square [-1,1]^2 to a mesh cell."""
-
-    x0: float
-    x1: float
-    y0: float
-    y1: float
-
-    def __post_init__(self):
-        if self.x1 <= self.x0 or self.y1 <= self.y0:
-            raise ValueError("degenerate cell extents")
-
-    @property
-    def hx(self) -> float:
-        return self.x1 - self.x0
-
-    @property
-    def hy(self) -> float:
-        return self.y1 - self.y0
-
-    @property
-    def jacobian(self) -> float:
-        return self.hx * self.hy / 4.0
-
-    def to_physical(self, xh, yh):
-        x = self.x0 + self.hx * (np.asarray(xh) + 1.0) / 2.0
-        y = self.y0 + self.hy * (np.asarray(yh) + 1.0) / 2.0
-        return x, y
-
-    @property
-    def dx_scale(self) -> float:
-        """d/dx = dx_scale * d/dxhat."""
-        return 2.0 / self.hx
-
-    @property
-    def dy_scale(self) -> float:
-        return 2.0 / self.hy
-
-
-def map_to_cell(extents, ref_point):
-    """Map a reference point to a cell given as (x0, x1, y0, y1).
-
-    Returns ((x, y), jacobian).
-    """
-    cm = CellMap(*extents)
-    x, y = cm.to_physical(ref_point[0], ref_point[1])
-    return (float(x), float(y)), cm.jacobian
 
 
 class RefTables:

@@ -8,8 +8,8 @@ from shishkin_hdg.assembly import (HdgConfig, SolutionFields,
                                    bilinear_form, build_local_systems,
                                    check_stabilization, condense,
                                    flux_continuity_residual,
-                                   galerkin_residual, local_matrices,
-                                   random_fields, solve_monolithic)
+                                   galerkin_residual, random_fields,
+                                   solve_monolithic)
 from shishkin_hdg.mesh import MeshConfig, build_mesh
 from shishkin_hdg.norms import StabilizationError
 from shishkin_hdg import norms
@@ -103,18 +103,6 @@ def test_coercivity_equals_energy_norm_for_random_triples():
         nrm2 = norms.energy_norm(mesh, spec, cfg.tau, vals).total ** 2
         assert b >= (1.0 - 1e-10) * nrm2
         assert np.isclose(b, nrm2, rtol=1e-8)
-
-
-def test_local_matrices_slice():
-    spec = paper_problem(1e-2)
-    mesh = build_mesh(MeshConfig(4, 1e-2, 2.0, 1.0, 2.0))
-    cfg = HdgConfig(1)
-    blocks = build_local_systems(mesh, spec, cfg)
-    one = local_matrices(mesh, spec, cfg, 5)
-    assert np.allclose(one.A[0], blocks.A[5])
-    assert np.allclose(one.F[0], blocks.F[5])
-    with pytest.raises(IndexError):
-        local_matrices(mesh, spec, cfg, mesh.n_cells)
 
 
 def test_condense_schur_identity():

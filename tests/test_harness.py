@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from shishkin_hdg import cli
+from shishkin_hdg import cli, harness
 from shishkin_hdg.harness import (DiagnosticReport, StudyConfig, run_diagnostics,
                                   run_single, run_sweep)
 
@@ -72,6 +72,15 @@ def test_sweep_records_failed_cells():
     assert isinstance(t.cells[1e-2][4], str)
     assert t.rates[1e-2] == {}
     assert "error" in t.to_csv()
+
+
+def test_sweep_propagates_programming_errors(monkeypatch):
+    # only numerical failures are recorded per cell; a bug must surface
+    def broken(*args):
+        raise TypeError("broken cell")
+    monkeypatch.setattr(harness, "solve_cell", broken)
+    with pytest.raises(TypeError, match="broken cell"):
+        run_sweep(_cfg(n_list=[4]))
 
 
 def test_skips_rates_for_non_doubling_pairs():

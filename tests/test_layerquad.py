@@ -1,11 +1,15 @@
 """Layer-refined composite quadrature."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from shishkin_hdg import layerquad
-from shishkin_hdg.mesh import MeshConfig, build_mesh
+from shishkin_hdg.mesh import MeshAssumptionWarning, MeshConfig, build_mesh
 from shishkin_hdg.problems import paper_problem
 
 
@@ -55,37 +59,68 @@ def test_layer_flags_mark_transition_columns():
     assert not fx[0] and not fy[0]
 
 
-def test_refined_cells_cross_pattern():
-    spec = paper_problem(1e-6)
-    mesh = build_mesh(MeshConfig(8, 1e-6, 2.0, 1.0, 2.0))
-    cells = layerquad.refined_cells(mesh, spec)
+# property tests over meshes and layer widths of the study's range
+_layer_cases = dict(
+    N=st.sampled_from([4, 8, 16]),
+    eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p),  # log-uniform
+    n=st.integers(2, 8))
+_settings = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+def _setup(N, eps):
+    spec = paper_problem(eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MeshAssumptionWarning)
+        mesh = build_mesh(MeshConfig(N, eps, 2.0, *spec.beta_lb))
+    return mesh, spec
+
+
+@_settings
+@given(**_layer_cases)
+def test_layer_batches_cover_exactly_the_flagged_cells(N, eps, n):
+    mesh, spec = _setup(N, eps)
     fx, fy = layerquad.layer_flags(mesh, spec)
-    expect = sum(1 for ix in range(8) for iy in range(8) if fx[ix] or fy[iy])
-    assert len(cells) == expect
-    for c, ix, iy, rx, ry in cells:
-        assert c == ix * mesh.ny + iy
-        assert rx == bool(fx[ix]) and ry == bool(fy[iy])
+    flagged = (fx[:, None] | fy[None, :]).reshape(-1)
+    for composite in (True, False):
+        cells = np.concatenate(
+            [b.cells for b in layerquad.layer_batches(mesh, spec, n,
+                                                      composite)]
+            or [np.zeros(0, dtype=int)])
+        # no cell twice, every flagged cell once, nothing else
+        assert len(np.unique(cells)) == len(cells)
+        assert np.array_equal(np.sort(cells), np.flatnonzero(flagged))
 
 
-def test_cell_rule_matches_plain_when_unrefined():
-    spec = paper_problem(1e-6)
-    mesh = build_mesh(MeshConfig(8, 1e-6, 2.0, 1.0, 2.0))
-    rule = layerquad.cell_rule(mesh, spec, 0, 0, 3, False, False)
-    area = mesh.hx[0] * mesh.hy[0]
-    assert np.isclose(rule.W.sum(), area, atol=1e-15)
-    # basis rows are the orthonormal tensor Legendre basis: Gram = J * I
-    B = rule.basis(1)
-    gram = (B * rule.W) @ B.T
-    assert np.allclose(gram, np.eye(4) * area / 4.0, atol=1e-15)
+@_settings
+@given(**_layer_cases)
+def test_layer_batch_weights_sum_to_cell_area(N, eps, n):
+    mesh, spec = _setup(N, eps)
+    area = np.outer(mesh.hx, mesh.hy).reshape(-1)
+    for composite in (True, False):
+        for b in layerquad.layer_batches(mesh, spec, n, composite):
+            assert b.W.shape == b.X.shape == b.Y.shape
+            assert np.allclose(b.W.sum(axis=1), area[b.cells], rtol=1e-14,
+                               atol=0.0)
+            assert np.allclose(4.0 * b.J, area[b.cells], rtol=1e-15, atol=0)
 
 
-def test_cell_rule_refined_keeps_area_and_orthogonality():
-    spec = paper_problem(1e-6)
-    mesh = build_mesh(MeshConfig(8, 1e-6, 2.0, 1.0, 2.0))
-    ix = mesh.split_x - 1
-    rule = layerquad.cell_rule(mesh, spec, ix, 2, 4, True, False)
-    area = mesh.hx[ix] * mesh.hy[2]
-    assert np.isclose(rule.W.sum(), area, rtol=1e-14)
-    B = rule.basis(2)
-    gram = (B * rule.W) @ B.T
-    assert np.allclose(gram, np.eye(9) * area / 4.0, rtol=1e-12)
+@_settings
+@given(**_layer_cases, k=st.integers(1, 3))
+def test_layer_batch_basis_gram_is_jacobian_identity(N, eps, n, k):
+    # the rule integrates degree 2k exactly when n >= k + 1
+    k = min(k, n - 1)
+    mesh, spec = _setup(N, eps)
+    nb = (k + 1) ** 2
+    for composite in (True, False):
+        for b in layerquad.layer_batches(mesh, spec, n, composite):
+            B = b.basis(k)
+            gram = np.einsum("cag,cg,cbg->cab", B, b.W, B) / b.J[:, None, None]
+            err = np.abs(gram - np.eye(nb)).max(axis=(1, 2))
+            # The basis is evaluated at the pulled-back coordinates
+            # 2(p - x0)/h - 1 of the rounded points p near x = 1, so they
+            # carry a rounding of a few ulp/h. In fine cells at small eps
+            # that term, not the rule, bounds the error (1e-7 at eps=1e-8,
+            # about 5 eps_machine/h).
+            ix, iy = np.divmod(b.cells, mesh.ny)
+            h = np.minimum(mesh.hx[ix], mesh.hy[iy])
+            assert np.all(err <= 1e-12 + 16 * np.finfo(float).eps / h)

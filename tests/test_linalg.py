@@ -32,16 +32,7 @@ def test_solve_matches_dense():
     x = A.solve(b)
     dense = A.csr.toarray()
     assert np.allclose(x, np.linalg.solve(dense, b), atol=1e-10)
-    assert A.residual_norm(x, b) <= 1e-12 * np.linalg.norm(b)
-
-
-def test_gmres_path():
-    rng = np.random.default_rng(6)
-    n = 40
-    A = _laplacian_1d(n)
-    b = rng.standard_normal(n)
-    x = A.solve(b, method="gmres")
-    assert A.residual_norm(x, b) <= 1e-9 * np.linalg.norm(b)
+    assert np.linalg.norm(A.csr @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_zero_rhs_and_empty_matrix():
@@ -74,15 +65,4 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         A.solve(np.zeros(3))
     with pytest.raises(ValueError):
-        A.solve(np.zeros(2), method="qr")
-    with pytest.raises(ValueError):
         SparseMatrix(-1)
-
-
-def test_dump_coo():
-    A = SparseMatrix(2)
-    A.add([0, 1], [1, 0], [2.5, -1.0])
-    A.finalize()
-    text = A.dump_coo()
-    assert "0 1 2.5" in text and "1 0 -1" in text
-    assert len(text.strip().splitlines()) == A.nnz

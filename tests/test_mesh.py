@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from shishkin_hdg.mesh import (MeshAssumptionWarning, MeshConfig, Region,
-                               build_mesh, classify_cell, dump_mesh,
-                               edge_geometry, from_nodes)
+                               ShishkinMesh, build_mesh, classify_cell,
+                               dump_mesh)
 
 
 def test_config_validation():
@@ -15,6 +15,9 @@ def test_config_validation():
         MeshConfig(2, 1e-3, 2.0, 1.0, 2.0)
     with pytest.raises(ValueError):
         MeshConfig(8, -1e-3, 2.0, 1.0, 2.0)
+    x = np.array([0.0, 0.3, 0.6, 0.8, 1.0])
+    with pytest.raises(ValueError):  # nodes must strictly increase
+        ShishkinMesh(np.array([0.0, 0.5, 0.5, 1.0]), x, 0.5, 0.5, 2, 2)
 
 
 def test_transition_points():
@@ -75,17 +78,17 @@ def test_shared_edges_between_neighbors():
 
 def test_edge_geometry():
     mesh = build_mesh(MeshConfig(4, 1e-3, 2.0, 1.0, 2.0))
-    geo = edge_geometry(mesh, 0)  # vertical edge on x=0, first segment
-    assert geo.axis == 0 and geo.boundary
-    (p0, p1) = geo.endpoints
-    assert p0 == (0.0, mesh.y_nodes[0]) and p1 == (0.0, mesh.y_nodes[1])
-    assert np.isclose(geo.length, mesh.hy[0])
-    with pytest.raises(IndexError):
-        edge_geometry(mesh, mesh.n_edges)
-    # total edge length = perimeter contributions of all cells / shared edges
-    total = sum(edge_geometry(mesh, e).length for e in range(mesh.n_edges))
+    # edge 0 is the vertical edge on x=0, first segment
+    assert mesh.edge_axis[0] == 0 and mesh.edge_boundary[0]
+    assert mesh.edge_line[0] == 0 and mesh.edge_seg[0] == 0
+    # edge lengths as the solver takes them: hy along vertical lines, hx
+    # along horizontal ones; nx+1 vertical and ny+1 horizontal unit lines
+    vert = mesh.edge_axis == 0
+    lengths = np.empty(mesh.n_edges)
+    lengths[vert] = mesh.hy[mesh.edge_seg[vert]]
+    lengths[~vert] = mesh.hx[mesh.edge_seg[~vert]]
     expect = (mesh.nx + 1) * 1.0 + (mesh.ny + 1) * 1.0
-    assert np.isclose(total, expect, atol=1e-12)
+    assert np.isclose(lengths.sum(), expect, atol=1e-12)
 
 
 def test_region_classification():
@@ -99,14 +102,6 @@ def test_region_classification():
     codes = mesh.cell_region()
     assert (codes == 0).sum() == 4  # 2x2 smooth block for N=4
     assert (codes == 3).sum() == 4
-
-
-def test_from_nodes_roundtrip():
-    x = [0.0, 0.3, 0.6, 0.8, 1.0]
-    mesh = from_nodes(x, x)
-    assert mesh.nx == 4 and mesh.ny == 4
-    with pytest.raises(ValueError):
-        from_nodes([0.0, 0.5, 0.5, 1.0], x)
 
 
 def test_dump_mesh_contents():

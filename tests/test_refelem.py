@@ -1,11 +1,11 @@
 """Reference-element machinery: quadrature exactness, orthonormal bases,
-tensor tables and affine maps."""
+tensor tables and the mesh-wide tensor rule."""
 
 import numpy as np
 import pytest
 
-from shishkin_hdg.refelem import (Basis1D, CellMap, CellQuad, QuadRule1D,
-                                  gauss_rule, map_to_cell, ref_tables)
+from shishkin_hdg.refelem import (Basis1D, CellQuad, QuadRule1D, gauss_rule,
+                                  ref_tables)
 from shishkin_hdg.mesh import MeshConfig, build_mesh
 
 
@@ -15,6 +15,10 @@ def test_gauss_rule_basic():
         assert rule.n == n
         assert np.isclose(rule.weights.sum(), 2.0, atol=1e-14)
         assert np.allclose(rule.nodes, -rule.nodes[::-1])
+        # cached and shared between callers, so not writable
+        assert gauss_rule(n) is rule
+        assert not rule.nodes.flags.writeable
+        assert not rule.weights.flags.writeable
 
 
 def test_gauss_rule_exact_to_degree_2n_minus_1():
@@ -62,18 +66,6 @@ def test_basis_derivative_matches_finite_difference():
 def test_basis_degree_validation():
     with pytest.raises(ValueError):
         Basis1D(-1)
-
-
-def test_cell_map_geometry():
-    cm = CellMap(0.25, 0.75, 0.0, 0.125)
-    assert np.isclose(cm.jacobian, 0.5 * 0.125 / 4.0)
-    x, y = cm.to_physical(-1.0, 1.0)
-    assert np.isclose(x, 0.25) and np.isclose(y, 0.125)
-    (xc, yc), J = map_to_cell((0.25, 0.75, 0.0, 0.125), (0.0, 0.0))
-    assert np.isclose(xc, 0.5) and np.isclose(yc, 0.0625)
-    assert np.isclose(J, cm.jacobian)
-    with pytest.raises(ValueError):
-        CellMap(1.0, 0.0, 0.0, 1.0)
 
 
 def test_ref_tables_shapes_and_mass():
