@@ -1,7 +1,7 @@
 """HDG solver on tensor-product Shishkin meshes for 2D singularly perturbed
 convection-diffusion problems, plus a convergence-study harness."""
 
-from .mesh import MeshConfig, Region, ShishkinMesh, build_mesh, classify_cell
+from .mesh import MeshConfig, Region, ShishkinMesh, build_mesh
 from .problems import ExactSolution, ProblemSpec, paper_problem, verify_assumptions
 from .assembly import HdgConfig, SolutionFields, assemble_and_solve
 from .norms import ErrorReport, convergence_rate, dyadic_rate
@@ -12,7 +12,6 @@ __all__ = [
     "Region",
     "ShishkinMesh",
     "build_mesh",
-    "classify_cell",
     "ExactSolution",
     "ProblemSpec",
     "paper_problem",

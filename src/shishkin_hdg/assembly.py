@@ -3,9 +3,9 @@ static condensation onto edge traces, global trace solve and recovery.
 
 Internally each cell uses the pulled-back orthonormal Legendre tensor basis
 (so the cell mass matrix is J*I with J = hx*hy/4) and each edge the
-pulled-back orthonormal 1D basis. Recovered coefficients are rescaled to the
-physically L2-orthonormal bases before being stored in SolutionFields, which
-is the convention shared with the projection and norm modules.
+pulled-back orthonormal 1D basis. SolutionFields stores coefficients in the
+physically L2-orthonormal bases, the convention shared with the projection
+and norm modules, and owns the rescaling between the two.
 """
 
 from __future__ import annotations
@@ -41,14 +41,16 @@ class HdgConfig:
             raise ValueError("stabilization constant tau must be positive")
         if self.n_assembly < self.k + 1:
             raise ValueError("assembly quadrature below k+1 points")
+        if self.n_error < self.k + 1:
+            raise ValueError("error quadrature below k+1 points")
 
     @property
     def n_assembly(self) -> int:
-        return self.quad_assembly if self.quad_assembly else self.k + 2
+        return self.k + 2 if self.quad_assembly is None else self.quad_assembly
 
     @property
     def n_error(self) -> int:
-        return self.quad_error if self.quad_error else self.k + 4
+        return self.k + 4 if self.quad_error is None else self.quad_error
 
 
 @dataclass
@@ -68,6 +70,39 @@ class SolutionFields:
         nc = mesh.n_cells
         return cls(k, np.zeros((nc, nb)), np.zeros((nc, nb)),
                    np.zeros((nc, nb)), np.zeros((mesh.n_edges, k + 1)))
+
+    @staticmethod
+    def _scales(mesh: ShishkinMesh):
+        """Physical over pulled-back basis scale: sqrt(J) = sqrt(hx*hy/4)
+        per cell, (ncells, 1), and sqrt(L/2) per edge, (nedges, 1)."""
+        return (np.sqrt(mesh.cell_hx * mesh.cell_hy / 4.0)[:, None],
+                np.sqrt(mesh.edge_length / 2.0)[:, None])
+
+    @classmethod
+    def from_reference(cls, mesh: ShishkinMesh, k: int, v: np.ndarray,
+                       x: np.ndarray) -> "SolutionFields":
+        """Fields from pulled-back coefficients: v holds (q1, q2, u) per
+        cell, (ncells, 3(k+1)^2); x the traces of the interior edges in
+        edge order, (n_interior_edges * (k+1),)."""
+        nb = (k + 1) ** 2
+        sqj, sql = cls._scales(mesh)
+        interior = ~mesh.edge_boundary
+        trace = np.zeros((mesh.n_edges, k + 1))
+        trace[interior] = x.reshape(-1, k + 1) * sql[interior]
+        return cls(k, v[:, :nb] * sqj, v[:, nb:2 * nb] * sqj,
+                   v[:, 2 * nb:] * sqj, trace)
+
+    def to_reference(self, mesh: ShishkinMesh):
+        """Pulled-back coefficients (v, trace): v as in from_reference and
+        the traces of all edges, (nedges, k+1), 0 on the boundary."""
+        sqj, sql = self._scales(mesh)
+        v = np.concatenate([self.q1, self.q2, self.u], axis=1) / sqj
+        trace = np.where(mesh.edge_boundary[:, None], 0.0, self.trace / sql)
+        return v, trace
+
+    def __sub__(self, other: "SolutionFields") -> "SolutionFields":
+        return SolutionFields(self.k, self.q1 - other.q1, self.q2 - other.q2,
+                              self.u - other.u, self.trace - other.trace)
 
 
 @dataclass
@@ -132,10 +167,9 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
     fv = spec.f(cq.X, cq.Y)
     bn = edge_normal_beta(mesh, spec, n)
 
-    halfx = cq.Hx / 2.0  # edge-length factors: hx/2 for horizontal edges
-    halfy = cq.Hy / 2.0
-    scale = {0: halfy, 1: halfy, 2: halfx, 3: halfx}
-    trace_p = {0: R.Em, 1: R.Ep, 2: R.Em, 3: R.Ep}
+    halfx = mesh.cell_hx / 2.0
+    halfy = mesh.cell_hy / 2.0
+    half_side = mesh.edge_length[mesh.cell_edges] / 2.0  # (nc, 4)
 
     A = np.zeros((nc, ni, ni))
     C = np.zeros((nc, ni, nt))
@@ -160,35 +194,24 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
                     - halfx[:, None, None] * conv_y
                     + cq.J[:, None, None] * react + tau * stab)
 
-    # traces entering equation (i): <u_hat, r.n>
-    C[:, iq1, sides[0]] = -halfy[:, None, None] * R.LVm
-    C[:, iq1, sides[1]] = halfy[:, None, None] * R.LVp
-    C[:, iq2, sides[2]] = -halfx[:, None, None] * R.LHm
-    C[:, iq2, sides[3]] = halfx[:, None, None] * R.LHp
-
-    # traces entering equation (ii): <(beta.n - tau) u_hat, w>, and the
-    # edge mass of (beta.n - tau) for the flux rows (iii)
+    # per side (W, E, S, N): the flux component whose normal trace it
+    # carries, the outward sign, and the cell trace in the edge basis
+    side_terms = ((iq1, -1.0, R.LVm), (iq1, 1.0, R.LVp),
+                  (iq2, -1.0, R.LHm), (iq2, 1.0, R.LHp))
     gauss_w = gauss_rule(n).weights
-    for s in range(4):
+    for s, (iq, sign, L) in enumerate(side_terms):
+        h = half_side[:, s, None, None]
+        # traces entering equation (i): <u_hat, r.n>
+        C[:, iq, sides[s]] = sign * h * L
+        # traces entering equation (ii): <(beta.n - tau) u_hat, w>, and the
+        # edge mass of (beta.n - tau) for the flux rows (iii)
         arr = (bn[:, s] - tau) * gauss_w  # (nc, n)
         em = np.einsum("cg,ng,eg->cne", arr, R.V, R.V)  # (nc, kp, kp)
-        if s < 2:  # vertical sides: cell trace is P(mb) * V(nb)
-            blk = np.einsum("m,cne->cmne", trace_p[s], em).reshape(nc, nb, kp)
-        else:      # horizontal: V(mb) * P(nb)
-            blk = np.einsum("n,cme->cmne", trace_p[s], em).reshape(nc, nb, kp)
-        C[:, iu, sides[s]] = scale[s][:, None, None] * blk
-        D[:, sides[s], sides[s]] = scale[s][:, None, None] * \
-            np.einsum("cg,eg,fg->cef", arr, R.V, R.V)
-
-    # flux rows: <q.n, mu> and <tau u, mu>
-    G[:, sides[0], iq1] = -halfy[:, None, None] * R.LVm.T
-    G[:, sides[1], iq1] = halfy[:, None, None] * R.LVp.T
-    G[:, sides[2], iq2] = -halfx[:, None, None] * R.LHm.T
-    G[:, sides[3], iq2] = halfx[:, None, None] * R.LHp.T
-    G[:, sides[0], iu] = tau * halfy[:, None, None] * R.LVm.T
-    G[:, sides[1], iu] = tau * halfy[:, None, None] * R.LVp.T
-    G[:, sides[2], iu] = tau * halfx[:, None, None] * R.LHm.T
-    G[:, sides[3], iu] = tau * halfx[:, None, None] * R.LHp.T
+        C[:, iu, sides[s]] = h * (L @ em)
+        D[:, sides[s], sides[s]] = h * em
+        # flux rows: <q.n, mu> and <tau u, mu>
+        G[:, sides[s], iq] = sign * h * L.T
+        G[:, sides[s], iu] = tau * h * L.T
 
     F[:, iu] = cq.J[:, None] * np.einsum("cg,bg->cb", cq.W2 * fv, R.B0)
     # f carries layer tails of height ~N^-sigma varying on the sub-cell
@@ -230,14 +253,6 @@ def _trace_dofs(mesh: ShishkinMesh, k: int) -> np.ndarray:
     return td.reshape(mesh.n_cells, 4 * kp)
 
 
-def _edge_lengths(mesh: ShishkinMesh) -> np.ndarray:
-    L = np.empty(mesh.n_edges)
-    vert = mesh.edge_axis == 0
-    L[vert] = mesh.hy[mesh.edge_seg[vert]]
-    L[~vert] = mesh.hx[mesh.edge_seg[~vert]]
-    return L
-
-
 def assemble_trace_system(mesh: ShishkinMesh, cond: CondensedSystem,
                           k: int) -> tuple[SparseMatrix, np.ndarray]:
     """Scatter the per-cell Schur blocks into the global interior-trace
@@ -258,99 +273,26 @@ def assemble_trace_system(mesh: ShishkinMesh, cond: CondensedSystem,
 
 def _recover(mesh: ShishkinMesh, cond: CondensedSystem, k: int,
              x: np.ndarray) -> SolutionFields:
-    kp, nb = k + 1, (k + 1) ** 2
-    td = _trace_dofs(mesh, k)
-    if x.size:
-        t_local = np.where(td >= 0, x[np.maximum(td, 0)], 0.0)
-    else:
-        t_local = np.zeros(td.shape)
+    # boundary traces (dof id -1) read the 0 appended after the interior ones
+    t_local = np.append(x, 0.0)[_trace_dofs(mesh, k)]
     v = cond.IF - np.einsum("cij,cj->ci", cond.IC, t_local)
-
-    hx = np.repeat(mesh.hx, mesh.ny)
-    hy = np.tile(mesh.hy, mesh.nx)
-    sqj = np.sqrt(hx * hy / 4.0)[:, None]
-    q1 = v[:, :nb] * sqj
-    q2 = v[:, nb:2 * nb] * sqj
-    u = v[:, 2 * nb:] * sqj
-
-    trace = np.zeros((mesh.n_edges, kp))
-    interior = ~mesh.edge_boundary
-    if x.size:
-        scale = np.sqrt(_edge_lengths(mesh)[interior] / 2.0)
-        trace[interior] = x.reshape(-1, kp) * scale[:, None]
-    return SolutionFields(k, q1, q2, u, trace)
+    return SolutionFields.from_reference(mesh, k, v, x)
 
 
-def assemble_and_solve(mesh: ShishkinMesh, spec: ProblemSpec, cfg: HdgConfig,
-                       solver_tol: float = 1e-12) -> SolutionFields:
+def assemble_and_solve(mesh: ShishkinMesh, spec: ProblemSpec,
+                       cfg: HdgConfig) -> SolutionFields:
     """Full pipeline: local systems, condensation, global trace solve with
     homogeneous boundary traces, interior recovery."""
     check_stabilization(mesh, spec, cfg)
     blocks = build_local_systems(mesh, spec, cfg)
     cond = condense(blocks)
     A, b = assemble_trace_system(mesh, cond, cfg.k)
-    x = A.solve(b, tol=solver_tol)
+    x = A.solve(b)
     return _recover(mesh, cond, cfg.k, x)
 
 
-def assemble_monolithic(mesh: ShishkinMesh, spec: ProblemSpec,
-                        cfg: HdgConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Uncondensed dense system over all interior unknowns plus interior
-    traces (oracle path for small meshes)."""
-    blocks = build_local_systems(mesh, spec, cfg)
-    k = cfg.k
-    kp, nb = k + 1, (k + 1) ** 2
-    ni = 3 * nb
-    nc = mesh.n_cells
-    n_tr = mesh.n_interior_edges * kp
-    dim = nc * ni + n_tr
-    if dim > 20000:
-        raise ValueError("monolithic oracle restricted to small meshes")
-    M = np.zeros((dim, dim))
-    b = np.zeros(dim)
-    td = _trace_dofs(mesh, k)
-    for c in range(nc):
-        r0 = c * ni
-        M[r0:r0 + ni, r0:r0 + ni] = blocks.A[c]
-        b[r0:r0 + ni] = blocks.F[c]
-        for loc, dof in enumerate(td[c]):
-            if dof < 0:
-                continue
-            col = nc * ni + dof
-            M[r0:r0 + ni, col] += blocks.C[c][:, loc]
-            M[col, r0:r0 + ni] += blocks.G[c][loc, :]
-            for loc2, dof2 in enumerate(td[c]):
-                if dof2 >= 0:
-                    M[col, nc * ni + dof2] += blocks.D[c][loc, loc2]
-    return M, b
-
-
-def solve_monolithic(mesh: ShishkinMesh, spec: ProblemSpec,
-                     cfg: HdgConfig) -> SolutionFields:
-    """Dense solve of the uncondensed system (oracle)."""
-    M, b = assemble_monolithic(mesh, spec, cfg)
-    sol = np.linalg.solve(M, b)
-    k = cfg.k
-    nb = (k + 1) ** 2
-    nc = mesh.n_cells
-    v = sol[: nc * 3 * nb].reshape(nc, 3 * nb)
-    x = sol[nc * 3 * nb:]
-    # rebuild SolutionFields directly from the monolithic interior unknowns
-    hx = np.repeat(mesh.hx, mesh.ny)
-    hy = np.tile(mesh.hy, mesh.nx)
-    sqj = np.sqrt(hx * hy / 4.0)[:, None]
-    kp = k + 1
-    trace = np.zeros((mesh.n_edges, kp))
-    interior = ~mesh.edge_boundary
-    if x.size:
-        scale = np.sqrt(_edge_lengths(mesh)[interior] / 2.0)
-        trace[interior] = x.reshape(-1, kp) * scale[:, None]
-    return SolutionFields(k, v[:, :nb] * sqj, v[:, nb:2 * nb] * sqj,
-                          v[:, 2 * nb:] * sqj, trace)
-
-
-def galerkin_residual(mesh: ShishkinMesh, spec: ProblemSpec, cfg: HdgConfig,
-                      n_quad: Optional[int] = None) -> float:
+def galerkin_residual(mesh: ShishkinMesh, spec: ProblemSpec,
+                      cfg: HdgConfig) -> float:
     """Max over all discrete test functions of |B(exact - discrete, test)|,
     scaled by the load size.
 
@@ -361,7 +303,7 @@ def galerkin_residual(mesh: ShishkinMesh, spec: ProblemSpec, cfg: HdgConfig,
     """
     if spec.exact is None:
         raise ValueError("galerkin residual needs an exact solution")
-    n = n_quad if n_quad else min(30, cfg.k + 22)
+    n = min(30, cfg.k + 22)
     hcfg = HdgConfig(cfg.k, cfg.tau, quad_assembly=n, quad_error=n)
     fields = assemble_and_solve(mesh, spec, hcfg)
     exact = norms.triple_values_exact(mesh, spec, n)
@@ -382,16 +324,8 @@ def bilinear_form(fields: SolutionFields, mesh: ShishkinMesh,
     makes the quadratic form equal the energy norm squared identically,
     which is the coercivity statement being sampled here."""
     blocks = build_local_systems(mesh, spec, cfg)
-    kp = cfg.k + 1
-
-    # physical -> pulled-back coefficients
-    hx = np.repeat(mesh.hx, mesh.ny)
-    hy = np.tile(mesh.hy, mesh.nx)
-    sqj = np.sqrt(hx * hy / 4.0)[:, None]
-    v = np.concatenate([fields.q1, fields.q2, fields.u], axis=1) / sqj
-    tr_ref = np.where(mesh.edge_boundary[:, None], 0.0,
-                      fields.trace / np.sqrt(_edge_lengths(mesh) / 2.0)[:, None])
-    t = tr_ref[mesh.cell_edges].reshape(mesh.n_cells, 4 * kp)
+    v, trace = fields.to_reference(mesh)
+    t = trace[mesh.cell_edges].reshape(mesh.n_cells, 4 * (cfg.k + 1))
 
     av = np.einsum("ci,cij,cj->c", v, blocks.A, v)
     cv = np.einsum("ci,cij,cj->c", v, blocks.C, t)

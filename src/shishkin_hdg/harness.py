@@ -36,12 +36,10 @@ class StudyConfig:
     tau: float = 3.0
     quad_assembly: Optional[int] = None
     quad_error: Optional[int] = None
-    solver_tol: float = 1e-12
     mode: str = "true-error"
     out_dir: Optional[str] = None
     strict: bool = False
     max_n: Optional[int] = None
-    diagnostics: bool = False
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -76,7 +74,7 @@ def solve_cell(cfg: StudyConfig, k: int, eps: float, N: int):
     mcfg = MeshConfig(N, eps, cfg.sigma_for(k), spec.beta_lb[0],
                       spec.beta_lb[1])
     mesh = build_mesh(mcfg)
-    fields = assemble_and_solve(mesh, spec, hdg, solver_tol=cfg.solver_tol)
+    fields = assemble_and_solve(mesh, spec, hdg)
     projected = None
     if cfg.mode in ("supercloseness", "both"):
         projected = projections.project_exact(mesh, spec, k, hdg.n_error)
@@ -285,9 +283,10 @@ def run_diagnostics(cfg: StudyConfig, seed: int = 0,
         f"coercivity B(xi,xi)/|||xi|||^2 over {n_triples} random triples",
         worst, 1.0 - 1e-10, worst >= 1.0 - 1e-10))
 
-    cfg2 = StudyConfig(cfg.problem, [k], [eps], [N], cfg.sigma, cfg.tau,
-                       hdg.n_assembly + 2, hdg.n_error + 2, cfg.solver_tol,
-                       cfg.mode)
+    cfg2 = StudyConfig(problem=cfg.problem, k_list=[k], eps_list=[eps],
+                       n_list=[N], sigma=cfg.sigma, tau=cfg.tau,
+                       quad_assembly=hdg.n_assembly + 2,
+                       quad_error=hdg.n_error + 2, mode=cfg.mode)
     rep2, _, _ = solve_cell(cfg2, k, eps, N)
     delta = abs(rep2.energy_error - report.energy_error) / report.energy_error
     entries.append(DiagnosticEntry(

@@ -2,7 +2,8 @@
 
 Backed by scipy CSR storage and SuperLU (sparse direct LU with COLAMD
 fill-reducing ordering and partial pivoting) with iterative refinement.
-The small dense monolithic oracle lives in `assembly`.
+The dense monolithic oracle the condensed solve is checked against lives in
+the test suite (`tests/dense_oracle.py`).
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+# relative residual (2-norm) every solve must reach
+RESIDUAL_TOL = 1e-12
 
 
 class SolveError(RuntimeError):
@@ -69,10 +73,10 @@ class SparseMatrix:
     def nnz(self) -> int:
         return self.csr.nnz
 
-    def solve(self, b, tol: float = 1e-12) -> np.ndarray:
-        """Solve Ax = b to a relative residual <= tol (2-norm) with SuperLU
-        plus iterative refinement; raises SolveError if the residual target
-        is not met."""
+    def solve(self, b) -> np.ndarray:
+        """Solve Ax = b to a relative residual <= RESIDUAL_TOL (2-norm) with
+        SuperLU plus iterative refinement; raises SolveError if the residual
+        target is not met."""
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
             raise ValueError(f"rhs dimension mismatch: {b.shape} vs {self.n}")
@@ -86,14 +90,15 @@ class SparseMatrix:
         except RuntimeError as exc:  # singular factorization
             raise SolveError(f"sparse LU factorization failed: {exc}") from exc
         x = lu.solve(b)
+        tol = RESIDUAL_TOL * bnorm
         for _ in range(2):  # iterative refinement to hit the residual target
             r = b - self.csr @ x
-            if np.linalg.norm(r) <= tol * bnorm:
+            if np.linalg.norm(r) <= tol:
                 break
             x = x + lu.solve(r)
         res = np.linalg.norm(b - self.csr @ x)
-        if not np.isfinite(res) or res > tol * bnorm:
+        if not np.isfinite(res) or res > tol:
             raise SolveError(
-                f"direct solve residual {res:.3e} exceeds {tol:.1e} * ||b|| "
-                f"= {tol * bnorm:.3e} (n={self.n}, nnz={self.nnz})")
+                f"direct solve residual {res:.3e} exceeds {RESIDUAL_TOL:.1e} "
+                f"* ||b|| = {tol:.3e} (n={self.n}, nnz={self.nnz})")
         return x

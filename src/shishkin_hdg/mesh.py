@@ -62,11 +62,13 @@ class ShishkinMesh:
     tau_y: float
     split_x: int  # cells with 0-based ix < split_x are left of the x transition
     split_y: int
-    epsilon_warning: bool = False
 
-    # derived topology, filled in __post_init__
+    # derived geometry and topology, filled in __post_init__
     hx: np.ndarray = field(init=False)
     hy: np.ndarray = field(init=False)
+    cell_hx: np.ndarray = field(init=False)          # (ncells,) cell widths
+    cell_hy: np.ndarray = field(init=False)
+    edge_length: np.ndarray = field(init=False)      # (nedges,)
     cell_edges: np.ndarray = field(init=False)       # (ncells, 4): W, E, S, N
     edge_axis: np.ndarray = field(init=False)        # 0 vertical, 1 horizontal
     edge_line: np.ndarray = field(init=False)
@@ -83,6 +85,8 @@ class ShishkinMesh:
         self.hx = np.diff(self.x_nodes)
         self.hy = np.diff(self.y_nodes)
         nx, ny = self.nx, self.ny
+        self.cell_hx = np.repeat(self.hx, ny)
+        self.cell_hy = np.tile(self.hy, nx)
 
         n_vert = (nx + 1) * ny
         n_horiz = nx * (ny + 1)
@@ -91,10 +95,12 @@ class ShishkinMesh:
         line = np.empty(nedges, dtype=np.int64)
         seg = np.empty(nedges, dtype=np.int64)
         cells = np.full((nedges, 2), -1, dtype=np.int64)
+        length = np.empty(nedges)
 
         i, j = np.meshgrid(np.arange(nx + 1), np.arange(ny), indexing="ij")
         vid = (i * ny + j).reshape(-1)
         axis[vid], line[vid], seg[vid] = 0, i.reshape(-1), j.reshape(-1)
+        length[vid] = self.hy[j.reshape(-1)]
         left = np.where(i > 0, (i - 1) * ny + j, -1).reshape(-1)
         right = np.where(i < nx, i * ny + j, -1).reshape(-1)
         cells[vid, 0], cells[vid, 1] = left, right
@@ -102,12 +108,14 @@ class ShishkinMesh:
         j2, i2 = np.meshgrid(np.arange(ny + 1), np.arange(nx), indexing="ij")
         hid = (n_vert + j2 * nx + i2).reshape(-1)
         axis[hid], line[hid], seg[hid] = 1, j2.reshape(-1), i2.reshape(-1)
+        length[hid] = self.hx[i2.reshape(-1)]
         below = np.where(j2 > 0, i2 * ny + (j2 - 1), -1).reshape(-1)
         above = np.where(j2 < ny, i2 * ny + j2, -1).reshape(-1)
         cells[hid, 0], cells[hid, 1] = below, above
 
         self.edge_axis, self.edge_line, self.edge_seg = axis, line, seg
         self.edge_cells = cells
+        self.edge_length = length
         self.edge_boundary = (cells == -1).any(axis=1)
         self.interior_index = np.full(nedges, -1, dtype=np.int64)
         self.interior_index[~self.edge_boundary] = np.arange(
@@ -157,9 +165,12 @@ class ShishkinMesh:
         code = in_x.astype(int) + 2 * in_y.astype(int)
         return np.broadcast_to(code, (self.nx, self.ny)).reshape(-1)
 
-
-_REGION_BY_CODE = [Region.SMOOTH, Region.X_LAYER, Region.Y_LAYER,
-                   Region.CORNER_LAYER]
+    def region_sums(self, values: np.ndarray) -> dict:
+        """Sums of a per-cell array over each Region, keyed by the Region
+        value in Region order."""
+        sums = np.bincount(self.cell_region(), weights=values,
+                           minlength=len(Region))
+        return {reg.value: float(s) for reg, s in zip(Region, sums)}
 
 
 def build_mesh(cfg: MeshConfig) -> ShishkinMesh:
@@ -178,21 +189,12 @@ def build_mesh(cfg: MeshConfig) -> ShishkinMesh:
         out[0], out[-1] = 0.0, 1.0
         return out
 
-    warn = cfg.epsilon > 1.0 / N
-    if warn:
+    if cfg.epsilon > 1.0 / N:
         warnings.warn(
             f"epsilon = {cfg.epsilon:g} exceeds 1/N = {1.0 / N:g}",
             MeshAssumptionWarning, stacklevel=2)
     return ShishkinMesh(nodes(tau_x), nodes(tau_y), tau_x, tau_y,
-                        split_x=N // 2, split_y=N // 2, epsilon_warning=warn)
-
-
-def classify_cell(mesh: ShishkinMesh, i: int, j: int) -> Region:
-    """Region of cell (i, j), 1-based as in K_ij = I_i x J_j."""
-    if not (1 <= i <= mesh.nx and 1 <= j <= mesh.ny):
-        raise IndexError(f"cell index ({i}, {j}) out of range")
-    code = int(i - 1 >= mesh.split_x) + 2 * int(j - 1 >= mesh.split_y)
-    return _REGION_BY_CODE[code]
+                        split_x=N // 2, split_y=N // 2)
 
 
 def dump_mesh(mesh: ShishkinMesh) -> str:
@@ -204,7 +206,8 @@ def dump_mesh(mesh: ShishkinMesh) -> str:
     buf.write("x_nodes " + " ".join(f"{v:.17g}" for v in mesh.x_nodes) + "\n")
     buf.write("y_nodes " + " ".join(f"{v:.17g}" for v in mesh.y_nodes) + "\n")
     buf.write("# cells: id ix iy x0 x1 y0 y1 region\n")
-    regions = mesh.cell_region()
+    regions = list(Region)
+    codes = mesh.cell_region()
     for ix in range(mesh.nx):
         for iy in range(mesh.ny):
             c = ix * mesh.ny + iy
@@ -212,7 +215,7 @@ def dump_mesh(mesh: ShishkinMesh) -> str:
                 f"cell {c} {ix} {iy} "
                 f"{mesh.x_nodes[ix]:.17g} {mesh.x_nodes[ix + 1]:.17g} "
                 f"{mesh.y_nodes[iy]:.17g} {mesh.y_nodes[iy + 1]:.17g} "
-                f"{_REGION_BY_CODE[regions[c]].value}\n")
+                f"{regions[codes[c]].value}\n")
     buf.write("# edges: id axis line seg cell- cell+ boundary\n")
     for e in range(mesh.n_edges):
         buf.write(

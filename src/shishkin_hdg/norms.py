@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from . import layerquad
-from .mesh import Region, ShishkinMesh
+from .mesh import ShishkinMesh
 from .problems import ProblemSpec
 from .refelem import CellQuad, gauss_rule, ref_tables
 
@@ -28,39 +28,11 @@ class StabilizationError(ValueError):
 def edge_normal_beta(mesh: ShishkinMesh, spec: ProblemSpec, n: int):
     """beta.n at n Gauss points of every cell side (W, E, S, N), signed with
     the cell's outward normal. Returns an (ncells, 4, n) array."""
-    cq = CellQuad(mesh, n)
-    nx, ny = mesh.nx, mesh.ny
-    ix = np.repeat(np.arange(nx), ny)
-    iy = np.tile(np.arange(ny), nx)
-    yg = cq.yq[iy]
-    xg = cq.xq[ix]
-    bn = np.empty((mesh.n_cells, 4, n))
-    bn[:, 0] = -spec.beta1(mesh.x_nodes[ix][:, None], yg)
-    bn[:, 1] = spec.beta1(mesh.x_nodes[ix + 1][:, None], yg)
-    bn[:, 2] = -spec.beta2(xg, mesh.y_nodes[iy][:, None])
-    bn[:, 3] = spec.beta2(xg, mesh.y_nodes[iy + 1][:, None])
-    return bn
-
-
-def _side_coords(mesh: ShishkinMesh, n: int):
-    """Physical coordinates of the n Gauss points on each cell side.
-
-    Returns (xs, ys) of shape (ncells, 4, n), side order W, E, S, N.
-    """
-    cq = CellQuad(mesh, n)
-    nx, ny = mesh.nx, mesh.ny
-    nc = mesh.n_cells
-    ix = np.repeat(np.arange(nx), ny)
-    iy = np.tile(np.arange(ny), nx)
-    xs = np.empty((nc, 4, n))
-    ys = np.empty((nc, 4, n))
-    xs[:, 0] = mesh.x_nodes[ix][:, None]
-    xs[:, 1] = mesh.x_nodes[ix + 1][:, None]
-    ys[:, 0] = ys[:, 1] = cq.yq[iy]
-    xs[:, 2] = xs[:, 3] = cq.xq[ix]
-    ys[:, 2] = mesh.y_nodes[iy][:, None]
-    ys[:, 3] = mesh.y_nodes[iy + 1][:, None]
-    return xs, ys
+    xs, ys = CellQuad(mesh, n).side_points
+    return np.stack([-spec.beta1(xs[:, 0], ys[:, 0]),
+                     spec.beta1(xs[:, 1], ys[:, 1]),
+                     -spec.beta2(xs[:, 2], ys[:, 2]),
+                     spec.beta2(xs[:, 3], ys[:, 3])], axis=1)
 
 
 def _side_trace_tables(k: int, n: int):
@@ -99,7 +71,6 @@ def triple_values_discrete(mesh: ShishkinMesh, flds, n: int) -> TripleValues:
     """Evaluate a discrete triple given by SolutionFields-style coefficient
     arrays (physically orthonormal bases)."""
     k = flds.k
-    kp = k + 1
     R = ref_tables(k, n)
     cq = CellQuad(mesh, n)
     sqj = np.sqrt(cq.J)
@@ -116,12 +87,8 @@ def triple_values_discrete(mesh: ShishkinMesh, flds, n: int) -> TripleValues:
         return out
 
     # per-edge trace values, gathered onto cell sides
-    L = np.empty(mesh.n_edges)
-    vert = mesh.edge_axis == 0
-    L[vert] = mesh.hy[mesh.edge_seg[vert]]
-    L[~vert] = mesh.hx[mesh.edge_seg[~vert]]
     mu_edge = np.einsum("ea,ag->eg", flds.trace, R.V) / \
-        np.sqrt(L / 2.0)[:, None]
+        np.sqrt(mesh.edge_length / 2.0)[:, None]
     mu = mu_edge[mesh.cell_edges]  # (nc, 4, n)
 
     return TripleValues(n, cell_vals(flds.q1), cell_vals(flds.q2),
@@ -131,15 +98,19 @@ def triple_values_discrete(mesh: ShishkinMesh, flds, n: int) -> TripleValues:
 
 def triple_values_exact(mesh: ShishkinMesh, spec: ProblemSpec,
                         n: int) -> TripleValues:
-    """Evaluate the exact triple (q, u, u|_edges) of a manufactured problem."""
+    """Evaluate the exact triple (q, u, u|_edges) of a manufactured problem.
+
+    u is continuous, so its side values serve as both w_tr and mu (one
+    shared array)."""
     if spec.exact is None:
         raise ValueError("problem has no exact solution attached")
     ex = spec.exact
     cq = CellQuad(mesh, n)
-    xs, ys = _side_coords(mesh, n)
+    xs, ys = cq.side_points
+    u_side = ex.u(xs, ys)
     return TripleValues(n, ex.q1(cq.X, cq.Y), ex.q2(cq.X, cq.Y),
                         ex.u(cq.X, cq.Y), ex.q1(xs, ys), ex.q2(xs, ys),
-                        ex.u(xs, ys), ex.u(xs, ys))
+                        u_side, u_side)
 
 
 def triple_sub(a: TripleValues, b: TripleValues) -> TripleValues:
@@ -157,13 +128,6 @@ class EnergyNormResult:
     reaction_part_sq: float  # ||(c - div beta / 2)^{1/2} w||^2
     jump_part_sq: float      # ||(tau - beta.n/2)^{1/2} (w - mu)||^2 on cell sides
     region_cell_sq: dict     # cell contributions (q + reaction) per Region name
-
-
-def _side_scales(mesh: ShishkinMesh):
-    """Half side-lengths per cell and side, (ncells, 4)."""
-    hx = np.repeat(mesh.hx, mesh.ny)
-    hy = np.tile(mesh.hy, mesh.nx)
-    return np.stack([hy, hy, hx, hx], axis=1) / 2.0
 
 
 def energy_norm(mesh: ShishkinMesh, spec: ProblemSpec, tau: float,
@@ -192,19 +156,15 @@ def energy_norm(mesh: ShishkinMesh, spec: ProblemSpec, tau: float,
             f"tau = {tau:g} gives a negative edge weight tau - beta.n/2 "
             f"(min {np.min(weight):.3e}); energy norm undefined")
     jump = (vals.w_tr - vals.mu) ** 2
-    side = _side_scales(mesh)[:, :, None] * weight * jump * w1
+    half = mesh.edge_length[mesh.cell_edges] / 2.0
+    side = half[:, :, None] * weight * jump * w1
     jump_sq = float(side.sum())
 
-    codes = mesh.cell_region()
-    region = {}
-    for code, reg in enumerate([Region.SMOOTH, Region.X_LAYER,
-                                Region.Y_LAYER, Region.CORNER_LAYER]):
-        sel = codes == code
-        region[reg.value] = float(cell_q[sel].sum() + cell_r[sel].sum())
     q_sq = float(cell_q.sum())
     r_sq = float(cell_r.sum())
     return EnergyNormResult(float(np.sqrt(q_sq + r_sq + jump_sq)),
-                            q_sq, r_sq, jump_sq, region)
+                            q_sq, r_sq, jump_sq,
+                            mesh.region_sums(cell_q + cell_r))
 
 
 def l2_norms(mesh: ShishkinMesh, vals: TripleValues) -> tuple[float, float]:
@@ -229,9 +189,8 @@ def bilinear_residual(mesh: ShishkinMesh, spec: ProblemSpec, cfg,
     cq = CellQuad(mesh, n)
     w1 = gauss_rule(n).weights
     sqj = np.sqrt(cq.J)
-    halfx = cq.Hx / 2.0
-    halfy = cq.Hy / 2.0
-    sscale = _side_scales(mesh)
+    sscale = mesh.edge_length[mesh.cell_edges] / 2.0  # half side lengths
+    side = sscale / sqj[:, None]
     tabs = _side_trace_tables(k, n)
     bn = edge_normal_beta(mesh, spec, n)
 
@@ -245,37 +204,30 @@ def bilinear_residual(mesh: ShishkinMesh, spec: ProblemSpec, cfg,
 
     worst = 0.0
     if "r" in parts:
-        res1 = (sqj / spec.epsilon)[:, None] * \
-            np.einsum("cg,bg->cb", vals.r1 * cq.W2, R.B0)
-        res1 -= (halfy / sqj)[:, None] * \
-            np.einsum("cg,bg->cb", vals.w * cq.W2, R.BX)
-        res1 -= (halfy / sqj)[:, None] * \
-            np.einsum("cg,bg->cb", vals.mu[:, 0] * w1, tabs[0])
-        res1 += (halfy / sqj)[:, None] * \
-            np.einsum("cg,bg->cb", vals.mu[:, 1] * w1, tabs[1])
-        res2 = (sqj / spec.epsilon)[:, None] * \
-            np.einsum("cg,bg->cb", vals.r2 * cq.W2, R.B0)
-        res2 -= (halfx / sqj)[:, None] * \
-            np.einsum("cg,bg->cb", vals.w * cq.W2, R.BY)
-        res2 -= (halfx / sqj)[:, None] * \
-            np.einsum("cg,bg->cb", vals.mu[:, 2] * w1, tabs[2])
-        res2 += (halfx / sqj)[:, None] * \
-            np.einsum("cg,bg->cb", vals.mu[:, 3] * w1, tabs[3])
-        worst = max(worst, float(np.abs(res1).max()),
-                    float(np.abs(res2).max()))
+        # rows of r1 (x derivative, sides W and E), then of r2 (S and N)
+        for r, BD, s in ((vals.r1, R.BX, 0), (vals.r2, R.BY, 2)):
+            res = (sqj / spec.epsilon)[:, None] * \
+                np.einsum("cg,bg->cb", r * cq.W2, R.B0)
+            res -= side[:, s, None] * \
+                np.einsum("cg,bg->cb", vals.w * cq.W2, BD)
+            res -= side[:, s, None] * \
+                np.einsum("cg,bg->cb", vals.mu[:, s] * w1, tabs[s])
+            res += side[:, s + 1, None] * \
+                np.einsum("cg,bg->cb", vals.mu[:, s + 1] * w1, tabs[s + 1])
+            worst = max(worst, float(np.abs(res).max()))
 
     if "w" in parts:
         b1 = spec.beta1(cq.X, cq.Y)
         b2 = spec.beta2(cq.X, cq.Y)
         cr = spec.c(cq.X, cq.Y) - spec.div_beta(cq.X, cq.Y)
-        resw = -(halfy / sqj)[:, None] * np.einsum(
+        resw = -side[:, 0, None] * np.einsum(
             "cg,bg->cb", (vals.r1 + b1 * vals.w) * cq.W2, R.BX)
-        resw -= (halfx / sqj)[:, None] * np.einsum(
+        resw -= side[:, 2, None] * np.einsum(
             "cg,bg->cb", (vals.r2 + b2 * vals.w) * cq.W2, R.BY)
         resw += sqj[:, None] * np.einsum("cg,bg->cb", cr * vals.w * cq.W2,
                                          R.B0)
         for s in range(4):
-            resw += (sscale[:, s] / sqj)[:, None] * \
+            resw += side[:, s, None] * \
                 np.einsum("cg,bg->cb", flux[:, s] * w1, tabs[s])
         worst = max(worst, float(np.abs(resw).max()))
 
@@ -291,11 +243,10 @@ def bilinear_residual(mesh: ShishkinMesh, spec: ProblemSpec, cfg,
     return worst
 
 
-def load_vector_scale(mesh: ShishkinMesh, spec: ProblemSpec, n: int,
-                      k: Optional[int] = None) -> float:
-    """max |(f, w)| over normalized cell test functions (residual scaling)."""
-    kk = k if k is not None else 2
-    R = ref_tables(kk, n)
+def load_vector_scale(mesh: ShishkinMesh, spec: ProblemSpec, n: int) -> float:
+    """max |(f, w)| over normalized Q^2 cell test functions (residual
+    scaling)."""
+    R = ref_tables(2, n)
     cq = CellQuad(mesh, n)
     fv = spec.f(cq.X, cq.Y)
     F = np.sqrt(cq.J)[:, None] * np.einsum("cg,bg->cb", fv * cq.W2, R.B0)
@@ -326,12 +277,8 @@ def refined_error_corrections(mesh: ShishkinMesh, spec: ProblemSpec, fields,
             dq[b.cells] += sign * np.einsum("cg,cg->c", b.W, q1t**2 + q2t**2)
             dr[b.cells] += sign * np.einsum("cg,cg->c", b.W, cw * ut**2)
             du[b.cells] += sign * np.einsum("cg,cg->c", b.W, ut**2)
-    region = np.bincount(mesh.cell_region(), weights=dq / spec.epsilon + dr,
-                         minlength=4)
-    names = [Region.SMOOTH.value, Region.X_LAYER.value,
-             Region.Y_LAYER.value, Region.CORNER_LAYER.value]
     return (float(dq.sum()), float(dr.sum()), float(du.sum()),
-            {name: float(v) for name, v in zip(names, region)})
+            mesh.region_sums(dq / spec.epsilon + dr))
 
 
 @dataclass
@@ -380,11 +327,7 @@ def supercloseness_norm(mesh: ShishkinMesh, spec: ProblemSpec, cfg, fields,
                         projected) -> float:
     """|||(Pi q - q_h, Pi u - u_h, P u - u_hat)|||: energy distance between
     the discrete solution and the L2 projection of the exact one."""
-    from .assembly import SolutionFields
-    diff = SolutionFields(fields.k, projected.q1 - fields.q1,
-                          projected.q2 - fields.q2, projected.u - fields.u,
-                          projected.trace - fields.trace)
-    vals = triple_values_discrete(mesh, diff, cfg.n_error)
+    vals = triple_values_discrete(mesh, projected - fields, cfg.n_error)
     return energy_norm(mesh, spec, cfg.tau, vals).total
 
 

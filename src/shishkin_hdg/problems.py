@@ -21,9 +21,6 @@ class ExactSolution:
     u_y: Field
     laplacian: Field
 
-    def grad_u(self, x, y):
-        return self.u_x(x, y), self.u_y(x, y)
-
     def q1(self, x, y):
         return -self.epsilon * self.u_x(x, y)
 
@@ -47,13 +44,44 @@ class ProblemSpec:
     exact: Optional[ExactSolution] = None
 
 
+# The coefficients every problem shares: beta = (2 - x, 3 - y^3), c = 1.
+def _beta1(x, y):
+    return 2.0 - np.asarray(x, float)
+
+
+def _beta2(x, y):
+    return 3.0 - np.asarray(y, float) ** 3
+
+
+def _c(x, y):
+    return np.ones(np.broadcast(x, y).shape)
+
+
+def _div_beta(x, y):
+    return -1.0 - 3.0 * np.asarray(y, float) ** 2
+
+
+def _problem(name: str, eps: float, u: Field, u_x: Field, u_y: Field,
+             lap: Field) -> ProblemSpec:
+    """The problem with the shared coefficients whose exact solution is u;
+    f is generated from u through the differential operator."""
+
+    def f(x, y):
+        return (-eps * lap(x, y) + _beta1(x, y) * u_x(x, y)
+                + _beta2(x, y) * u_y(x, y) + _c(x, y) * u(x, y))
+
+    exact = ExactSolution(eps, u, u_x, u_y, lap)
+    # c - div(beta)/2 = 3/2 + (3/2) y^2 >= 3/2
+    return ProblemSpec(name, eps, _beta1, _beta2, _c, _div_beta, f,
+                       beta_lb=(1.0, 2.0), c0=1.5, exact=exact)
+
+
 def paper_problem(epsilon: float) -> ProblemSpec:
     """The manufactured test problem with beta = (2-x, 3-y^3), c = 1 and
     exact solution u = y^3 sin(x) (1 - e^{-(1-x)/eps}) (1 - e^{-2(1-y)/eps}).
 
-    f is generated from the exact solution through the differential operator,
-    using hand-derived closed-form derivatives (cross-checked against finite
-    differences in the test suite).
+    The derivatives of u are hand-derived in closed form (cross-checked
+    against finite differences in the test suite).
     """
     if not 0 < epsilon <= 1:
         raise ValueError("epsilon must lie in (0, 1]")
@@ -101,26 +129,7 @@ def paper_problem(epsilon: float) -> ProblemSpec:
     def lap(x, y):
         return App(x) * B(y) + A(x) * Bpp(y)
 
-    def beta1(x, y):
-        return 2.0 - np.asarray(x, float) + 0.0 * np.asarray(y, float)
-
-    def beta2(x, y):
-        return 3.0 - np.asarray(y, float) ** 3 + 0.0 * np.asarray(x, float)
-
-    def c(x, y):
-        return np.ones_like(np.asarray(x, float) + np.asarray(y, float))
-
-    def div_beta(x, y):
-        return -1.0 - 3.0 * np.asarray(y, float) ** 2 + 0.0 * np.asarray(x, float)
-
-    def f(x, y):
-        return (-eps * lap(x, y) + beta1(x, y) * u_x(x, y)
-                + beta2(x, y) * u_y(x, y) + c(x, y) * u(x, y))
-
-    exact = ExactSolution(eps, u, u_x, u_y, lap)
-    # c - div(beta)/2 = 3/2 + (3/2) y^2 >= 3/2
-    return ProblemSpec("paper-sec5", eps, beta1, beta2, c, div_beta, f,
-                       beta_lb=(1.0, 2.0), c0=1.5, exact=exact)
+    return _problem("paper-sec5", eps, u, u_x, u_y, lap)
 
 
 def polynomial_problem(epsilon: float = 1.0) -> ProblemSpec:
@@ -140,19 +149,7 @@ def polynomial_problem(epsilon: float = 1.0) -> ProblemSpec:
     def lap(x, y):
         return -2.0 * y * (1.0 - y) - 2.0 * x * (1.0 - x)
 
-    beta1 = (lambda x, y: 2.0 - np.asarray(x, float) + 0.0 * np.asarray(y, float))
-    beta2 = (lambda x, y: 3.0 - np.asarray(y, float) ** 3 + 0.0 * np.asarray(x, float))
-    c = (lambda x, y: np.ones_like(np.asarray(x, float) + np.asarray(y, float)))
-    div_beta = (lambda x, y: -1.0 - 3.0 * np.asarray(y, float) ** 2
-                + 0.0 * np.asarray(x, float))
-
-    def f(x, y):
-        return (-eps * lap(x, y) + beta1(x, y) * u_x(x, y)
-                + beta2(x, y) * u_y(x, y) + c(x, y) * u(x, y))
-
-    exact = ExactSolution(eps, u, u_x, u_y, lap)
-    return ProblemSpec("poly-q2", eps, beta1, beta2, c, div_beta, f,
-                       beta_lb=(1.0, 2.0), c0=1.5, exact=exact)
+    return _problem("poly-q2", eps, u, u_x, u_y, lap)
 
 
 PROBLEMS = {
@@ -201,15 +198,3 @@ def verify_assumptions(spec: ProblemSpec, samples: int = 101) -> AssumptionRepor
     mc = float(np.min(spec.c(X, Y) - 0.5 * spec.div_beta(X, Y) - spec.c0))
     passed = min(m1, m2, mc) >= -1e-12
     return AssumptionReport(passed, m1, m2, mc, samples)
-
-
-def pde_residual(spec: ProblemSpec, x, y):
-    """-eps*Lap(u) + beta.grad(u) + c*u - f at a point; zero to rounding for
-    manufactured problems."""
-    if spec.exact is None:
-        raise ValueError("problem has no exact solution attached")
-    ex = spec.exact
-    return (-spec.epsilon * ex.laplacian(x, y)
-            + spec.beta1(x, y) * ex.u_x(x, y)
-            + spec.beta2(x, y) * ex.u_y(x, y)
-            + spec.c(x, y) * ex.u(x, y) - spec.f(x, y))

@@ -1,12 +1,12 @@
 """Reference-element machinery: Gauss-Legendre quadrature, orthonormal
-Legendre bases, tensor-product tables on the reference square and the
-tensor rule over all cells of a mesh."""
+Legendre bases, tensor-product tables on the reference square, and the
+tensor rule over all cells of a mesh with the Gauss points of their sides."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -127,15 +127,15 @@ def ref_tables(k: int, n: int) -> RefTables:
 
 
 class CellQuad:
-    """Tensor-product quadrature geometry over all cells of a mesh.
+    """Tensor-product quadrature geometry over all cells of a mesh, and the
+    Gauss points on the cell sides.
 
     Cells are flattened as c = ix*ny + iy, points as g = gx*n + gy.
     """
 
     def __init__(self, mesh, n: int):
         rule = gauss_rule(n)
-        self.n = n
-        self.t, self.w = rule.nodes, rule.weights
+        self.mesh, self.n = mesh, n
         hx, hy = mesh.hx, mesh.hy
         xm = (mesh.x_nodes[:-1] + mesh.x_nodes[1:]) / 2.0
         ym = (mesh.y_nodes[:-1] + mesh.y_nodes[1:]) / 2.0
@@ -147,7 +147,25 @@ class CellQuad:
         self.Y = np.broadcast_to(self.yq[None, :, None, :],
                                  (nx, ny, n, n)).reshape(nx * ny, n * n)
         self.W2 = np.outer(rule.weights, rule.weights).reshape(-1)
-        Hx = np.repeat(hx, ny)
-        Hy = np.tile(hy, nx)
-        self.Hx, self.Hy = Hx, Hy
-        self.J = Hx * Hy / 4.0
+        self.J = mesh.cell_hx * mesh.cell_hy / 4.0
+
+    @cached_property
+    def side_points(self) -> tuple[np.ndarray, np.ndarray]:
+        """Physical coordinates (X, Y) of the n Gauss points on each cell
+        side, each of shape (ncells, 4, n), side order W, E, S, N.
+
+        Built on first use, since most callers need only the cell points.
+        The two cells of an edge compute its points from the same node and
+        midpoint values, so they see the same points bit for bit."""
+        mesh, n = self.mesh, self.n
+        ix = np.repeat(np.arange(mesh.nx), mesh.ny)
+        iy = np.tile(np.arange(mesh.ny), mesh.nx)
+        xs = np.empty((mesh.n_cells, 4, n))
+        ys = np.empty((mesh.n_cells, 4, n))
+        xs[:, 0] = mesh.x_nodes[ix][:, None]
+        xs[:, 1] = mesh.x_nodes[ix + 1][:, None]
+        ys[:, 0] = ys[:, 1] = self.yq[iy]
+        xs[:, 2] = xs[:, 3] = self.xq[ix]
+        ys[:, 2] = mesh.y_nodes[iy][:, None]
+        ys[:, 3] = mesh.y_nodes[iy + 1][:, None]
+        return xs, ys

@@ -20,11 +20,11 @@ import numpy as np
 import pytest
 
 from conftest import acceptance_lines
+from dense_oracle import solve_monolithic
 
 from shishkin_hdg import norms
 from shishkin_hdg.assembly import (HdgConfig, assemble_and_solve, bilinear_form,
-                                   galerkin_residual, random_fields,
-                                   solve_monolithic)
+                                   galerkin_residual, random_fields)
 from shishkin_hdg.harness import StudyConfig, solve_cell
 from shishkin_hdg.mesh import MeshConfig, build_mesh
 from shishkin_hdg.norms import convergence_rate

@@ -3,13 +3,12 @@
 import numpy as np
 import pytest
 
+from dense_oracle import assemble_monolithic, solve_monolithic
 from shishkin_hdg.assembly import (HdgConfig, SolutionFields,
-                                   assemble_and_solve, assemble_monolithic,
-                                   bilinear_form, build_local_systems,
-                                   check_stabilization, condense,
-                                   flux_continuity_residual,
-                                   galerkin_residual, random_fields,
-                                   solve_monolithic)
+                                   assemble_and_solve, bilinear_form,
+                                   build_local_systems, check_stabilization,
+                                   condense, flux_continuity_residual,
+                                   galerkin_residual, random_fields)
 from shishkin_hdg.mesh import MeshConfig, build_mesh
 from shishkin_hdg.norms import StabilizationError
 from shishkin_hdg import norms
@@ -28,10 +27,14 @@ def test_config_validation():
         HdgConfig(0)
     with pytest.raises(ValueError):
         HdgConfig(1, tau=0.0)
-    with pytest.raises(ValueError):
-        HdgConfig(2, quad_assembly=2)
+    # either rule below k+1 points is rejected; 0 is a value, not "unset"
+    for bad in (dict(quad_assembly=2), dict(quad_error=2),
+                dict(quad_assembly=0), dict(quad_error=0)):
+        with pytest.raises(ValueError):
+            HdgConfig(2, **bad)
     cfg = HdgConfig(2)
     assert cfg.n_assembly == 4 and cfg.n_error == 6
+    assert HdgConfig(2, quad_assembly=3, quad_error=3).n_error == 3
 
 
 def test_stabilization_check():

@@ -147,6 +147,13 @@ def test_cli_invalid_value_exit_code(capsys):
     rc = cli.main(["solve", "--k", "1", "--eps", "1e-2", "--n", "6"])
     assert rc == cli.EXIT_SOLVER
     assert "error:" in capsys.readouterr().err
+    # an error rule below k+1 points under-integrates the norm; 0 is not
+    # "use the default"
+    for q in ("1", "0"):
+        rc = cli.main(["solve", "--k", "2", "--eps", "1e-2", "--n", "8",
+                       "--quad-error", q, "--mode", "true-error"])
+        assert rc == cli.EXIT_SOLVER
+        assert "error quadrature below k+1" in capsys.readouterr().err
 
 
 def test_cli_diagnose(capsys):

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shishkin_hdg.mesh import (MeshAssumptionWarning, MeshConfig, Region,
-                               ShishkinMesh, build_mesh, classify_cell,
-                               dump_mesh)
+                               ShishkinMesh, build_mesh, dump_mesh)
 
 
 def test_config_validation():
@@ -81,27 +82,38 @@ def test_edge_geometry():
     # edge 0 is the vertical edge on x=0, first segment
     assert mesh.edge_axis[0] == 0 and mesh.edge_boundary[0]
     assert mesh.edge_line[0] == 0 and mesh.edge_seg[0] == 0
-    # edge lengths as the solver takes them: hy along vertical lines, hx
-    # along horizontal ones; nx+1 vertical and ny+1 horizontal unit lines
-    vert = mesh.edge_axis == 0
-    lengths = np.empty(mesh.n_edges)
-    lengths[vert] = mesh.hy[mesh.edge_seg[vert]]
-    lengths[~vert] = mesh.hx[mesh.edge_seg[~vert]]
+    # nx+1 vertical and ny+1 horizontal unit lines
     expect = (mesh.nx + 1) * 1.0 + (mesh.ny + 1) * 1.0
-    assert np.isclose(lengths.sum(), expect, atol=1e-12)
+    assert np.isclose(mesh.edge_length.sum(), expect, atol=1e-12)
+    assert mesh.edge_length[0] == mesh.hy[0]
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(N=st.sampled_from([4, 8, 16, 32]),
+       eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p))  # log-uniform
+def test_side_lengths_are_cell_widths(N, eps):
+    # the edge of a W or E side is as long as the cell is high, the edge of
+    # an S or N side as long as it is wide, bit for bit
+    mesh = build_mesh(MeshConfig(N, eps, 2.0, 1.0, 2.0))
+    side = mesh.edge_length[mesh.cell_edges]
+    for s, width in ((0, mesh.cell_hy), (1, mesh.cell_hy),
+                     (2, mesh.cell_hx), (3, mesh.cell_hx)):
+        assert np.array_equal(side[:, s], width)
 
 
 def test_region_classification():
+    # 1-based cells K_ij = I_i x J_j of the N=4 mesh and their regions
     mesh = build_mesh(MeshConfig(4, 1e-3, 2.0, 1.0, 2.0))
-    assert classify_cell(mesh, 1, 1) is Region.SMOOTH
-    assert classify_cell(mesh, 4, 1) is Region.X_LAYER
-    assert classify_cell(mesh, 1, 4) is Region.Y_LAYER
-    assert classify_cell(mesh, 4, 4) is Region.CORNER_LAYER
-    with pytest.raises(IndexError):
-        classify_cell(mesh, 0, 1)
+    regions = list(Region)
     codes = mesh.cell_region()
+    for (i, j), region in (((1, 1), Region.SMOOTH), ((4, 1), Region.X_LAYER),
+                           ((1, 4), Region.Y_LAYER),
+                           ((4, 4), Region.CORNER_LAYER)):
+        assert regions[codes[(i - 1) * mesh.ny + (j - 1)]] is region
     assert (codes == 0).sum() == 4  # 2x2 smooth block for N=4
     assert (codes == 3).sum() == 4
+    sums = mesh.region_sums(np.ones(mesh.n_cells))
+    assert sums == {reg.value: 4.0 for reg in Region}
 
 
 def test_dump_mesh_contents():

@@ -67,7 +67,7 @@ def test_constant_one_reaction_weight(setting):
     # equals int (c - div beta / 2) = int (3/2 + 3/2 y^2) = 2 on the unit square
     mesh, spec = setting
     f = SolutionFields.zeros(mesh, 1)
-    area = np.repeat(mesh.hx, mesh.ny) * np.tile(mesh.hy, mesh.nx)
+    area = mesh.cell_hx * mesh.cell_hy
     f.u[:, 0] = np.sqrt(area)
     vals = triple_values_discrete(mesh, f, 6)
     vals.mu[:] = vals.w_tr  # matching trace kills the jump term

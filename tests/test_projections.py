@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shishkin_hdg.mesh import MeshConfig, build_mesh
 from shishkin_hdg.problems import paper_problem
-from shishkin_hdg.projections import (project_cell_scalar, project_edge,
-                                      project_exact, projection_error)
-from shishkin_hdg.refelem import Basis1D, CellQuad, gauss_rule, ref_tables
+from shishkin_hdg.projections import project_cells, project_edge, project_exact
+from shishkin_hdg.refelem import CellQuad, gauss_rule, ref_tables
 
 
 @pytest.fixture(scope="module")
@@ -21,9 +22,13 @@ def _cell_values(mesh, coef, k, n):
     return np.einsum("ca,ag->cg", coef, R.B0) / np.sqrt(cq.J)[:, None], cq
 
 
+def _project(mesh, func, k, n, layer_spec=None):
+    return project_cells(mesh, [func], k, n, layer_spec)[0]
+
+
 def test_cell_projection_reproduces_polynomials(mesh):
     f = lambda x, y: 1.0 - 2.0 * x * y + 3.0 * x**2 * y**2
-    coef = project_cell_scalar(mesh, f, 2, 6)
+    coef = _project(mesh, f, 2, 6)
     vals, cq = _cell_values(mesh, coef, 2, 5)
     assert np.allclose(vals, f(cq.X, cq.Y), atol=1e-12)
 
@@ -32,7 +37,7 @@ def test_cell_projection_orthogonality(mesh):
     # residual u - Pi(u) is L2-orthogonal to every test polynomial in Q^k
     k, n = 2, 8
     u = lambda x, y: np.sin(2 * x + y) * np.exp(x * y)
-    coef = project_cell_scalar(mesh, u, k, n)
+    coef = _project(mesh, u, k, n)
     vals, cq = _cell_values(mesh, coef, k, n)
     resid = u(cq.X, cq.Y) - vals
     R = ref_tables(k, n)
@@ -43,7 +48,7 @@ def test_cell_projection_orthogonality(mesh):
 def test_cell_projection_best_approximation(mesh):
     k, n = 1, 8
     u = lambda x, y: np.cos(3 * x) * y**2
-    coef = project_cell_scalar(mesh, u, k, n)
+    coef = _project(mesh, u, k, n)
     vals, cq = _cell_values(mesh, coef, k, n)
     err = cq.J @ np.einsum("g,cg->c", cq.W2, (u(cq.X, cq.Y) - vals) ** 2)
     rng = np.random.default_rng(7)
@@ -90,12 +95,39 @@ def test_componentwise_vector_projection(mesh):
     # projecting the flux componentwise equals the scalar projection of each
     spec = paper_problem(1e-2)
     pf = project_exact(mesh, spec, 1, 6)
-    assert np.allclose(pf.q1,
-                       project_cell_scalar(mesh, spec.exact.q1, 1, 6,
-                                           layer_spec=spec))
-    assert np.allclose(pf.q2,
-                       project_cell_scalar(mesh, spec.exact.q2, 1, 6,
-                                           layer_spec=spec))
+    assert np.array_equal(pf.q1, _project(mesh, spec.exact.q1, 1, 6, spec))
+    assert np.array_equal(pf.q2, _project(mesh, spec.exact.q2, 1, 6, spec))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(N=st.sampled_from([4, 8, 16, 32]),
+       eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p),  # log-uniform
+       n=st.integers(2, 8))
+def test_edge_projection_uses_the_side_points(N, eps, n):
+    # every cell side sees the points of its edge bit for bit, so both cells
+    # of an interior edge see the same points, and project_edge integrates
+    # on them
+    mesh = build_mesh(MeshConfig(N, eps, 2.0, 1.0, 2.0))
+    seen = []
+
+    def record(x, y):
+        seen.append((x, y))
+        return x + y
+
+    project_edge(mesh, record, 1, n)
+    (ex, ey), = seen
+    sx, sy = CellQuad(mesh, n).side_points
+    assert np.array_equal(ex[mesh.cell_edges], sx)
+    assert np.array_equal(ey[mesh.cell_edges], sy)
+
+
+def _projection_error(mesh, spec, k, n_quad):
+    """L2 error ||u - Pi u|| of the cell projection, measured with four
+    more points than it was computed with."""
+    coef = _project(mesh, spec.exact.u, k, n_quad)
+    vals, cq = _cell_values(mesh, coef, k, n_quad + 4)
+    diff = spec.exact.u(cq.X, cq.Y) - vals
+    return float(np.sqrt(cq.J @ np.einsum("g,cg->c", cq.W2, diff**2)))
 
 
 def test_projection_error_decay():
@@ -103,7 +135,7 @@ def test_projection_error_decay():
     errs = []
     for N in (4, 8, 16):
         m = build_mesh(MeshConfig(N, 1e-2, 2.0, 1.0, 2.0))
-        errs.append(projection_error(m, spec, 1, 6))
+        errs.append(_projection_error(m, spec, 1, 6))
     assert errs[0] > errs[1] > errs[2]
     # roughly O(h^2) between the finer pair
     assert errs[1] / errs[2] > 2.5
@@ -111,6 +143,6 @@ def test_projection_error_decay():
 
 def test_quadrature_validation(mesh):
     with pytest.raises(ValueError):
-        project_cell_scalar(mesh, lambda x, y: x, 2, 2)
+        project_cells(mesh, [lambda x, y: x], 2, 2)
     with pytest.raises(ValueError):
         project_edge(mesh, lambda x, y: x, 2, 2)
