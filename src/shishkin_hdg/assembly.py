@@ -64,13 +64,6 @@ class SolutionFields:
     u: np.ndarray
     trace: np.ndarray
 
-    @classmethod
-    def zeros(cls, mesh: ShishkinMesh, k: int) -> "SolutionFields":
-        nb = (k + 1) ** 2
-        nc = mesh.n_cells
-        return cls(k, np.zeros((nc, nb)), np.zeros((nc, nb)),
-                   np.zeros((nc, nb)), np.zeros((mesh.n_edges, k + 1)))
-
     @staticmethod
     def _scales(mesh: ShishkinMesh):
         """Physical over pulled-back basis scale: sqrt(J) = sqrt(hx*hy/4)
@@ -128,14 +121,13 @@ class CondensedSystem:
     IC: np.ndarray     # (nc, ni, nt) = A^{-1} C
 
 
-def check_stabilization(mesh: ShishkinMesh, spec: ProblemSpec,
-                        cfg: HdgConfig) -> float:
-    """Margin min(tau - beta.n/2) over sampled edge points; raises if <= 0."""
-    bn = edge_normal_beta(mesh, spec, cfg.n_assembly)
-    margin = float(cfg.tau - 0.5 * np.max(np.abs(bn)))
+def check_stabilization(bn: np.ndarray, tau: float) -> float:
+    """Margin min(tau - |beta.n|/2) over sampled side values bn of beta.n
+    (norms.edge_normal_beta); raises if <= 0."""
+    margin = float(tau - 0.5 * np.max(np.abs(bn)))
     if margin <= 0:
         raise StabilizationError(
-            f"tau = {cfg.tau:g} violates tau - beta.n/2 > 0 "
+            f"tau = {tau:g} violates tau - beta.n/2 > 0 "
             f"(max |beta.n|/2 = {0.5 * np.max(np.abs(bn)):g})")
     return margin
 
@@ -157,6 +149,8 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
     nc = mesh.n_cells
     eps = spec.epsilon
     tau = cfg.tau
+    bn = edge_normal_beta(cq, spec)  # for the check and the side terms
+    check_stabilization(bn, tau)
 
     iq1, iq2, iu = slice(0, nb), slice(nb, 2 * nb), slice(2 * nb, 3 * nb)
     sides = [slice(s * kp, (s + 1) * kp) for s in range(4)]  # W, E, S, N
@@ -165,7 +159,6 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
     b2 = spec.beta2(cq.X, cq.Y)
     cr = spec.c(cq.X, cq.Y) - spec.div_beta(cq.X, cq.Y)
     fv = spec.f(cq.X, cq.Y)
-    bn = edge_normal_beta(mesh, spec, n)
 
     halfx = mesh.cell_hx / 2.0
     halfy = mesh.cell_hy / 2.0
@@ -283,7 +276,6 @@ def assemble_and_solve(mesh: ShishkinMesh, spec: ProblemSpec,
                        cfg: HdgConfig) -> SolutionFields:
     """Full pipeline: local systems, condensation, global trace solve with
     homogeneous boundary traces, interior recovery."""
-    check_stabilization(mesh, spec, cfg)
     blocks = build_local_systems(mesh, spec, cfg)
     cond = condense(blocks)
     A, b = assemble_trace_system(mesh, cond, cfg.k)
@@ -306,11 +298,11 @@ def galerkin_residual(mesh: ShishkinMesh, spec: ProblemSpec,
     n = min(30, cfg.k + 22)
     hcfg = HdgConfig(cfg.k, cfg.tau, quad_assembly=n, quad_error=n)
     fields = assemble_and_solve(mesh, spec, hcfg)
-    exact = norms.triple_values_exact(mesh, spec, n)
-    disc = norms.triple_values_discrete(mesh, fields, n)
-    diff = norms.triple_sub(exact, disc)
-    res = norms.bilinear_residual(mesh, spec, hcfg, diff, n)
-    scale = max(1.0, norms.load_vector_scale(mesh, spec, n))
+    cq = CellQuad(mesh, n)
+    diff = norms.triple_sub(norms.triple_values_exact(cq, spec),
+                            norms.triple_values_discrete(cq, fields))
+    res = norms.bilinear_residual(cq, spec, hcfg, diff)
+    scale = max(1.0, norms.load_vector_scale(cq, spec))
     return res / scale
 
 
@@ -348,11 +340,10 @@ def random_fields(mesh: ShishkinMesh, k: int,
     return f
 
 
-def flux_continuity_residual(fields: SolutionFields, mesh: ShishkinMesh,
+def flux_continuity_residual(fields: SolutionFields, cq: CellQuad,
                              spec: ProblemSpec, cfg: HdgConfig) -> float:
     """Max trace-test moment of the summed two-sided numerical flux after the
-    solve; near zero by construction of the trace system."""
-    vals = norms.triple_values_discrete(mesh, fields, cfg.n_assembly)
-    res = norms.bilinear_residual(mesh, spec, cfg, vals, cfg.n_assembly,
-                                  parts=("mu",))
-    return res
+    solve, on the assembly rule cq; near zero by construction of the trace
+    system."""
+    vals = norms.triple_values_discrete(cq, fields)
+    return norms.bilinear_residual(cq, spec, cfg, vals, parts=("mu",))

@@ -178,8 +178,7 @@ def cmd_diagnose(args) -> int:
 def cmd_mesh_dump(args) -> int:
     opts = merged_options(args)
     spec = get_problem(opts["problem"], opts["eps"][0])
-    k = opts["k"][0]
-    sigma = opts["sigma"] if opts["sigma"] is not None else float(k + 1)
+    sigma = study_config(opts).sigma_for(opts["k"][0])
     mcfg = MeshConfig(opts["n"][0], opts["eps"][0], sigma,
                       spec.beta_lb[0], spec.beta_lb[1])
     text = dump_mesh(build_mesh(mcfg))

@@ -17,6 +17,7 @@ from .linalg import SolveError
 from .mesh import MeshConfig, build_mesh
 from .norms import StabilizationError
 from .problems import get_problem, verify_assumptions
+from .refelem import CellQuad
 
 log = logging.getLogger(__name__)
 
@@ -47,6 +48,9 @@ class StudyConfig:
         for n in self.n_list:
             if n < 4 or n % 4:
                 raise ValueError(f"N = {n} is not divisible by 4")
+        if not self.effective_n_list():
+            raise ValueError(f"the N grid {self.n_list} with max_n = "
+                             f"{self.max_n} leaves no N")
         for k in self.k_list:
             if self.sigma is not None and self.sigma < k + 1:
                 warnings.warn(f"sigma = {self.sigma:g} below k+1 = {k + 1}; "
@@ -75,10 +79,12 @@ def solve_cell(cfg: StudyConfig, k: int, eps: float, N: int):
                       spec.beta_lb[1])
     mesh = build_mesh(mcfg)
     fields = assemble_and_solve(mesh, spec, hdg)
+    # the exact solution on the error rule, for projection and every measure
+    exact = norms.exact_values(CellQuad(mesh, hdg.n_error), spec)
     projected = None
     if cfg.mode in ("supercloseness", "both"):
-        projected = projections.project_exact(mesh, spec, k, hdg.n_error)
-    report = norms.error_report(mesh, spec, hdg, fields, projected)
+        projected = projections.project_exact(exact, k)
+    report = norms.error_report(exact, spec, hdg, fields, projected)
     return report, fields, mesh
 
 
@@ -105,7 +111,9 @@ class SweepTable:
     cells: dict
     rates: dict
 
-    def _err(self, rep, eps):
+    def error(self, eps: float, n: int) -> Optional[float]:
+        """The error this table reports for a cell, None if it failed."""
+        rep = self.cells[eps][n]
         if isinstance(rep, str):
             return None
         return rep.energy_error if self.mode == "energy" \
@@ -114,9 +122,8 @@ class SweepTable:
     def to_csv(self) -> str:
         lines = ["mode,k,eps,N,error,rate,rate_dyadic"]
         for eps in self.eps_values:
-            for i, n in enumerate(self.n_values):
-                rep = self.cells[eps][n]
-                e = self._err(rep, eps)
+            for n in self.n_values:
+                e = self.error(eps, n)
                 estr = "error" if e is None else f"{e:.17e}"
                 r = self.rates[eps].get(n)
                 rstr = "" if r is None else f"{r[0]:.17e}"
@@ -129,13 +136,11 @@ class SweepTable:
         head = ["N"]
         for eps in self.eps_values:
             head += [f"e ({self.mode}, eps={eps:.0e})", "p"]
-        widths = None
         rows = [head]
         for n in self.n_values:
             row = [str(n)]
             for eps in self.eps_values:
-                rep = self.cells[eps][n]
-                e = self._err(rep, eps)
+                e = self.error(eps, n)
                 row.append("error" if e is None else f"{e:.4g}")
                 r = self.rates[eps].get(n)
                 row.append("---" if r is None else f"{r[0]:.2f}")
@@ -154,10 +159,6 @@ class SweepTable:
 class SweepResult:
     tables: list
     failures: list  # (k, eps, N, message)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def run_sweep(cfg: StudyConfig) -> SweepResult:
@@ -184,21 +185,16 @@ def run_sweep(cfg: StudyConfig) -> SweepResult:
                     cells[eps][n] = f"{type(exc).__name__}: {exc}"
                     failures.append((k, eps, n, str(exc)))
         for mode in modes:
-            rates = {eps: {} for eps in cfg.eps_list}
+            table = SweepTable(k, mode, ns, list(cfg.eps_list), cells,
+                               {eps: {} for eps in cfg.eps_list})
             for eps in cfg.eps_list:
                 for a, b in zip(ns, ns[1:]):
-                    ra, rb = cells[eps][a], cells[eps][b]
-                    if isinstance(ra, str) or isinstance(rb, str) or b != 2 * a:
-                        continue
-                    ea = ra.energy_error if mode == "energy" \
-                        else ra.supercloseness_error
-                    eb = rb.energy_error if mode == "energy" \
-                        else rb.supercloseness_error
-                    if ea and eb:
-                        rates[eps][a] = (norms.convergence_rate(ea, eb, a),
-                                         norms.dyadic_rate(ea, eb))
-            tables.append(SweepTable(k, mode, ns, list(cfg.eps_list),
-                                     cells, rates))
+                    ea, eb = table.error(eps, a), table.error(eps, b)
+                    if b == 2 * a and ea and eb:
+                        table.rates[eps][a] = (
+                            norms.convergence_rate(ea, eb, a),
+                            norms.dyadic_rate(ea, eb))
+            tables.append(table)
     result = SweepResult(tables, failures)
     if cfg.out_dir:
         os.makedirs(cfg.out_dir, exist_ok=True)
@@ -258,8 +254,10 @@ def run_diagnostics(cfg: StudyConfig, seed: int = 0,
         margin, 0.0, rep.passed, "; ".join(rep.failures())))
 
     report, fields, mesh = solve_cell(cfg, k, eps, N)
+    asm_cq = CellQuad(mesh, hdg.n_assembly)
 
-    smargin = assembly.check_stabilization(mesh, spec, hdg)
+    smargin = assembly.check_stabilization(
+        norms.edge_normal_beta(asm_cq, spec), hdg.tau)
     entries.append(DiagnosticEntry("stabilization margin tau - |beta.n|/2",
                                    smargin, 0.0, smargin > 0))
 
@@ -267,17 +265,18 @@ def run_diagnostics(cfg: StudyConfig, seed: int = 0,
     entries.append(DiagnosticEntry("discrete orthogonality residual (scaled)",
                                    gres, 1e-8, gres <= 1e-8))
 
-    fres = assembly.flux_continuity_residual(fields, mesh, spec, hdg)
+    fres = assembly.flux_continuity_residual(fields, asm_cq, spec, hdg)
     entries.append(DiagnosticEntry("flux continuity residual",
                                    fres, 1e-9, fres <= 1e-9))
 
     rng = np.random.default_rng(seed)
+    wts = norms.energy_weights(CellQuad(mesh, hdg.n_error), spec, hdg.tau)
     worst = np.inf
     for _ in range(n_triples):
         xi = assembly.random_fields(mesh, k, rng)
         b = assembly.bilinear_form(xi, mesh, spec, hdg)
-        vals = norms.triple_values_discrete(mesh, xi, hdg.n_error)
-        nrm2 = norms.energy_norm(mesh, spec, hdg.tau, vals).total ** 2
+        vals = norms.triple_values_discrete(wts.cq, xi)
+        nrm2 = norms.energy_norm(wts, vals).total ** 2
         worst = min(worst, b / nrm2)
     entries.append(DiagnosticEntry(
         f"coercivity B(xi,xi)/|||xi|||^2 over {n_triples} random triples",

@@ -5,6 +5,9 @@ All field evaluation goes through TripleValues: pointwise values of a triple
 (r, w, mu) on the tensor quadrature grid of every cell and on the Gauss
 points of every cell side (order W, E, S, N). The same machinery serves the
 true error, the supercloseness error and the Galerkin-orthogonality residual.
+Every function takes the CellQuad of its rule; the exact solution
+(ExactValues) and the energy-norm weights (EnergyWeights) are evaluated once
+per rule and shared by every measure.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from typing import Optional
 import numpy as np
 
 from . import layerquad
-from .mesh import ShishkinMesh
 from .problems import ProblemSpec
 from .refelem import CellQuad, gauss_rule, ref_tables
 
@@ -25,27 +27,14 @@ class StabilizationError(ValueError):
     energy norm (and the method's stability) is not defined."""
 
 
-def edge_normal_beta(mesh: ShishkinMesh, spec: ProblemSpec, n: int):
-    """beta.n at n Gauss points of every cell side (W, E, S, N), signed with
-    the cell's outward normal. Returns an (ncells, 4, n) array."""
-    xs, ys = CellQuad(mesh, n).side_points
+def edge_normal_beta(cq: CellQuad, spec: ProblemSpec):
+    """beta.n at the side points of cq (W, E, S, N), signed with the cell's
+    outward normal. Returns an (ncells, 4, n) array."""
+    xs, ys = cq.side_points
     return np.stack([-spec.beta1(xs[:, 0], ys[:, 0]),
                      spec.beta1(xs[:, 1], ys[:, 1]),
                      -spec.beta2(xs[:, 2], ys[:, 2]),
                      spec.beta2(xs[:, 3], ys[:, 3])], axis=1)
-
-
-def _side_trace_tables(k: int, n: int):
-    """Traces of the (k+1)^2 tensor basis functions on the four reference
-    sides: list of (nbasis, n) arrays in side order W, E, S, N."""
-    R = ref_tables(k, n)
-    kp = k + 1
-    nb = kp * kp
-    tw = np.einsum("m,ng->mng", R.Em, R.V).reshape(nb, n)
-    te = np.einsum("m,ng->mng", R.Ep, R.V).reshape(nb, n)
-    ts = np.einsum("mg,n->mng", R.V, R.Em).reshape(nb, n)
-    tn = np.einsum("mg,n->mng", R.V, R.Ep).reshape(nb, n)
-    return [tw, te, ts, tn]
 
 
 @dataclass
@@ -67,18 +56,17 @@ class TripleValues:
     mu: np.ndarray
 
 
-def triple_values_discrete(mesh: ShishkinMesh, flds, n: int) -> TripleValues:
+def triple_values_discrete(cq: CellQuad, flds) -> TripleValues:
     """Evaluate a discrete triple given by SolutionFields-style coefficient
-    arrays (physically orthonormal bases)."""
-    k = flds.k
+    arrays (physically orthonormal bases) on the rule cq."""
+    mesh, n, k = cq.mesh, cq.n, flds.k
     R = ref_tables(k, n)
-    cq = CellQuad(mesh, n)
     sqj = np.sqrt(cq.J)
 
     def cell_vals(coef):
         return np.einsum("ca,ag->cg", coef, R.B0) / sqj[:, None]
 
-    tabs = _side_trace_tables(k, n)
+    tabs = R.side_traces
 
     def side_vals(coef):
         out = np.empty((mesh.n_cells, 4, n))
@@ -96,21 +84,46 @@ def triple_values_discrete(mesh: ShishkinMesh, flds, n: int) -> TripleValues:
                         side_vals(flds.q2), side_vals(flds.u), mu)
 
 
-def triple_values_exact(mesh: ShishkinMesh, spec: ProblemSpec,
-                        n: int) -> TripleValues:
-    """Evaluate the exact triple (q, u, u|_edges) of a manufactured problem.
+def triple_values_exact(cq: CellQuad, spec: ProblemSpec) -> TripleValues:
+    """Evaluate the exact triple (q, u, u|_edges) of a manufactured problem
+    on the rule cq.
 
     u is continuous, so its side values serve as both w_tr and mu (one
     shared array)."""
     if spec.exact is None:
         raise ValueError("problem has no exact solution attached")
     ex = spec.exact
-    cq = CellQuad(mesh, n)
     xs, ys = cq.side_points
     u_side = ex.u(xs, ys)
-    return TripleValues(n, ex.q1(cq.X, cq.Y), ex.q2(cq.X, cq.Y),
+    return TripleValues(cq.n, ex.q1(cq.X, cq.Y), ex.q2(cq.X, cq.Y),
                         ex.u(cq.X, cq.Y), ex.q1(xs, ys), ex.q2(xs, ys),
                         u_side, u_side)
+
+
+def _exact_on_batches(spec: ProblemSpec, batches) -> list:
+    """(batch, (q1, q2, u)) pairs: the exact solution at each batch's
+    points."""
+    ex = spec.exact
+    return [(b, (ex.q1(b.X, b.Y), ex.q2(b.X, b.Y), ex.u(b.X, b.Y)))
+            for b in batches]
+
+
+@dataclass
+class ExactValues:
+    """The exact triple evaluated once on the rule cq: on its cells and
+    sides (vals), and on the composite layer batches of the same n as
+    (LayerBatch, (q1, q2, u)) pairs. The projection of the exact solution
+    and the error measures all read these values."""
+
+    cq: CellQuad
+    vals: TripleValues
+    batches: list
+
+
+def exact_values(cq: CellQuad, spec: ProblemSpec) -> ExactValues:
+    """Evaluate the exact triple of a manufactured problem on the rule cq."""
+    return ExactValues(cq, triple_values_exact(cq, spec), _exact_on_batches(
+        spec, layerquad.layer_batches(cq.mesh, spec, cq.n)))
 
 
 def triple_sub(a: TripleValues, b: TripleValues) -> TripleValues:
@@ -130,9 +143,33 @@ class EnergyNormResult:
     region_cell_sq: dict     # cell contributions (q + reaction) per Region name
 
 
-def energy_norm(mesh: ShishkinMesh, spec: ProblemSpec, tau: float,
-                vals: TripleValues) -> EnergyNormResult:
-    """Energy norm of a triple:
+@dataclass
+class EnergyWeights:
+    """The weights of the energy norm on the rule cq: c - div beta / 2 at
+    the cell points, (ncells, n*n), and tau - beta.n/2 at the side points,
+    (ncells, 4, n)."""
+
+    cq: CellQuad
+    epsilon: float
+    reaction: np.ndarray
+    jump: np.ndarray
+
+
+def energy_weights(cq: CellQuad, spec: ProblemSpec,
+                   tau: float) -> EnergyWeights:
+    """The energy-norm weights of a problem on the rule cq; raises
+    StabilizationError where tau - beta.n/2 is negative."""
+    weight = tau - 0.5 * edge_normal_beta(cq, spec)
+    if np.min(weight) < 0:
+        raise StabilizationError(
+            f"tau = {tau:g} gives a negative edge weight tau - beta.n/2 "
+            f"(min {np.min(weight):.3e}); energy norm undefined")
+    return EnergyWeights(cq, spec.epsilon, spec.c(cq.X, cq.Y)
+                         - 0.5 * spec.div_beta(cq.X, cq.Y), weight)
+
+
+def energy_norm(wts: EnergyWeights, vals: TripleValues) -> EnergyNormResult:
+    """Energy norm of a triple given on the rule of the weights:
 
     |||(r, w, mu)|||^2 = eps^-1 ||r||^2 + ||(c - div beta / 2)^{1/2} w||^2
                          + sum_cells sum_sides (tau - beta.n/2) (w - mu)^2.
@@ -140,24 +177,17 @@ def energy_norm(mesh: ShishkinMesh, spec: ProblemSpec, tau: float,
     Every cell side contributes, so interior edges are visited from both
     sides (with that cell's outward normal) and boundary sides once.
     """
-    n = vals.n
-    cq = CellQuad(mesh, n)
-    w1 = gauss_rule(n).weights
-    cw = spec.c(cq.X, cq.Y) - 0.5 * spec.div_beta(cq.X, cq.Y)
+    cq = wts.cq
+    mesh = cq.mesh
+    w1 = gauss_rule(cq.n).weights
 
-    cell_q = (cq.J / spec.epsilon) * \
+    cell_q = (cq.J / wts.epsilon) * \
         np.einsum("g,cg->c", cq.W2, vals.r1**2 + vals.r2**2)
-    cell_r = cq.J * np.einsum("cg,cg->c", cq.W2 * cw, vals.w**2)
+    cell_r = cq.J * np.einsum("cg,cg->c", cq.W2 * wts.reaction, vals.w**2)
 
-    bn = edge_normal_beta(mesh, spec, n)
-    weight = tau - 0.5 * bn
-    if np.min(weight) < 0:
-        raise StabilizationError(
-            f"tau = {tau:g} gives a negative edge weight tau - beta.n/2 "
-            f"(min {np.min(weight):.3e}); energy norm undefined")
     jump = (vals.w_tr - vals.mu) ** 2
     half = mesh.edge_length[mesh.cell_edges] / 2.0
-    side = half[:, :, None] * weight * jump * w1
+    side = half[:, :, None] * wts.jump * jump * w1
     jump_sq = float(side.sum())
 
     q_sq = float(cell_q.sum())
@@ -167,32 +197,31 @@ def energy_norm(mesh: ShishkinMesh, spec: ProblemSpec, tau: float,
                             mesh.region_sums(cell_q + cell_r))
 
 
-def l2_norms(mesh: ShishkinMesh, vals: TripleValues) -> tuple[float, float]:
-    """(||w||, ||r||) of a triple over the cells."""
-    cq = CellQuad(mesh, vals.n)
+def l2_norms(cq: CellQuad, vals: TripleValues) -> tuple[float, float]:
+    """(||w||, ||r||) of a triple given on the rule cq, over the cells."""
     wsq = cq.J @ np.einsum("g,cg->c", cq.W2, vals.w**2)
     qsq = cq.J @ np.einsum("g,cg->c", cq.W2, vals.r1**2 + vals.r2**2)
     return float(np.sqrt(wsq)), float(np.sqrt(qsq))
 
 
-def bilinear_residual(mesh: ShishkinMesh, spec: ProblemSpec, cfg,
-                      vals: TripleValues, n: int,
-                      parts=("r", "w", "mu")) -> float:
-    """max |B(vals; test)| over all normalized discrete test functions.
+def bilinear_residual(cq: CellQuad, spec: ProblemSpec, cfg,
+                      vals: TripleValues, parts=("r", "w", "mu")) -> float:
+    """max |B(vals; test)| over all normalized discrete test functions, for
+    a triple given on the rule cq.
 
     Tests are the physically orthonormal basis functions of the three spaces;
     "r" and "w" rows run over every cell, "mu" rows over interior edges.
     """
     k, tau = cfg.k, cfg.tau
+    mesh, n = cq.mesh, cq.n
     kp = k + 1
     R = ref_tables(k, n)
-    cq = CellQuad(mesh, n)
     w1 = gauss_rule(n).weights
     sqj = np.sqrt(cq.J)
     sscale = mesh.edge_length[mesh.cell_edges] / 2.0  # half side lengths
     side = sscale / sqj[:, None]
-    tabs = _side_trace_tables(k, n)
-    bn = edge_normal_beta(mesh, spec, n)
+    tabs = R.side_traces
+    bn = edge_normal_beta(cq, spec)
 
     # numerical flux r.n + beta.n mu + tau (w - mu) on every cell side
     rn = np.empty_like(vals.mu)
@@ -243,36 +272,36 @@ def bilinear_residual(mesh: ShishkinMesh, spec: ProblemSpec, cfg,
     return worst
 
 
-def load_vector_scale(mesh: ShishkinMesh, spec: ProblemSpec, n: int) -> float:
-    """max |(f, w)| over normalized Q^2 cell test functions (residual
-    scaling)."""
-    R = ref_tables(2, n)
-    cq = CellQuad(mesh, n)
+def load_vector_scale(cq: CellQuad, spec: ProblemSpec) -> float:
+    """max |(f, w)| over normalized Q^2 cell test functions on the rule cq
+    (residual scaling)."""
+    R = ref_tables(2, cq.n)
     fv = spec.f(cq.X, cq.Y)
     F = np.sqrt(cq.J)[:, None] * np.einsum("cg,bg->cb", fv * cq.W2, R.B0)
     return float(np.abs(F).max())
 
 
-def refined_error_corrections(mesh: ShishkinMesh, spec: ProblemSpec, fields,
-                              n: int):
+def refined_error_corrections(exact: ExactValues, spec: ProblemSpec,
+                              fields):
     """Cell-integral corrections from layer-refined quadrature, as
-    (composite - plain) differences so they add onto plain-rule totals.
+    (composite - plain) differences so they add onto plain-rule totals. The
+    composite half reads the exact values on their batches; the plain half
+    evaluates the exact solution on the same cells with the plain rule.
 
     Returns (d_flux_sq, d_react_sq, d_l2u_sq, d_region) where d_flux_sq is
     the unweighted ||q - q_h||^2 correction and d_region maps region names
     to the correction of the cell part of the squared energy norm.
     """
-    ex = spec.exact
-    k = fields.k
+    mesh, k = exact.cq.mesh, fields.k
+    plain = _exact_on_batches(spec, layerquad.layer_batches(
+        mesh, spec, exact.cq.n, composite=False))
     dq, dr, du = (np.zeros(mesh.n_cells) for _ in range(3))
-    for composite, sign in ((True, 1.0), (False, -1.0)):
-        for b in layerquad.layer_batches(mesh, spec, n, composite):
+    for batches, sign in ((exact.batches, 1.0), (plain, -1.0)):
+        for b, exact_b in batches:
             B = b.basis(k) / np.sqrt(b.J)[:, None, None]
-            q1h, q2h, uh = (np.einsum("ca,cag->cg", coef[b.cells], B)
-                            for coef in (fields.q1, fields.q2, fields.u))
-            q1t = ex.q1(b.X, b.Y) - q1h
-            q2t = ex.q2(b.X, b.Y) - q2h
-            ut = ex.u(b.X, b.Y) - uh
+            q1t, q2t, ut = (v - np.einsum("ca,cag->cg", coef[b.cells], B)
+                            for v, coef in zip(exact_b, (fields.q1, fields.q2,
+                                                         fields.u)))
             cw = spec.c(b.X, b.Y) - 0.5 * spec.div_beta(b.X, b.Y)
             dq[b.cells] += sign * np.einsum("cg,cg->c", b.W, q1t**2 + q2t**2)
             dr[b.cells] += sign * np.einsum("cg,cg->c", b.W, cw * ut**2)
@@ -298,17 +327,20 @@ class ErrorReport:
     supercloseness_error: Optional[float] = None
 
 
-def error_report(mesh: ShishkinMesh, spec: ProblemSpec, cfg, fields,
+def error_report(exact: ExactValues, spec: ProblemSpec, cfg, fields,
                  projected=None) -> ErrorReport:
-    """Energy-norm and L2 errors of a solution; if a projected-exact triple
-    is supplied, also the supercloseness distance |||Pi(exact) - discrete|||."""
-    n = cfg.n_error
-    diff = triple_sub(triple_values_exact(mesh, spec, n),
-                      triple_values_discrete(mesh, fields, n))
-    en = energy_norm(mesh, spec, cfg.tau, diff)
-    l2u, l2q = l2_norms(mesh, diff)
+    """Energy-norm and L2 errors of a solution, measured on the rule of the
+    exact values; if a projected-exact triple is supplied, also the
+    supercloseness distance |||(Pi q - q_h, Pi u - u_h, P u - u_hat)|||
+    between the discrete solution and the projection of the exact one. Both
+    distances share one set of energy-norm weights."""
+    cq = exact.cq
+    wts = energy_weights(cq, spec, cfg.tau)
+    diff = triple_sub(exact.vals, triple_values_discrete(cq, fields))
+    en = energy_norm(wts, diff)
+    l2u, l2q = l2_norms(cq, diff)
     d_flux, d_react, d_l2u, d_region = refined_error_corrections(
-        mesh, spec, fields, n)
+        exact, spec, fields)
     q_sq = en.q_part_sq + d_flux / spec.epsilon
     react_sq = en.reaction_part_sq + d_react
     region = {key: val + d_region[key]
@@ -318,17 +350,10 @@ def error_report(mesh: ShishkinMesh, spec: ProblemSpec, cfg, fields,
     l2q = float(np.sqrt(l2q**2 + d_flux))
     sc = None
     if projected is not None:
-        sc = supercloseness_norm(mesh, spec, cfg, fields, projected)
-    return ErrorReport(mesh.N, cfg.k, spec.epsilon, total, l2u, l2q,
+        sc = energy_norm(wts, triple_values_discrete(
+            cq, projected - fields)).total
+    return ErrorReport(cq.mesh.N, cfg.k, spec.epsilon, total, l2u, l2q,
                        q_sq, react_sq, en.jump_part_sq, region, sc)
-
-
-def supercloseness_norm(mesh: ShishkinMesh, spec: ProblemSpec, cfg, fields,
-                        projected) -> float:
-    """|||(Pi q - q_h, Pi u - u_h, P u - u_hat)|||: energy distance between
-    the discrete solution and the L2 projection of the exact one."""
-    vals = triple_values_discrete(mesh, projected - fields, cfg.n_error)
-    return energy_norm(mesh, spec, cfg.tau, vals).total
 
 
 def convergence_rate(e_coarse: float, e_fine: float, n_coarse: int) -> float:

@@ -119,6 +119,9 @@ class RefTables:
         self.LVm = np.kron(self.Em[:, None], eye)
         self.LHp = np.kron(eye, self.Ep[:, None])
         self.LHm = np.kron(eye, self.Em[:, None])
+        # the tensor basis at the Gauss points of the sides W, E, S, N
+        self.side_traces = [L @ V for L in (self.LVm, self.LVp, self.LHm,
+                                            self.LHp)]
 
 
 @lru_cache(maxsize=64)

@@ -29,6 +29,7 @@ from shishkin_hdg.harness import StudyConfig, solve_cell
 from shishkin_hdg.mesh import MeshConfig, build_mesh
 from shishkin_hdg.norms import convergence_rate
 from shishkin_hdg.problems import paper_problem, polynomial_problem
+from shishkin_hdg.refelem import CellQuad
 
 # reference convergence tables (energy errors, both polynomial degrees, and
 # the fitted rates printed beside them; rate at row N pairs (N, 2N))
@@ -160,11 +161,12 @@ def test_criterion_7_coercivity():
     worst = np.inf
     for k in (1, 2):
         cfg = HdgConfig(k)
+        wts = norms.energy_weights(CellQuad(mesh, cfg.n_error), spec, cfg.tau)
         for _ in range(100):
             xi = random_fields(mesh, k, rng)
             b = bilinear_form(xi, mesh, spec, cfg)
-            vals = norms.triple_values_discrete(mesh, xi, cfg.n_error)
-            nrm2 = norms.energy_norm(mesh, spec, cfg.tau, vals).total ** 2
+            vals = norms.triple_values_discrete(wts.cq, xi)
+            nrm2 = norms.energy_norm(wts, vals).total ** 2
             worst = min(worst, b / nrm2)
     record(7, "bilinear form coercive on 200 random discrete triples",
            worst >= 1.0 - 1e-10, f"worst ratio {worst:.15f}")
@@ -178,11 +180,11 @@ def test_criterion_8_polynomial_exactness():
             mesh = build_mesh(MeshConfig(N, 1.0, 3.0, 1.0, 2.0))
         cfg = HdgConfig(2)
         fields = assemble_and_solve(mesh, spec, cfg)
-        diff = norms.triple_sub(
-            norms.triple_values_exact(mesh, spec, cfg.n_error),
-            norms.triple_values_discrete(mesh, fields, cfg.n_error))
-        worst = max(worst,
-                    norms.energy_norm(mesh, spec, cfg.tau, diff).total)
+        cq = CellQuad(mesh, cfg.n_error)
+        diff = norms.triple_sub(norms.triple_values_exact(cq, spec),
+                                norms.triple_values_discrete(cq, fields))
+        worst = max(worst, norms.energy_norm(
+            norms.energy_weights(cq, spec, cfg.tau), diff).total)
     record(8, "polynomial manufactured solution reproduced to 1e-9",
            worst <= 1e-9, f"energy error {worst:.3e}")
 

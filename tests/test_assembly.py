@@ -13,13 +13,15 @@ from shishkin_hdg.mesh import MeshConfig, build_mesh
 from shishkin_hdg.norms import StabilizationError
 from shishkin_hdg import norms
 from shishkin_hdg.problems import paper_problem, polynomial_problem
+from shishkin_hdg.refelem import CellQuad
 
 
 def _energy_error(mesh, spec, cfg, fields):
-    diff = norms.triple_sub(
-        norms.triple_values_exact(mesh, spec, cfg.n_error),
-        norms.triple_values_discrete(mesh, fields, cfg.n_error))
-    return norms.energy_norm(mesh, spec, cfg.tau, diff).total
+    cq = CellQuad(mesh, cfg.n_error)
+    diff = norms.triple_sub(norms.triple_values_exact(cq, spec),
+                            norms.triple_values_discrete(cq, fields))
+    return norms.energy_norm(norms.energy_weights(cq, spec, cfg.tau),
+                             diff).total
 
 
 def test_config_validation():
@@ -40,9 +42,13 @@ def test_config_validation():
 def test_stabilization_check():
     spec = paper_problem(1e-2)
     mesh = build_mesh(MeshConfig(4, 1e-2, 2.0, 1.0, 2.0))
-    assert check_stabilization(mesh, spec, HdgConfig(1, 3.0)) > 0
+    bn = norms.edge_normal_beta(CellQuad(mesh, 3), spec)
+    assert check_stabilization(bn, 3.0) == 1.5  # max |beta.n| = beta2(x, 0)
     with pytest.raises(StabilizationError):
-        check_stabilization(mesh, spec, HdgConfig(1, 0.1))
+        check_stabilization(bn, 0.1)
+    # the local systems are not built under a violating tau
+    with pytest.raises(StabilizationError):
+        build_local_systems(mesh, spec, HdgConfig(1, 0.1))
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -90,7 +96,8 @@ def test_flux_continuity_after_solve():
     mesh = build_mesh(MeshConfig(8, 1e-2, 2.0, 1.0, 2.0))
     cfg = HdgConfig(1)
     fields = assemble_and_solve(mesh, spec, cfg)
-    assert flux_continuity_residual(fields, mesh, spec, cfg) < 1e-10
+    cq = CellQuad(mesh, cfg.n_assembly)
+    assert flux_continuity_residual(fields, cq, spec, cfg) < 1e-10
 
 
 def test_coercivity_equals_energy_norm_for_random_triples():
@@ -99,11 +106,12 @@ def test_coercivity_equals_energy_norm_for_random_triples():
     mesh = build_mesh(MeshConfig(4, 1e-2, 2.0, 1.0, 2.0))
     cfg = HdgConfig(1)
     rng = np.random.default_rng(11)
+    wts = norms.energy_weights(CellQuad(mesh, cfg.n_error), spec, cfg.tau)
     for _ in range(25):
         xi = random_fields(mesh, 1, rng)
         b = bilinear_form(xi, mesh, spec, cfg)
-        vals = norms.triple_values_discrete(mesh, xi, cfg.n_error)
-        nrm2 = norms.energy_norm(mesh, spec, cfg.tau, vals).total ** 2
+        vals = norms.triple_values_discrete(wts.cq, xi)
+        nrm2 = norms.energy_norm(wts, vals).total ** 2
         assert b >= (1.0 - 1e-10) * nrm2
         assert np.isclose(b, nrm2, rtol=1e-8)
 
@@ -132,6 +140,11 @@ def test_zero_source_gives_zero_solution():
 
 def test_solution_fields_zeros():
     mesh = build_mesh(MeshConfig(4, 1e-2, 2.0, 1.0, 2.0))
-    z = SolutionFields.zeros(mesh, 2)
-    assert z.u.shape == (16, 9) and z.trace.shape == (mesh.n_edges, 3)
-    assert not z.u.any()
+    # zero fields built from inline zero arrays round-trip through the
+    # pulled-back convention and have zero traces on every edge
+    nb = 9
+    z = SolutionFields(2, np.zeros((16, nb)), np.zeros((16, nb)),
+                       np.zeros((16, nb)), np.zeros((mesh.n_edges, 3)))
+    v, trace = z.to_reference(mesh)
+    assert v.shape == (16, 3 * nb) and trace.shape == (mesh.n_edges, 3)
+    assert not v.any() and not trace.any()

@@ -1,11 +1,15 @@
 """Study driver and command-line interface."""
 
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from shishkin_hdg import cli, harness
+from shishkin_hdg import cli, harness, problems
 from shishkin_hdg.harness import (DiagnosticReport, StudyConfig, run_diagnostics,
                                   run_single, run_sweep)
+from shishkin_hdg.mesh import MeshConfig, build_mesh
 
 
 def _cfg(**kw):
@@ -25,6 +29,8 @@ def test_study_config_validation():
     assert _cfg().sigma_for(2) == 3.0
     assert _cfg(sigma=4.0).sigma_for(1) == 4.0
     assert _cfg(n_list=[16, 4, 8, 8], max_n=8).effective_n_list() == [4, 8]
+    with pytest.raises(ValueError, match="leaves no N"):
+        _cfg(n_list=[8, 16], max_n=4)
 
 
 def test_run_single_requires_one_cell():
@@ -37,7 +43,7 @@ def test_run_single_requires_one_cell():
 
 def test_sweep_rates_and_modes():
     res = run_sweep(_cfg(n_list=[4, 8, 16], mode="both"))
-    assert res.ok
+    assert not res.failures
     assert [t.mode for t in res.tables] == ["energy", "supercloseness"]
     t = res.tables[0]
     # errors decrease and rates exist except on the last row
@@ -66,7 +72,7 @@ def test_sweep_csv_markdown_deterministic(tmp_path):
 def test_sweep_records_failed_cells():
     # tau far below max |beta.n|/2 = 1.5 trips the stabilization gate
     res = run_sweep(_cfg(n_list=[4, 8], tau=0.2))
-    assert not res.ok
+    assert res.failures
     assert len(res.failures) == 2
     t = res.tables[0]
     assert isinstance(t.cells[1e-2][4], str)
@@ -81,6 +87,40 @@ def test_sweep_propagates_programming_errors(monkeypatch):
     monkeypatch.setattr(harness, "solve_cell", broken)
     with pytest.raises(TypeError, match="broken cell"):
         run_sweep(_cfg(n_list=[4]))
+
+
+def test_solve_cell_evaluates_each_point_set_once(monkeypatch):
+    # the projection and every error measure share one evaluation of the
+    # exact solution and of the coefficients: within one solve cell no
+    # field is evaluated twice on the same point array
+    seen = Counter()
+
+    def recorded(name, fn):
+        def field(x, y):
+            bx, by = np.broadcast_arrays(np.asarray(x, float),
+                                         np.asarray(y, float))
+            seen[(name, bx.shape, bx.tobytes(), by.tobytes())] += 1
+            return fn(x, y)
+        return field
+
+    def get_problem(name, eps):
+        spec = problems.get_problem(name, eps)
+        ex = spec.exact
+        exact = dataclasses.replace(ex, **{
+            f: recorded(f, getattr(ex, f))
+            for f in ("u", "u_x", "u_y", "laplacian")})
+        return dataclasses.replace(spec, exact=exact, **{
+            f: recorded(f, getattr(spec, f))
+            for f in ("beta1", "beta2", "c", "div_beta", "f")})
+
+    monkeypatch.setattr(harness, "get_problem", get_problem)
+    # eps = 1e-6 at N = 16 has layer batches at both rules
+    harness.solve_cell(_cfg(mode="both"), 1, 1e-6, 16)
+    assert {key[0] for key in seen} == {"u", "u_x", "u_y", "beta1", "beta2",
+                                        "c", "div_beta", "f"}
+    repeated = sorted((key[0], key[1]) for key, count in seen.items()
+                      if count > 1)
+    assert not repeated, repeated
 
 
 def test_skips_rates_for_non_doubling_pairs():
@@ -154,6 +194,12 @@ def test_cli_invalid_value_exit_code(capsys):
                        "--quad-error", q, "--mode", "true-error"])
         assert rc == cli.EXIT_SOLVER
         assert "error quadrature below k+1" in capsys.readouterr().err
+    # a cap that leaves no N is an error, not empty tables
+    rc = cli.main(["sweep", "--k", "1", "--eps", "1e-6", "--n", "8",
+                   "--n", "16", "--max-n", "4"])
+    assert rc == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert "leaves no N" in captured.err and not captured.out
 
 
 def test_cli_diagnose(capsys):
@@ -173,6 +219,10 @@ def test_cli_mesh_dump(capsys, tmp_path):
                    "--out", str(target)])
     assert rc == cli.EXIT_OK
     assert target.read_text() == out
+    # the default sigma is the study's k + 1 for the first degree
+    cli.main(["mesh-dump", "--eps", "1e-3", "--n", "8", "--k", "2"])
+    tau_x = float(capsys.readouterr().out.splitlines()[1].split()[1])
+    assert tau_x == build_mesh(MeshConfig(8, 1e-3, 3.0, 1.0, 2.0)).tau_x
 
 
 def test_cli_requires_subcommand():

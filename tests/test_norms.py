@@ -7,12 +7,13 @@ from shishkin_hdg import norms
 from shishkin_hdg.assembly import HdgConfig, SolutionFields, assemble_and_solve, random_fields
 from shishkin_hdg.mesh import MeshConfig, build_mesh
 from shishkin_hdg.norms import (StabilizationError, convergence_rate,
-                                dyadic_rate, energy_norm, error_report,
-                                l2_norms, supercloseness_norm,
+                                dyadic_rate, energy_norm, energy_weights,
+                                error_report, exact_values, l2_norms,
                                 triple_sub, triple_values_discrete,
                                 triple_values_exact)
 from shishkin_hdg.problems import paper_problem
 from shishkin_hdg.projections import project_exact
+from shishkin_hdg.refelem import CellQuad
 
 
 @pytest.fixture(scope="module")
@@ -26,11 +27,25 @@ def _scaled(f, a):
     return SolutionFields(f.k, a * f.q1, a * f.q2, a * f.u, a * f.trace)
 
 
+def _zero_fields(mesh, k):
+    nb = (k + 1) ** 2
+    return SolutionFields(k, np.zeros((mesh.n_cells, nb)),
+                          np.zeros((mesh.n_cells, nb)),
+                          np.zeros((mesh.n_cells, nb)),
+                          np.zeros((mesh.n_edges, k + 1)))
+
+
+def _norm(mesh, spec, fields, n=5, tau=3.0):
+    cq = CellQuad(mesh, n)
+    return energy_norm(energy_weights(cq, spec, tau),
+                       triple_values_discrete(cq, fields)).total
+
+
 def test_zero_triple_has_zero_norm(setting):
     mesh, spec = setting
-    z = SolutionFields.zeros(mesh, 1)
-    vals = triple_values_discrete(mesh, z, 5)
-    res = energy_norm(mesh, spec, 3.0, vals)
+    cq = CellQuad(mesh, 5)
+    vals = triple_values_discrete(cq, _zero_fields(mesh, 1))
+    res = energy_norm(energy_weights(cq, spec, 3.0), vals)
     assert res.total == 0.0
     assert res.q_part_sq == res.reaction_part_sq == res.jump_part_sq == 0.0
 
@@ -39,9 +54,8 @@ def test_homogeneity(setting):
     mesh, spec = setting
     rng = np.random.default_rng(2)
     f = random_fields(mesh, 1, rng)
-    n1 = energy_norm(mesh, spec, 3.0, triple_values_discrete(mesh, f, 5)).total
-    n3 = energy_norm(mesh, spec, 3.0,
-                     triple_values_discrete(mesh, _scaled(f, -3.0), 5)).total
+    n1 = _norm(mesh, spec, f)
+    n3 = _norm(mesh, spec, _scaled(f, -3.0))
     assert np.isclose(n3, 3.0 * n1, rtol=1e-12)
 
 
@@ -53,12 +67,7 @@ def test_triangle_inequality(setting):
         b = random_fields(mesh, 1, rng)
         s = SolutionFields(1, a.q1 + b.q1, a.q2 + b.q2, a.u + b.u,
                            a.trace + b.trace)
-        na = energy_norm(mesh, spec, 3.0,
-                         triple_values_discrete(mesh, a, 5)).total
-        nb = energy_norm(mesh, spec, 3.0,
-                         triple_values_discrete(mesh, b, 5)).total
-        ns = energy_norm(mesh, spec, 3.0,
-                         triple_values_discrete(mesh, s, 5)).total
+        na, nb, ns = (_norm(mesh, spec, f) for f in (a, b, s))
         assert ns <= na + nb + 1e-10 * (na + nb)
 
 
@@ -66,16 +75,17 @@ def test_constant_one_reaction_weight(setting):
     # w = 1, r = 0, mu = trace of w: only the reaction part survives and
     # equals int (c - div beta / 2) = int (3/2 + 3/2 y^2) = 2 on the unit square
     mesh, spec = setting
-    f = SolutionFields.zeros(mesh, 1)
+    f = _zero_fields(mesh, 1)
     area = mesh.cell_hx * mesh.cell_hy
     f.u[:, 0] = np.sqrt(area)
-    vals = triple_values_discrete(mesh, f, 6)
+    cq = CellQuad(mesh, 6)
+    vals = triple_values_discrete(cq, f)
     vals.mu[:] = vals.w_tr  # matching trace kills the jump term
-    res = energy_norm(mesh, spec, 3.0, vals)
+    res = energy_norm(energy_weights(cq, spec, 3.0), vals)
     assert res.q_part_sq == 0.0
     assert np.isclose(res.jump_part_sq, 0.0, atol=1e-14)
     assert np.isclose(res.reaction_part_sq, 2.0, rtol=1e-12)
-    wnorm, qnorm = l2_norms(mesh, vals)
+    wnorm, qnorm = l2_norms(cq, vals)
     assert np.isclose(wnorm, 1.0, rtol=1e-12) and qnorm == 0.0
 
 
@@ -83,7 +93,9 @@ def test_region_breakdown_sums_to_cell_parts(setting):
     mesh, spec = setting
     rng = np.random.default_rng(4)
     f = random_fields(mesh, 1, rng)
-    res = energy_norm(mesh, spec, 3.0, triple_values_discrete(mesh, f, 5))
+    cq = CellQuad(mesh, 5)
+    res = energy_norm(energy_weights(cq, spec, 3.0),
+                      triple_values_discrete(cq, f))
     cell_total = res.q_part_sq + res.reaction_part_sq
     assert np.isclose(sum(res.region_cell_sq.values()), cell_total,
                       rtol=1e-12)
@@ -93,18 +105,19 @@ def test_region_breakdown_sums_to_cell_parts(setting):
 
 def test_negative_jump_weight_raises(setting):
     mesh, spec = setting
-    f = random_fields(mesh, 1, np.random.default_rng(5))
-    vals = triple_values_discrete(mesh, f, 5)
     with pytest.raises(StabilizationError):
-        energy_norm(mesh, spec, 0.5, vals)  # max |beta.n|/2 = 1.5 > 0.5
+        # max |beta.n|/2 = 1.5 > 0.5
+        energy_weights(CellQuad(mesh, 5), spec, 0.5)
 
 
 def test_error_report_consistency(setting):
     mesh, spec = setting
     cfg = HdgConfig(1)
     fields = assemble_and_solve(mesh, spec, cfg)
-    proj = project_exact(mesh, spec, 1, cfg.n_error)
-    rep = error_report(mesh, spec, cfg, fields, projected=proj)
+    cq = CellQuad(mesh, cfg.n_error)
+    exact = exact_values(cq, spec)
+    proj = project_exact(exact, 1)
+    rep = error_report(exact, spec, cfg, fields, projected=proj)
     assert rep.N == 8 and rep.k == 1 and rep.epsilon == 1e-2
     assert np.isclose(rep.energy_error**2,
                       rep.q_part_sq + rep.reaction_part_sq + rep.jump_part_sq,
@@ -116,10 +129,9 @@ def test_error_report_consistency(setting):
     assert rep.l2_error_u > 0 and rep.l2_error_q > 0
     # triangle inequality of the error decomposition:
     # |||e||| <= |||exact - projection||| + |||projection - discrete|||
-    pvals = triple_values_discrete(mesh, proj, cfg.n_error)
-    evals = triple_values_exact(mesh, spec, cfg.n_error)
-    eta = energy_norm(mesh, spec, cfg.tau,
-                      triple_sub(evals, pvals)).total
+    pvals = triple_values_discrete(cq, proj)
+    eta = energy_norm(energy_weights(cq, spec, cfg.tau),
+                      triple_sub(exact.vals, pvals)).total
     assert rep.energy_error <= eta + rep.supercloseness_error + 1e-10
 
 
@@ -127,7 +139,9 @@ def test_supercloseness_zero_for_identical_fields(setting):
     mesh, spec = setting
     cfg = HdgConfig(1)
     fields = assemble_and_solve(mesh, spec, cfg)
-    assert supercloseness_norm(mesh, spec, cfg, fields, fields) == 0.0
+    exact = exact_values(CellQuad(mesh, cfg.n_error), spec)
+    rep = error_report(exact, spec, cfg, fields, projected=fields)
+    assert rep.supercloseness_error == 0.0
 
 
 def test_convergence_rate_worked_examples():
@@ -151,8 +165,8 @@ def test_rate_input_validation():
 
 def test_triple_sub_quadrature_mismatch(setting):
     mesh, spec = setting
-    a = triple_values_exact(mesh, spec, 4)
-    b = triple_values_exact(mesh, spec, 5)
+    a = triple_values_exact(CellQuad(mesh, 4), spec)
+    b = triple_values_exact(CellQuad(mesh, 5), spec)
     with pytest.raises(ValueError):
         triple_sub(a, b)
 
@@ -163,4 +177,6 @@ def test_exact_triple_requires_exact_solution(setting):
                       spec.c, spec.div_beta, spec.f, spec.beta_lb, spec.c0,
                       None)
     with pytest.raises(ValueError):
-        triple_values_exact(mesh, bare, 4)
+        triple_values_exact(CellQuad(mesh, 4), bare)
+    with pytest.raises(ValueError):
+        exact_values(CellQuad(mesh, 4), bare)

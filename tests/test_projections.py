@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shishkin_hdg import layerquad
 from shishkin_hdg.mesh import MeshConfig, build_mesh
+from shishkin_hdg.norms import exact_values
 from shishkin_hdg.problems import paper_problem
 from shishkin_hdg.projections import project_cells, project_edge, project_exact
 from shishkin_hdg.refelem import CellQuad, gauss_rule, ref_tables
@@ -23,7 +25,18 @@ def _cell_values(mesh, coef, k, n):
 
 
 def _project(mesh, func, k, n, layer_spec=None):
-    return project_cells(mesh, [func], k, n, layer_spec)[0]
+    """Cell projection of func; with layer_spec the cells of its layer
+    batches are integrated on their composite points."""
+    cq = CellQuad(mesh, n)
+    batches = [] if layer_spec is None else [
+        (b, [func(b.X, b.Y)])
+        for b in layerquad.layer_batches(mesh, layer_spec, n)]
+    return project_cells(cq, [func(cq.X, cq.Y)], k, batches)[0]
+
+
+def _project_edge(mesh, func, k, n):
+    cq = CellQuad(mesh, n)
+    return project_edge(cq, func(*cq.side_points), k)
 
 
 def test_cell_projection_reproduces_polynomials(mesh):
@@ -63,7 +76,7 @@ def test_cell_projection_best_approximation(mesh):
 def test_edge_projection_orthogonality_1d(mesh):
     k, n = 2, 8
     u = lambda x, y: np.sin(4 * x) + np.cos(3 * y)
-    coef = project_edge(mesh, u, k, n)
+    coef = _project_edge(mesh, u, k, n)
     # recompute residual moments on every edge with the same point layout
     rule = gauss_rule(n)
     V = ref_tables(k, n).V
@@ -86,17 +99,28 @@ def test_edge_projection_orthogonality_1d(mesh):
 
 
 def test_edge_projection_zero_boundary(mesh):
-    coef = project_edge(mesh, lambda x, y: x + y, 1, 4, zero_boundary=True)
+    # the projected exact solution has homogeneous boundary traces; the
+    # edge projection itself does not zero them
+    spec = paper_problem(1e-2)
+    cq = CellQuad(mesh, 4)
+    coef = project_exact(exact_values(cq, spec), 1).trace
     assert np.all(coef[mesh.edge_boundary] == 0.0)
     assert np.any(coef[~mesh.edge_boundary] != 0.0)
+    assert np.any(_project_edge(mesh, lambda x, y: x + y, 1, 4)
+                  [mesh.edge_boundary] != 0.0)
 
 
 def test_componentwise_vector_projection(mesh):
-    # projecting the flux componentwise equals the scalar projection of each
+    # projecting the flux componentwise equals the scalar projection of
+    # each, and the edge traces are the projection of u on the edges
     spec = paper_problem(1e-2)
-    pf = project_exact(mesh, spec, 1, 6)
+    pf = project_exact(exact_values(CellQuad(mesh, 6), spec), 1)
     assert np.array_equal(pf.q1, _project(mesh, spec.exact.q1, 1, 6, spec))
     assert np.array_equal(pf.q2, _project(mesh, spec.exact.q2, 1, 6, spec))
+    assert np.array_equal(pf.u, _project(mesh, spec.exact.u, 1, 6, spec))
+    trace = _project_edge(mesh, spec.exact.u, 1, 6)
+    interior = ~mesh.edge_boundary
+    assert np.array_equal(pf.trace[interior], trace[interior])
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
@@ -105,20 +129,20 @@ def test_componentwise_vector_projection(mesh):
        n=st.integers(2, 8))
 def test_edge_projection_uses_the_side_points(N, eps, n):
     # every cell side sees the points of its edge bit for bit, so both cells
-    # of an interior edge see the same points, and project_edge integrates
-    # on them
+    # of an interior edge see the same points and gathering the side values
+    # onto the edges loses nothing; project_edge integrates on them
     mesh = build_mesh(MeshConfig(N, eps, 2.0, 1.0, 2.0))
-    seen = []
-
-    def record(x, y):
-        seen.append((x, y))
-        return x + y
-
-    project_edge(mesh, record, 1, n)
-    (ex, ey), = seen
     sx, sy = CellQuad(mesh, n).side_points
-    assert np.array_equal(ex[mesh.cell_edges], sx)
-    assert np.array_equal(ey[mesh.cell_edges], sy)
+    for side in (sx, sy):
+        edge = np.empty((mesh.n_edges, n))
+        edge[mesh.cell_edges] = side
+        assert np.array_equal(edge[mesh.cell_edges], side)
+    # the projection of x + y (degree 1) reproduces it on every edge
+    coef = _project_edge(mesh, lambda x, y: x + y, 1, n)
+    V = ref_tables(1, n).V
+    vals = coef @ V / np.sqrt(mesh.edge_length / 2.0)[:, None]
+    assert np.allclose(vals[mesh.cell_edges], sx + sy, rtol=1e-12,
+                       atol=1e-14)
 
 
 def _projection_error(mesh, spec, k, n_quad):
@@ -142,7 +166,8 @@ def test_projection_error_decay():
 
 
 def test_quadrature_validation(mesh):
+    cq = CellQuad(mesh, 2)
     with pytest.raises(ValueError):
-        project_cells(mesh, [lambda x, y: x], 2, 2)
+        project_cells(cq, [cq.X], 2)
     with pytest.raises(ValueError):
-        project_edge(mesh, lambda x, y: x, 2, 2)
+        project_edge(cq, cq.side_points[0], 2)

@@ -1,28 +1,54 @@
-"""Every public top-level function and class of the package has a caller in
-the program itself (src/ or perfbench/), not only in the tests: code that
-only its own test calls belongs in tests/ or nowhere."""
+"""Every public top-level function and class of the package, and every
+public method and property of a public class, has a caller in the program
+itself (src/ or perfbench/), not only in the tests: code that only its own
+test calls belongs in tests/ or nowhere."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "shishkin_hdg"
+# attributes of these library modules (np.zeros) are not the program's
+LIBRARY_MODULES = {"np", "sp", "spla"}
+
+
+def _callers() -> dict:
+    """Parsed trees of the program's files; re-exports in __init__ and the
+    benchmark's own tests do not count."""
+    paths = [p for p in [*PACKAGE.glob("*.py"),
+                         *(ROOT / "perfbench").glob("*.py")]
+             if p.name != "__init__.py" and not p.name.startswith("test_")]
+    return {p: ast.parse(p.read_text()) for p in paths}
+
+
+def _outside(tree, skip):
+    inside = set(map(id, ast.walk(skip))) if skip is not None else set()
+    return (node for node in ast.walk(tree) if id(node) not in inside)
 
 
 def _used_names(tree, skip=None) -> set:
     """Names read or attributes taken anywhere in `tree` outside `skip`."""
-    inside = set(map(id, ast.walk(skip))) if skip is not None else set()
     return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(tree) if id(node) not in inside
-            and isinstance(node, (ast.Name, ast.Attribute))}
+            for node in _outside(tree, skip)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def _library_attribute(node) -> bool:
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id in LIBRARY_MODULES
+
+
+def _attributes_read(tree, skip=None) -> set:
+    """Attribute names taken anywhere in `tree` outside `skip`, except
+    those of the library modules."""
+    return {node.attr for node in _outside(tree, skip)
+            if isinstance(node, ast.Attribute)
+            and not _library_attribute(node)}
 
 
 def test_every_public_name_has_a_caller_outside_tests():
-    # re-exports in __init__ and the benchmark's own tests do not count
-    callers = [p for p in [*PACKAGE.glob("*.py"),
-                           *(ROOT / "perfbench").glob("*.py")]
-               if p.name != "__init__.py" and not p.name.startswith("test_")]
-    trees = {p: ast.parse(p.read_text()) for p in callers}
+    trees = _callers()
     used = {p: _used_names(t) for p, t in trees.items()}
     unused = []
     for path in PACKAGE.glob("*.py"):
@@ -35,4 +61,25 @@ def test_every_public_name_has_a_caller_outside_tests():
                     and node.name not in elsewhere \
                     and node.name not in _used_names(trees[path], node):
                 unused.append(f"{path.name}: {node.name}")
+    assert not unused, unused
+
+
+def test_every_public_method_has_a_caller_outside_tests():
+    # a method or property counts as used when its name is taken as an
+    # attribute somewhere outside its own definition
+    trees = _callers()
+    unused = []
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for cls in trees[path].body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) \
+                        and not node.name.startswith("_") \
+                        and not any(node.name in _attributes_read(
+                            tree, node if q == path else None)
+                            for q, tree in trees.items()):
+                    unused.append(f"{path.name}: {cls.name}.{node.name}")
     assert not unused, unused
