@@ -75,13 +75,13 @@ class SolutionFields:
     def from_reference(cls, mesh: ShishkinMesh, k: int, v: np.ndarray,
                        x: np.ndarray) -> "SolutionFields":
         """Fields from pulled-back coefficients: v holds (q1, q2, u) per
-        cell, (ncells, 3(k+1)^2); x the traces of the interior edges in
-        edge order, (n_interior_edges * (k+1),)."""
+        cell, (ncells, 3(k+1)^2); x the traces of the interior edges,
+        (n_interior_edges * (k+1),), edge e at row mesh.interior_index[e]."""
         nb = (k + 1) ** 2
         sqj, sql = cls._scales(mesh)
-        interior = ~mesh.edge_boundary
-        trace = np.zeros((mesh.n_edges, k + 1))
-        trace[interior] = x.reshape(-1, k + 1) * sql[interior]
+        # boundary edges (index -1) read the zero row appended last
+        rows = np.vstack([x.reshape(-1, k + 1), np.zeros((1, k + 1))])
+        trace = rows[mesh.interior_index] * sql
         return cls(k, v[:, :nb] * sqj, v[:, nb:2 * nb] * sqj,
                    v[:, 2 * nb:] * sqj, trace)
 
@@ -249,7 +249,10 @@ def _trace_dofs(mesh: ShishkinMesh, k: int) -> np.ndarray:
 def assemble_trace_system(mesh: ShishkinMesh, cond: CondensedSystem,
                           k: int) -> tuple[SparseMatrix, np.ndarray]:
     """Scatter the per-cell Schur blocks into the global interior-trace
-    system (dimension n_interior_edges * (k+1), deterministic ordering)."""
+    system of dimension n_interior_edges * (k+1). Unknowns are numbered in
+    the mesh's interior edge order (mesh.interior_index, nested dissection
+    along grid lines), the k+1 dofs of an edge consecutively, so the matrix
+    is ready to factor in the order given."""
     kp = k + 1
     n_tr = mesh.n_interior_edges * kp
     td = _trace_dofs(mesh, k)

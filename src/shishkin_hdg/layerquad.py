@@ -11,7 +11,7 @@ layer side; all other cells keep the plain tensor rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,16 +84,26 @@ class LayerBatch:
     J: np.ndarray
     tx: np.ndarray  # (ncols, npx)
     ty: np.ndarray  # (nrows, npy)
+    _bases: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def basis(self, k: int) -> np.ndarray:
         """Tensor basis values at each cell's points, (cells, (k+1)^2,
-        points), in the pulled-back (reference-orthonormal) convention."""
-        kp = k + 1
-        (nx, px), (ny, py) = self.tx.shape, self.ty.shape
-        vx = Basis1D(k).eval(self.tx.reshape(-1))[0].reshape(kp, nx, px)
-        vy = Basis1D(k).eval(self.ty.reshape(-1))[0].reshape(kp, ny, py)
-        return np.einsum("mip,njq->ijmnpq", vx, vy).reshape(
-            nx * ny, kp * kp, px * py)
+        points), in the pulled-back (reference-orthonormal) convention.
+
+        Evaluated once per k and shared, read-only, by every reader of the
+        batch (the projection and the error corrections read the same
+        batches)."""
+        if k not in self._bases:
+            kp = k + 1
+            (nx, px), (ny, py) = self.tx.shape, self.ty.shape
+            vx = Basis1D(k).eval(self.tx.reshape(-1))[0].reshape(kp, nx, px)
+            vy = Basis1D(k).eval(self.ty.reshape(-1))[0].reshape(kp, ny, py)
+            B = np.einsum("mip,njq->ijmnpq", vx, vy).reshape(
+                nx * ny, kp * kp, px * py)
+            B.flags.writeable = False
+            self._bases[k] = B
+        return self._bases[k]
 
 
 def _line_rules(nodes, idx, rule, scale):

@@ -1,12 +1,20 @@
 """Sparse storage and linear solution for the condensed trace system.
 
-Backed by scipy CSR storage and SuperLU (sparse direct LU with COLAMD
-fill-reducing ordering and partial pivoting) with iterative refinement.
-The dense monolithic oracle the condensed solve is checked against lives in
-the test suite (`tests/dense_oracle.py`).
+Backed by scipy CSR storage and SuperLU with iterative refinement. The
+matrix is factored in the order it is given: the trace system arrives with
+its unknowns numbered by nested dissection along the mesh's grid lines
+(mesh.ShishkinMesh.interior_index), so SuperLU adds no column permutation
+of its own, keeps the pattern symmetric and pivots on the diagonal unless
+it is below a tenth of its column's largest entry (GIVEN_ORDER). If that
+factorization fails or misses the residual gate, the matrix is factored
+once more with COLAMD and partial pivoting, and a SolveFallbackWarning
+says why. The dense monolithic oracle the condensed solve is checked
+against lives in the test suite (`tests/dense_oracle.py`).
 """
 
 from __future__ import annotations
+
+import warnings
 
 import numpy as np
 import scipy.sparse as sp
@@ -14,6 +22,14 @@ import scipy.sparse.linalg as spla
 
 # relative residual (2-norm) every solve must reach
 RESIDUAL_TOL = 1e-12
+# SuperLU options of the first attempt: factor in the given order
+GIVEN_ORDER = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1,
+                   options=dict(SymmetricMode=True))
+
+
+class SolveFallbackWarning(RuntimeWarning):
+    """The factorization in the given order failed or missed the residual
+    gate, so the solve was repeated with COLAMD and partial pivoting."""
 
 
 class SolveError(RuntimeError):
@@ -75,8 +91,13 @@ class SparseMatrix:
 
     def solve(self, b) -> np.ndarray:
         """Solve Ax = b to a relative residual <= RESIDUAL_TOL (2-norm) with
-        SuperLU plus iterative refinement; raises SolveError if the residual
-        target is not met."""
+        SuperLU plus iterative refinement.
+
+        The matrix is factored in the order given (GIVEN_ORDER). If that
+        raises RuntimeError or misses the residual target, it is factored
+        once more with COLAMD and partial pivoting (SuperLU's defaults) and
+        a SolveFallbackWarning names the reason; if that misses too,
+        SolveError names both attempts. Other exceptions propagate."""
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
             raise ValueError(f"rhs dimension mismatch: {b.shape} vs {self.n}")
@@ -85,20 +106,35 @@ class SparseMatrix:
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros(self.n)
-        try:
-            lu = spla.splu(self.csr.tocsc())
-        except RuntimeError as exc:  # singular factorization
-            raise SolveError(f"sparse LU factorization failed: {exc}") from exc
-        x = lu.solve(b)
+        csc = self.csr.tocsc()
         tol = RESIDUAL_TOL * bnorm
-        for _ in range(2):  # iterative refinement to hit the residual target
+        failed = []
+        for name, opts in (("given order", GIVEN_ORDER), ("COLAMD", {})):
+            try:
+                x, res = self._refined_solve(csc, opts, b, tol)
+            except RuntimeError as exc:  # singular factorization
+                failed.append(f"{name}: sparse LU factorization failed: "
+                              f"{exc}")
+                continue
+            if res <= tol:  # False for a NaN residual
+                if failed:
+                    warnings.warn(f"fell back to COLAMD after {failed[0]}",
+                                  SolveFallbackWarning, stacklevel=2)
+                return x
+            failed.append(f"{name}: residual {res:.3e} exceeds "
+                          f"{RESIDUAL_TOL:.1e} * ||b|| = {tol:.3e}")
+        raise SolveError(f"direct solve failed (n={self.n}, nnz={self.nnz}); "
+                         + "; ".join(failed))
+
+    def _refined_solve(self, csc, opts, b, tol):
+        """Factor with SuperLU options opts and solve, with up to two steps
+        of iterative refinement toward tol; returns (x, residual 2-norm).
+        The factor is released on return."""
+        lu = spla.splu(csc, **opts)
+        x = lu.solve(b)
+        for _ in range(2):
             r = b - self.csr @ x
             if np.linalg.norm(r) <= tol:
                 break
             x = x + lu.solve(r)
-        res = np.linalg.norm(b - self.csr @ x)
-        if not np.isfinite(res) or res > tol:
-            raise SolveError(
-                f"direct solve residual {res:.3e} exceeds {RESIDUAL_TOL:.1e} "
-                f"* ||b|| = {tol:.3e} (n={self.n}, nnz={self.nnz})")
-        return x
+        return x, np.linalg.norm(b - self.csr @ x)

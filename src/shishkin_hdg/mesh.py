@@ -42,6 +42,48 @@ class MeshConfig:
                 raise ValueError(f"{name} must be positive")
 
 
+# a box of cells with at most this many interior edges is not split further
+ND_LEAF_EDGES = 16
+
+
+def _nested_dissection(nx: int, ny: int) -> np.ndarray:
+    """Interior edge ids in grid-line nested-dissection order.
+
+    A box of cells [i0, i1) x [j0, j1) is split at the middle grid line of
+    its longer index direction: the interior edges of each half are
+    numbered first, then the edges lying on that line, which separate the
+    halves. A box with at most ND_LEAF_EDGES interior edges is numbered
+    whole. The edges on a box's sides belong to an enclosing separator or
+    to the boundary, so boundary edges are left out.
+
+    The edges of one grid-line segment have consecutive ids, so the order
+    is collected as runs (first id, length) and expanded once.
+    """
+    n_vert = (nx + 1) * ny
+    runs = []
+
+    def box(i0, i1, j0, j1):
+        a, b = i1 - i0, j1 - j0
+        if (a - 1) * b + (b - 1) * a <= ND_LEAF_EDGES:
+            runs.extend((i * ny + j0, b) for i in range(i0 + 1, i1))
+            runs.extend((n_vert + j * nx + i0, a) for j in range(j0 + 1, j1))
+        elif a >= b:
+            m = (i0 + i1) // 2
+            box(i0, m, j0, j1)
+            box(m, i1, j0, j1)
+            runs.append((m * ny + j0, b))  # vertical line m
+        else:
+            m = (j0 + j1) // 2
+            box(i0, i1, j0, m)
+            box(i0, i1, m, j1)
+            runs.append((n_vert + m * nx + i0, a))  # horizontal line m
+
+    box(0, nx, 0, ny)
+    first, length = np.array(runs, dtype=np.int64).reshape(-1, 2).T
+    offset = np.cumsum(length) - length  # position of each run in the order
+    return np.repeat(first - offset, length) + np.arange(length.sum())
+
+
 @dataclass
 class ShishkinMesh:
     """Piecewise-uniform tensor mesh with cell and oriented-edge topology.
@@ -54,6 +96,11 @@ class ShishkinMesh:
     j = 0..ny-1, id = i*ny + j), then horizontal ones (line j = 0..ny,
     segment i = 0..nx-1, id = n_vertical + j*nx + i). Cells are flattened
     as c = ix*ny + iy with 0-based (ix, iy).
+
+    The interior edges, whose traces are the unknowns of the condensed
+    system, are numbered separately: interior_index maps an edge id to its
+    place in grid-line nested-dissection order (_nested_dissection), and
+    to -1 on boundary edges. The trace system is factored in that order.
     """
 
     x_nodes: np.ndarray
@@ -75,7 +122,7 @@ class ShishkinMesh:
     edge_seg: np.ndarray = field(init=False)
     edge_cells: np.ndarray = field(init=False)       # (nedges, 2), -1 if none
     edge_boundary: np.ndarray = field(init=False)
-    interior_index: np.ndarray = field(init=False)   # -1 for boundary edges
+    interior_index: np.ndarray = field(init=False)   # ND order, -1 boundary
 
     def __post_init__(self):
         self.x_nodes = np.asarray(self.x_nodes, dtype=float)
@@ -117,9 +164,9 @@ class ShishkinMesh:
         self.edge_cells = cells
         self.edge_length = length
         self.edge_boundary = (cells == -1).any(axis=1)
+        order = _nested_dissection(nx, ny)
         self.interior_index = np.full(nedges, -1, dtype=np.int64)
-        self.interior_index[~self.edge_boundary] = np.arange(
-            (~self.edge_boundary).sum())
+        self.interior_index[order] = np.arange(len(order))
 
         ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
         ix, iy = ix.reshape(-1), iy.reshape(-1)

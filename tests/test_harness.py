@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from shishkin_hdg import cli, harness, problems
+from shishkin_hdg import cli, harness, layerquad, problems
 from shishkin_hdg.harness import (DiagnosticReport, StudyConfig, run_diagnostics,
                                   run_single, run_sweep)
 from shishkin_hdg.mesh import MeshConfig, build_mesh
@@ -121,6 +121,29 @@ def test_solve_cell_evaluates_each_point_set_once(monkeypatch):
     repeated = sorted((key[0], key[1]) for key, count in seen.items()
                       if count > 1)
     assert not repeated, repeated
+
+
+def test_solve_cell_evaluates_each_layer_basis_once(monkeypatch):
+    # the projection and the error corrections read the same composite
+    # batches: each batch's basis table is evaluated once (two 1D
+    # evaluations, x and y), however many readers it has
+    built, evals = [], []
+
+    def layer_batches(*args, **kw):
+        out = real_batches(*args, **kw)
+        built.extend(out)
+        return out
+
+    class CountedBasis(layerquad.Basis1D):
+        def eval(self, points):
+            evals.append(self.degree)
+            return super().eval(points)
+
+    real_batches = layerquad.layer_batches
+    monkeypatch.setattr(layerquad, "layer_batches", layer_batches)
+    monkeypatch.setattr(layerquad, "Basis1D", CountedBasis)
+    harness.solve_cell(_cfg(mode="both"), 1, 1e-6, 16)
+    assert built and len(evals) == 2 * len(built)
 
 
 def test_skips_rates_for_non_doubling_pairs():

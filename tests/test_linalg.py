@@ -1,9 +1,20 @@
-"""Sparse matrix wrapper: assembly, solves, failure reporting."""
+"""Sparse matrix wrapper: assembly, solves, the COLAMD fallback and
+failure reporting."""
+
+import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shishkin_hdg.linalg import SolveError, SparseMatrix
+from shishkin_hdg import linalg
+from shishkin_hdg.assembly import (HdgConfig, assemble_trace_system,
+                                   build_local_systems, condense)
+from shishkin_hdg.linalg import SolveError, SolveFallbackWarning, SparseMatrix
+from shishkin_hdg.mesh import MeshConfig, build_mesh
+from shishkin_hdg.problems import paper_problem
 
 
 def _laplacian_1d(n):
@@ -66,3 +77,112 @@ def test_validation_errors():
         A.solve(np.zeros(3))
     with pytest.raises(ValueError):
         SparseMatrix(-1)
+
+
+def _meets_gate(A, x, b):
+    return np.linalg.norm(b - A.csr @ x) <= \
+        linalg.RESIDUAL_TOL * np.linalg.norm(b)
+
+
+def _patch_first_splu(monkeypatch, first):
+    """linalg's splu with the factor of its first call passed through
+    first; returns the keyword arguments of every call."""
+    real = spla.splu
+    calls = []
+
+    def splu(csc, **kw):
+        calls.append(kw)
+        return first(real(csc, **kw)) if len(calls) == 1 else real(csc, **kw)
+
+    monkeypatch.setattr(linalg.spla, "splu", splu)
+    return calls
+
+
+def _first_given_then_colamd(calls):
+    # the given order first, then SuperLU's defaults: COLAMD, partial pivots
+    assert len(calls) == 2
+    assert calls[0]["permc_spec"] == "NATURAL"
+    assert calls[1].get("permc_spec", "COLAMD") == "COLAMD"
+    assert calls[1].get("diag_pivot_thresh", 1.0) == 1.0
+
+
+def test_fallback_when_given_order_factorization_fails(monkeypatch):
+    def singular(lu):
+        raise RuntimeError("Factor is exactly singular")
+
+    calls = _patch_first_splu(monkeypatch, singular)
+    A = _laplacian_1d(40)
+    b = np.random.default_rng(1).standard_normal(40)
+    with pytest.warns(SolveFallbackWarning, match="exactly singular"):
+        x = A.solve(b)
+    assert _meets_gate(A, x, b)
+    _first_given_then_colamd(calls)
+
+
+class _HalfSolve:
+    """A factor whose solves return half the answer: two refinement steps
+    leave an error of 1/8, far above the gate."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def solve(self, r):
+        return 0.5 * self.lu.solve(r)
+
+
+def test_fallback_when_given_order_misses_the_gate(monkeypatch):
+    calls = _patch_first_splu(monkeypatch, _HalfSolve)
+    A = _laplacian_1d(40)
+    b = np.random.default_rng(2).standard_normal(40)
+    with pytest.warns(SolveFallbackWarning, match="residual"):
+        x = A.solve(b)
+    assert _meets_gate(A, x, b)
+    _first_given_then_colamd(calls)
+
+
+def test_solve_error_names_both_attempts():
+    A = SparseMatrix(2)
+    A.add([0, 1], [0, 1], [1.0, 0.0])
+    A.finalize()
+    with pytest.raises(SolveError, match="given order.*COLAMD"):
+        A.solve(np.array([1.0, 1.0]))
+
+
+def test_other_factorization_errors_propagate(monkeypatch):
+    def splu(csc, **kw):
+        raise ValueError("not a numerical failure")
+
+    monkeypatch.setattr(linalg.spla, "splu", splu)
+    with pytest.raises(ValueError, match="not a numerical failure"):
+        _laplacian_1d(4).solve(np.ones(4))
+
+
+def _trace_system(k, N, eps):
+    spec = paper_problem(eps)
+    mesh = build_mesh(MeshConfig(N, eps, k + 1.0, 1.0, 2.0))
+    cond = condense(build_local_systems(mesh, spec, HdgConfig(k)))
+    return assemble_trace_system(mesh, cond, k)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(k=st.integers(1, 3), N=st.sampled_from([4, 8, 16, 32]),
+       eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p))  # log-uniform
+def test_condensed_solve_matches_colamd(k, N, eps):
+    A, b = _trace_system(k, N, eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", SolveFallbackWarning)
+        x = A.solve(b)
+    ref = spla.spsolve(A.csr.tocsc(), b, permc_spec="COLAMD")
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_nested_dissection_order_cuts_fill(monkeypatch):
+    # the trace unknowns come in nested-dissection order, which SuperLU
+    # keeps: the factor fills far less than under COLAMD (0.48 of it here)
+    A, b = _trace_system(1, 32, 1e-6)
+    colamd = spla.splu(A.csr.tocsc()).nnz
+    fill = []
+    calls = _patch_first_splu(monkeypatch,
+                              lambda lu: fill.append(lu.nnz) or lu)
+    A.solve(b)
+    assert len(calls) == 1 and fill[0] < 0.6 * colamd

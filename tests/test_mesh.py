@@ -122,3 +122,33 @@ def test_dump_mesh_contents():
     assert "tau_x" in text and "x_nodes" in text
     assert text.count("\ncell ") == mesh.n_cells
     assert text.count("\nedge ") == mesh.n_edges
+
+
+@settings(max_examples=32, deadline=None, derandomize=True)
+@given(N=st.integers(1, 32).map(lambda m: 4 * m))
+def test_interior_index_is_a_bijection(N):
+    mesh = build_mesh(MeshConfig(N, 1e-6, 2.0, 1.0, 2.0))
+    idx = mesh.interior_index
+    assert np.array_equal(np.sort(idx[~mesh.edge_boundary]),
+                          np.arange(mesh.n_interior_edges))
+    assert np.all(idx[mesh.edge_boundary] == -1)
+
+
+def test_interior_edges_numbered_by_nested_dissection():
+    N = 16
+    mesh = build_mesh(MeshConfig(N, 1e-6, 2.0, 1.0, 2.0))
+    order = np.argsort(mesh.interior_index)[mesh.edge_boundary.sum():]
+    axis, line, seg = (a[order] for a in (mesh.edge_axis, mesh.edge_line,
+                                          mesh.edge_seg))
+    # the middle vertical line separates the two halves and comes last
+    assert np.all(axis[-N:] == 0) and np.all(line[-N:] == N // 2)
+    # before it, the separator of the right half: the middle horizontal
+    # line right of x's middle
+    right = slice(-N - N // 2, -N)
+    assert np.all(axis[right] == 1) and np.all(line[right] == N // 2)
+    assert np.all(seg[right] >= N // 2)
+    # every edge inside the left half precedes every edge inside the right
+    inside_left = ((axis == 0) & (line < N // 2)) | \
+        ((axis == 1) & (seg < N // 2))
+    half = mesh.n_interior_edges // 2 - N // 2
+    assert np.all(inside_left[:half]) and not np.any(inside_left[half:])
