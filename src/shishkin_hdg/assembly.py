@@ -19,7 +19,7 @@ from . import layerquad
 from .linalg import SolveError, SparseMatrix
 from .mesh import ShishkinMesh
 from .problems import ProblemSpec
-from .refelem import CellQuad, gauss_rule, ref_tables
+from .refelem import CellQuad, RefTables, gauss_rule, ref_tables
 from . import norms
 from .norms import StabilizationError, edge_normal_beta
 
@@ -98,12 +98,19 @@ class SolutionFields:
                               self.u - other.u, self.trace - other.trace)
 
 
+# cells per block of the streamed assembly: the dense local systems of
+# one block are built and condensed before the next block is built
+CELL_BLOCK = 1024
+
+
 @dataclass
 class LocalBlocks:
-    """Batched local systems: interior unknowns (q1, q2, u) of size 3(k+1)^2
-    against the four edge-trace blocks of size k+1 each (order W, E, S, N)."""
+    """Batched local systems of the consecutive cells `cells`: interior
+    unknowns (q1, q2, u) of size 3(k+1)^2 against the four edge-trace blocks
+    of size k+1 each (order W, E, S, N)."""
 
     k: int
+    cells: range
     A: np.ndarray  # (nc, ni, ni) interior equations x interior unknowns
     C: np.ndarray  # (nc, ni, nt) interior equations x traces
     G: np.ndarray  # (nc, nt, ni) flux-continuity rows x interior unknowns
@@ -121,6 +128,36 @@ class CondensedSystem:
     IC: np.ndarray     # (nc, ni, nt) = A^{-1} C
 
 
+@dataclass
+class _LocalSetup:
+    """What the local systems of all cell blocks share, computed once per
+    assembly: the reference tables and the assembly rule, the edge-mass
+    weights (beta.n - tau) * Gauss weight at the side points, and the
+    u-rows of the load of the layer-refined cells."""
+
+    R: RefTables
+    cq: CellQuad
+    side_weight: np.ndarray  # (4, ncells, n), side-major
+    layer_load: list  # (cell ids, (cells, (k+1)^2) load) per layer batch
+
+
+def _local_setup(mesh: ShishkinMesh, spec: ProblemSpec,
+                 cfg: HdgConfig) -> _LocalSetup:
+    n = cfg.n_assembly
+    cq = CellQuad(mesh, n)
+    bn = edge_normal_beta(cq, spec)  # for the check and the side terms
+    check_stabilization(bn, cfg.tau)
+    # f carries layer tails of height ~N^-sigma varying on the sub-cell
+    # scale eps/beta into the coarse cells at the transition; integrate
+    # those cells with the refined composite rule instead
+    load = [(b.cells, np.einsum("cbg,cg->cb", b.basis(cfg.k),
+                                b.W * spec.f(b.X, b.Y)))
+            for b in layerquad.layer_batches(mesh, spec, n)]
+    side_weight = (bn - cfg.tau) * gauss_rule(n).weights
+    return _LocalSetup(ref_tables(cfg.k, n), cq,
+                       np.ascontiguousarray(side_weight.swapaxes(0, 1)), load)
+
+
 def check_stabilization(bn: np.ndarray, tau: float) -> float:
     """Margin min(tau - |beta.n|/2) over sampled side values bn of beta.n
     (norms.edge_normal_beta); raises if <= 0."""
@@ -133,36 +170,47 @@ def check_stabilization(bn: np.ndarray, tau: float) -> float:
 
 
 def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
-                        cfg: HdgConfig) -> LocalBlocks:
-    """Assemble all per-cell blocks of the discrete system:
+                        cfg: HdgConfig, cells: Optional[range] = None,
+                        setup: Optional[_LocalSetup] = None) -> LocalBlocks:
+    """Assemble the per-cell blocks of the discrete system:
 
       (i)   eps^-1 (q, r) - (u, div r) + <u_hat, r.n> = 0
       (ii)  -(q + beta u, grad w) + ((c - div beta) u, w)
             + <q.n + beta.n u_hat + tau (u - u_hat), w> = (f, w)
-      (iii) <q.n + beta.n u_hat + tau (u - u_hat), mu> per edge.
+      (iii) <q.n + beta.n u_hat + tau (u - u_hat), mu> per edge,
+
+    for the consecutive cells `cells` (a range with step 1; all cells by
+    default), evaluating the coefficients on those cells only. `setup` is
+    the part shared by all blocks (_local_setup), computed here when not
+    given.
     """
-    k, n = cfg.k, cfg.n_assembly
+    k = cfg.k
     kp, nb = k + 1, (k + 1) ** 2
     ni, nt = 3 * nb, 4 * kp
-    R = ref_tables(k, n)
-    cq = CellQuad(mesh, n)
-    nc = mesh.n_cells
+    if cells is None:
+        cells = range(mesh.n_cells)
+    if setup is None:
+        setup = _local_setup(mesh, spec, cfg)
+    R = setup.R
+    sel = slice(cells.start, cells.stop)
+    nc = len(cells)
     eps = spec.epsilon
     tau = cfg.tau
-    bn = edge_normal_beta(cq, spec)  # for the check and the side terms
-    check_stabilization(bn, tau)
+    X, Y, J = setup.cq.X[sel], setup.cq.Y[sel], setup.cq.J[sel]
+    W2 = setup.cq.W2  # reference weights, (n^2,)
+    side_weight = setup.side_weight[:, sel]
 
     iq1, iq2, iu = slice(0, nb), slice(nb, 2 * nb), slice(2 * nb, 3 * nb)
     sides = [slice(s * kp, (s + 1) * kp) for s in range(4)]  # W, E, S, N
 
-    b1 = spec.beta1(cq.X, cq.Y)
-    b2 = spec.beta2(cq.X, cq.Y)
-    cr = spec.c(cq.X, cq.Y) - spec.div_beta(cq.X, cq.Y)
-    fv = spec.f(cq.X, cq.Y)
+    b1 = spec.beta1(X, Y)
+    b2 = spec.beta2(X, Y)
+    cr = spec.c(X, Y) - spec.div_beta(X, Y)
+    fv = spec.f(X, Y)
 
-    halfx = mesh.cell_hx / 2.0
-    halfy = mesh.cell_hy / 2.0
-    half_side = mesh.edge_length[mesh.cell_edges] / 2.0  # (nc, 4)
+    halfx = mesh.cell_hx[sel] / 2.0
+    halfy = mesh.cell_hy[sel] / 2.0
+    half_side = mesh.edge_length[mesh.cell_edges[sel]] / 2.0  # (nc, 4)
 
     A = np.zeros((nc, ni, ni))
     C = np.zeros((nc, ni, nt))
@@ -171,50 +219,45 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
     F = np.zeros((nc, ni))
 
     eye = np.eye(nb)
-    A[:, iq1, iq1] = (cq.J / eps)[:, None, None] * eye
-    A[:, iq2, iq2] = (cq.J / eps)[:, None, None] * eye
+    A[:, iq1, iq1] = (J / eps)[:, None, None] * eye
+    A[:, iq2, iq2] = (J / eps)[:, None, None] * eye
     A[:, iq1, iu] = -halfy[:, None, None] * R.KX
     A[:, iq2, iu] = -halfx[:, None, None] * R.KY
     A[:, iu, iq1] = halfy[:, None, None] * (-R.KX + R.EVp - R.EVm)
     A[:, iu, iq2] = halfx[:, None, None] * (-R.KY + R.EHp - R.EHm)
 
-    conv_x = np.einsum("cg,bg,ag->cba", cq.W2 * b1, R.BX, R.B0)
-    conv_y = np.einsum("cg,bg,ag->cba", cq.W2 * b2, R.BY, R.B0)
-    react = np.einsum("cg,bg,ag->cba", cq.W2 * cr, R.B0, R.B0)
+    conv_x = np.einsum("cg,bg,ag->cba", W2 * b1, R.BX, R.B0)
+    conv_y = np.einsum("cg,bg,ag->cba", W2 * b2, R.BY, R.B0)
+    react = np.einsum("cg,bg,ag->cba", W2 * cr, R.B0, R.B0)
     stab = (halfy[:, None, None] * (R.EVp + R.EVm)
             + halfx[:, None, None] * (R.EHp + R.EHm))
     A[:, iu, iu] = (-halfy[:, None, None] * conv_x
                     - halfx[:, None, None] * conv_y
-                    + cq.J[:, None, None] * react + tau * stab)
+                    + J[:, None, None] * react + tau * stab)
 
     # per side (W, E, S, N): the flux component whose normal trace it
     # carries, the outward sign, and the cell trace in the edge basis
     side_terms = ((iq1, -1.0, R.LVm), (iq1, 1.0, R.LVp),
                   (iq2, -1.0, R.LHm), (iq2, 1.0, R.LHp))
-    gauss_w = gauss_rule(n).weights
     for s, (iq, sign, L) in enumerate(side_terms):
         h = half_side[:, s, None, None]
         # traces entering equation (i): <u_hat, r.n>
         C[:, iq, sides[s]] = sign * h * L
         # traces entering equation (ii): <(beta.n - tau) u_hat, w>, and the
         # edge mass of (beta.n - tau) for the flux rows (iii)
-        arr = (bn[:, s] - tau) * gauss_w  # (nc, n)
-        em = np.einsum("cg,ng,eg->cne", arr, R.V, R.V)  # (nc, kp, kp)
+        em = np.einsum("cg,ng,eg->cne", side_weight[s], R.V, R.V)
         C[:, iu, sides[s]] = h * (L @ em)
         D[:, sides[s], sides[s]] = h * em
         # flux rows: <q.n, mu> and <tau u, mu>
         G[:, sides[s], iq] = sign * h * L.T
         G[:, sides[s], iu] = tau * h * L.T
 
-    F[:, iu] = cq.J[:, None] * np.einsum("cg,bg->cb", cq.W2 * fv, R.B0)
-    # f carries layer tails of height ~N^-sigma varying on the sub-cell
-    # scale eps/beta into the coarse cells at the transition; integrate
-    # those cells with the refined composite rule instead
-    for b in layerquad.layer_batches(mesh, spec, n):
-        F[b.cells, iu] = np.einsum("cbg,cg->cb", b.basis(k),
-                                   b.W * spec.f(b.X, b.Y))
+    F[:, iu] = J[:, None] * np.einsum("cg,bg->cb", W2 * fv, R.B0)
+    for layer_cells, load in setup.layer_load:  # the composite-rule rows
+        inside = (layer_cells >= cells.start) & (layer_cells < cells.stop)
+        F[layer_cells[inside] - cells.start, iu] = load[inside]
 
-    return LocalBlocks(k, A, C, G, D, F)
+    return LocalBlocks(k, cells, A, C, G, D, F)
 
 
 def condense(blocks: LocalBlocks) -> CondensedSystem:
@@ -228,13 +271,34 @@ def condense(blocks: LocalBlocks) -> CondensedSystem:
             try:
                 np.linalg.solve(blocks.A[c], rhs[c])
             except np.linalg.LinAlgError:
-                raise SolveError(f"singular interior block in cell {c}; "
-                                 "well-posedness assumptions likely violated")
+                raise SolveError(f"singular interior block in cell "
+                                 f"{blocks.cells[c]}; well-posedness "
+                                 "assumptions likely violated")
         raise
     IF, IC = sol[:, :, 0], sol[:, :, 1:]
     S = blocks.D - blocks.G @ IC
     r = -np.einsum("cij,cj->ci", blocks.G, IF)
     return CondensedSystem(S, r, IF, IC)
+
+
+def _condense_in_blocks(mesh: ShishkinMesh, spec: ProblemSpec,
+                        cfg: HdgConfig) -> CondensedSystem:
+    """The condensed system of every cell, built and condensed CELL_BLOCK
+    cells at a time, so the dense local systems of the whole mesh never
+    exist at once."""
+    setup = _local_setup(mesh, spec, cfg)
+    kp, nc = cfg.k + 1, mesh.n_cells
+    ni, nt = 3 * kp * kp, 4 * kp
+    cond = CondensedSystem(np.empty((nc, nt, nt)), np.empty((nc, nt)),
+                           np.empty((nc, ni)), np.empty((nc, ni, nt)))
+    for start in range(0, nc, CELL_BLOCK):
+        cells = range(start, min(start + CELL_BLOCK, nc))
+        part = condense(build_local_systems(mesh, spec, cfg, cells, setup))
+        sel = slice(cells.start, cells.stop)
+        cond.S[sel], cond.rhs[sel] = part.S, part.rhs
+        cond.IF[sel], cond.IC[sel] = part.IF, part.IC
+        del part  # free this block before the next one is built
+    return cond
 
 
 def _trace_dofs(mesh: ShishkinMesh, k: int) -> np.ndarray:
@@ -248,42 +312,47 @@ def _trace_dofs(mesh: ShishkinMesh, k: int) -> np.ndarray:
 
 def assemble_trace_system(mesh: ShishkinMesh, cond: CondensedSystem,
                           k: int) -> tuple[SparseMatrix, np.ndarray]:
-    """Scatter the per-cell Schur blocks into the global interior-trace
-    system of dimension n_interior_edges * (k+1). Unknowns are numbered in
-    the mesh's interior edge order (mesh.interior_index, nested dissection
+    """Sum the per-cell Schur blocks into the global interior-trace system
+    of dimension n_interior_edges * (k+1). Unknowns are numbered in the
+    mesh's interior edge order (mesh.interior_index, nested dissection
     along grid lines), the k+1 dofs of an edge consecutively, so the matrix
-    is ready to factor in the order given."""
+    is ready to factor in the order given. The blocks are summed on the
+    mesh's edge-block pattern (mesh.edge_blocks), so no entry sums more
+    than two terms."""
     kp = k + 1
-    n_tr = mesh.n_interior_edges * kp
+    pattern = mesh.edge_blocks
+    # the (side i, side j) block of each cell: (ncells, 4, 4, k+1, k+1)
+    side_blocks = cond.S.reshape(-1, 4, kp, 4, kp).swapaxes(2, 3)
+    # blocks on boundary edges (position -1) go to a last, discarded block
+    data = np.zeros((len(pattern.indices) + 1, kp, kp))
+    np.add.at(data, pattern.position, side_blocks)
+    A = SparseMatrix.from_blocks(data[:-1], pattern.indices, pattern.indptr)
+    b = np.zeros(A.n)
     td = _trace_dofs(mesh, k)
-    A = SparseMatrix(n_tr)
-    rows = np.broadcast_to(td[:, :, None], cond.S.shape)
-    cols = np.broadcast_to(td[:, None, :], cond.S.shape)
-    mask = (rows >= 0) & (cols >= 0)
-    A.add(rows[mask], cols[mask], cond.S[mask])
-    b = np.zeros(n_tr)
     valid = td >= 0
     np.add.at(b, td[valid], cond.rhs[valid])
-    return A.finalize(), b
+    return A, b
 
 
-def _recover(mesh: ShishkinMesh, cond: CondensedSystem, k: int,
+def _recover(mesh: ShishkinMesh, IF: np.ndarray, IC: np.ndarray, k: int,
              x: np.ndarray) -> SolutionFields:
     # boundary traces (dof id -1) read the 0 appended after the interior ones
     t_local = np.append(x, 0.0)[_trace_dofs(mesh, k)]
-    v = cond.IF - np.einsum("cij,cj->ci", cond.IC, t_local)
+    v = IF - np.einsum("cij,cj->ci", IC, t_local)
     return SolutionFields.from_reference(mesh, k, v, x)
 
 
 def assemble_and_solve(mesh: ShishkinMesh, spec: ProblemSpec,
                        cfg: HdgConfig) -> SolutionFields:
-    """Full pipeline: local systems, condensation, global trace solve with
-    homogeneous boundary traces, interior recovery."""
-    blocks = build_local_systems(mesh, spec, cfg)
-    cond = condense(blocks)
+    """Full pipeline: local systems and their condensation in blocks of
+    cells, global trace solve with homogeneous boundary traces, interior
+    recovery."""
+    cond = _condense_in_blocks(mesh, spec, cfg)
     A, b = assemble_trace_system(mesh, cond, cfg.k)
+    IF, IC = cond.IF, cond.IC
+    del cond  # S lives on in A: free it before the factorization
     x = A.solve(b)
-    return _recover(mesh, cond, cfg.k, x)
+    return _recover(mesh, IF, IC, cfg.k, x)
 
 
 def galerkin_residual(mesh: ShishkinMesh, spec: ProblemSpec,

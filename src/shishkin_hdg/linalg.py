@@ -37,53 +37,23 @@ class SolveError(RuntimeError):
 
 
 class SparseMatrix:
-    """Square sparse matrix assembled from coordinate triplets."""
+    """Square sparse matrix in CSR storage, with the gated direct solve."""
 
-    def __init__(self, n: int):
-        if n < 0:
-            raise ValueError("dimension must be nonnegative")
-        self.n = n
-        self._rows: list[np.ndarray] = []
-        self._cols: list[np.ndarray] = []
-        self._vals: list[np.ndarray] = []
-        self._csr = None
+    def __init__(self, csr: sp.csr_matrix):
+        if csr.shape[0] != csr.shape[1]:
+            raise ValueError(f"matrix must be square, got {csr.shape}")
+        self.csr = csr
+        self.n = csr.shape[0]
 
-    def add(self, rows, cols, vals):
-        if self._csr is not None:
-            raise RuntimeError("matrix already finalized")
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        cols = np.asarray(cols, dtype=np.int64).reshape(-1)
-        vals = np.asarray(vals, dtype=float).reshape(-1)
-        if not (len(rows) == len(cols) == len(vals)):
-            raise ValueError("coordinate arrays must have equal length")
-        if len(rows) and (rows.min() < 0 or rows.max() >= self.n
-                          or cols.min() < 0 or cols.max() >= self.n):
-            raise IndexError("coordinate outside matrix dimension")
-        self._rows.append(rows)
-        self._cols.append(cols)
-        self._vals.append(vals)
-
-    def finalize(self) -> "SparseMatrix":
-        if self._csr is None:
-            if self._rows:
-                coo = sp.coo_matrix(
-                    (np.concatenate(self._vals),
-                     (np.concatenate(self._rows), np.concatenate(self._cols))),
-                    shape=(self.n, self.n))
-            else:
-                coo = sp.coo_matrix((self.n, self.n))
-            csr = coo.tocsr()
-            csr.sum_duplicates()
-            csr.sort_indices()
-            self._csr = csr
-            self._rows = self._cols = self._vals = []
-        return self
-
-    @property
-    def csr(self) -> sp.csr_matrix:
-        if self._csr is None:
-            raise RuntimeError("matrix not finalized")
-        return self._csr
+    @classmethod
+    def from_blocks(cls, data: np.ndarray, indices: np.ndarray,
+                    indptr: np.ndarray) -> "SparseMatrix":
+        """Square matrix from block-CSR arrays: the (b, b) blocks `data`,
+        their block columns `indices` and the block-row pointers `indptr`.
+        Converted to CSR entry by entry, explicit zeros kept."""
+        n = (len(indptr) - 1) * data.shape[1]
+        return cls(sp.bsr_matrix((data, indices, indptr),
+                                 shape=(n, n)).tocsr())
 
     @property
     def nnz(self) -> int:

@@ -1,14 +1,22 @@
 """HDG assembly, condensation, solve pipeline and its invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dense_oracle import assemble_monolithic, solve_monolithic
-from shishkin_hdg.assembly import (HdgConfig, SolutionFields,
-                                   assemble_and_solve, bilinear_form,
+from shishkin_hdg import assembly
+from shishkin_hdg.assembly import (HdgConfig, SolutionFields, _recover,
+                                   _trace_dofs, assemble_and_solve,
+                                   assemble_trace_system, bilinear_form,
                                    build_local_systems, check_stabilization,
                                    condense, flux_continuity_residual,
                                    galerkin_residual, random_fields)
+from shishkin_hdg.linalg import SolveError, SparseMatrix
 from shishkin_hdg.mesh import MeshConfig, build_mesh
 from shishkin_hdg.norms import StabilizationError
 from shishkin_hdg import norms
@@ -148,3 +156,81 @@ def test_solution_fields_zeros():
     v, trace = z.to_reference(mesh)
     assert v.shape == (16, 3 * nb) and trace.shape == (mesh.n_edges, 3)
     assert not v.any() and not trace.any()
+
+
+def _coo_trace_system(mesh, cond, k):
+    """The trace system scattered from coordinate triplets of the whole
+    mesh's Schur blocks, duplicates summed."""
+    td = _trace_dofs(mesh, k)
+    rows = np.broadcast_to(td[:, :, None], cond.S.shape)
+    cols = np.broadcast_to(td[:, None, :], cond.S.shape)
+    keep = (rows >= 0) & (cols >= 0)
+    n = mesh.n_interior_edges * (k + 1)
+    A = sp.coo_matrix((cond.S[keep], (rows[keep], cols[keep])),
+                      shape=(n, n)).tocsr()
+    A.sum_duplicates()
+    A.sort_indices()
+    b = np.zeros(n)
+    valid = td >= 0
+    np.add.at(b, td[valid], cond.rhs[valid])
+    return A, b
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(k=st.integers(1, 3), N=st.sampled_from([4, 8, 16, 32]),
+       eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p))  # log-uniform
+def test_streamed_assembly_is_bit_identical_to_the_whole_mesh(k, N, eps):
+    spec = paper_problem(eps)
+    mesh = build_mesh(MeshConfig(N, eps, k + 1.0, 1.0, 2.0))
+    cfg = HdgConfig(k)
+    whole = condense(build_local_systems(mesh, spec, cfg))
+    A_coo, b_coo = _coo_trace_system(mesh, whole, k)
+    ref = _recover(mesh, whole.IF, whole.IC, k,
+                   SparseMatrix(A_coo).solve(b_coo))
+    # blocks of 7 cells straddle mesh columns and leave a partial last one
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "CELL_BLOCK", 7)
+        fields = assemble_and_solve(mesh, spec, cfg)
+    for name in ("q1", "q2", "u", "trace"):
+        assert np.array_equal(getattr(fields, name), getattr(ref, name))
+    A, b = assemble_trace_system(mesh, whole, k)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A.csr, name), getattr(A_coo, name))
+    assert np.array_equal(b, b_coo)
+
+
+def test_singular_block_names_its_global_cell(monkeypatch):
+    # cell 12 is the sixth cell of the second block of 7
+    spec = paper_problem(1e-2)
+    mesh = build_mesh(MeshConfig(4, 1e-2, 2.0, 1.0, 2.0))
+    build = assembly.build_local_systems
+
+    def singular_cell_12(*args):
+        blocks = build(*args)
+        if 12 in blocks.cells:
+            blocks.A[blocks.cells.index(12)] = 0.0
+        return blocks
+
+    monkeypatch.setattr(assembly, "CELL_BLOCK", 7)
+    monkeypatch.setattr(assembly, "build_local_systems", singular_cell_12)
+    with pytest.raises(SolveError, match=r"singular interior block in cell 12;"):
+        assemble_and_solve(mesh, spec, HdgConfig(1))
+
+
+def test_assembly_never_holds_the_whole_mesh_local_systems():
+    # the whole mesh's dense local systems A, C, G and D never exist at
+    # once: the traced peak stays below their size (49.8 MB here; the
+    # whole-mesh assembly peaked at 100.7 MB, the cell blocks at 40.1 MB).
+    # SuperLU's own allocations are not traced.
+    k, N, eps = 2, 64, 1e-6
+    spec = paper_problem(eps)
+    mesh = build_mesh(MeshConfig(N, eps, k + 1.0, 1.0, 2.0))
+    ni, nt = 3 * (k + 1) ** 2, 4 * (k + 1)
+    local_bytes = mesh.n_cells * (ni + nt) ** 2 * 8
+    tracemalloc.start()
+    try:
+        assemble_and_solve(mesh, spec, HdgConfig(k))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < local_bytes, (peak, local_bytes)

@@ -1,10 +1,9 @@
-"""Sparse matrix wrapper: assembly, solves, the COLAMD fallback and
-failure reporting."""
-
-import warnings
+"""Sparse matrix wrapper: solves, the COLAMD fallback and failure
+reporting."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,21 +17,15 @@ from shishkin_hdg.problems import paper_problem
 
 
 def _laplacian_1d(n):
-    A = SparseMatrix(n)
-    i = np.arange(n)
-    A.add(i, i, np.full(n, 2.0))
-    A.add(i[:-1], i[1:], np.full(n - 1, -1.0))
-    A.add(i[1:], i[:-1], np.full(n - 1, -1.0))
-    return A.finalize()
+    return SparseMatrix(sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1],
+                                 shape=(n, n), format="csr"))
 
 
-def test_assembly_and_duplicate_summing():
-    A = SparseMatrix(3)
-    A.add([0, 0], [0, 0], [1.0, 2.0])  # duplicates sum
-    A.add([1, 2], [1, 2], [1.0, 1.0])
-    A.finalize()
-    x = A.solve(np.array([3.0, 1.0, 1.0]))
-    assert np.allclose(x, [1.0, 1.0, 1.0])
+def _diagonal(values):
+    """Diagonal matrix that keeps its zero entries stored."""
+    i = np.arange(len(values))
+    return SparseMatrix(sp.csr_matrix((values, (i, i)),
+                                      shape=(len(i), len(i))))
 
 
 def test_solve_matches_dense():
@@ -49,34 +42,21 @@ def test_solve_matches_dense():
 def test_zero_rhs_and_empty_matrix():
     A = _laplacian_1d(4)
     assert np.allclose(A.solve(np.zeros(4)), 0.0)
-    E = SparseMatrix(0).finalize()
+    E = SparseMatrix(sp.csr_matrix((0, 0)))
     assert E.solve(np.zeros(0)).size == 0
 
 
 def test_singular_matrix_raises():
-    A = SparseMatrix(2)
-    A.add([0, 1], [0, 1], [1.0, 0.0])  # structurally singular row
-    A.finalize()
+    A = _diagonal([1.0, 0.0])  # singular row
     with pytest.raises(SolveError):
         A.solve(np.array([1.0, 1.0]))
 
 
 def test_validation_errors():
-    A = SparseMatrix(2)
-    with pytest.raises(IndexError):
-        A.add([2], [0], [1.0])
     with pytest.raises(ValueError):
-        A.add([0], [0, 1], [1.0])
-    with pytest.raises(RuntimeError):
-        _ = A.csr  # not finalized
-    A.add([0, 1], [0, 1], [1.0, 1.0])
-    A.finalize()
-    with pytest.raises(RuntimeError):
-        A.add([0], [0], [1.0])  # already finalized
-    with pytest.raises(ValueError):
-        A.solve(np.zeros(3))
-    with pytest.raises(ValueError):
-        SparseMatrix(-1)
+        _diagonal([1.0, 1.0]).solve(np.zeros(3))
+    with pytest.raises(ValueError, match="square"):
+        SparseMatrix(sp.csr_matrix((2, 3)))
 
 
 def _meets_gate(A, x, b):
@@ -141,9 +121,7 @@ def test_fallback_when_given_order_misses_the_gate(monkeypatch):
 
 
 def test_solve_error_names_both_attempts():
-    A = SparseMatrix(2)
-    A.add([0, 1], [0, 1], [1.0, 0.0])
-    A.finalize()
+    A = _diagonal([1.0, 0.0])
     with pytest.raises(SolveError, match="given order.*COLAMD"):
         A.solve(np.array([1.0, 1.0]))
 
@@ -169,9 +147,7 @@ def _trace_system(k, N, eps):
        eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p))  # log-uniform
 def test_condensed_solve_matches_colamd(k, N, eps):
     A, b = _trace_system(k, N, eps)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", SolveFallbackWarning)
-        x = A.solve(b)
+    x = A.solve(b)  # a fallback would raise (tests/conftest.py)
     ref = spla.spsolve(A.csr.tocsc(), b, permc_spec="COLAMD")
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
