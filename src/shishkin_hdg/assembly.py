@@ -1,11 +1,11 @@
 """HDG assembly for the three-field formulation: per-cell local systems,
 static condensation onto edge traces, global trace solve and recovery.
 
-Internally each cell uses the pulled-back orthonormal Legendre tensor basis
-(so the cell mass matrix is J*I with J = hx*hy/4) and each edge the
-pulled-back orthonormal 1D basis. SolutionFields stores coefficients in the
-physically L2-orthonormal bases, the convention shared with the projection
-and norm modules, and owns the rescaling between the two.
+Every coefficient, here and in the projection and norm modules, is in the
+pulled-back orthonormal bases: on a cell the reference Legendre tensor basis
+(cell mass matrix J*I with J = hx*hy/4), on an edge the reference 1D basis
+(edge mass matrix (L/2)*I). The local systems solve for these coefficients
+and SolutionFields holds them as they come.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ class HdgConfig:
 @dataclass
 class SolutionFields:
     """Per-cell coefficients of (q_h, u_h) and per-edge trace coefficients,
-    in physically orthonormal bases; boundary-edge traces are identically 0."""
+    in the pulled-back orthonormal bases; boundary-edge traces are
+    identically 0."""
 
     k: int
     q1: np.ndarray
@@ -64,34 +65,17 @@ class SolutionFields:
     u: np.ndarray
     trace: np.ndarray
 
-    @staticmethod
-    def _scales(mesh: ShishkinMesh):
-        """Physical over pulled-back basis scale: sqrt(J) = sqrt(hx*hy/4)
-        per cell, (ncells, 1), and sqrt(L/2) per edge, (nedges, 1)."""
-        return (np.sqrt(mesh.cell_hx * mesh.cell_hy / 4.0)[:, None],
-                np.sqrt(mesh.edge_length / 2.0)[:, None])
-
     @classmethod
-    def from_reference(cls, mesh: ShishkinMesh, k: int, v: np.ndarray,
-                       x: np.ndarray) -> "SolutionFields":
-        """Fields from pulled-back coefficients: v holds (q1, q2, u) per
-        cell, (ncells, 3(k+1)^2); x the traces of the interior edges,
+    def from_unknowns(cls, mesh: ShishkinMesh, k: int, v: np.ndarray,
+                      x: np.ndarray) -> "SolutionFields":
+        """Fields from the solved unknowns: v holds (q1, q2, u) per cell,
+        (ncells, 3(k+1)^2); x the traces of the interior edges,
         (n_interior_edges * (k+1),), edge e at row mesh.interior_index[e]."""
         nb = (k + 1) ** 2
-        sqj, sql = cls._scales(mesh)
         # boundary edges (index -1) read the zero row appended last
         rows = np.vstack([x.reshape(-1, k + 1), np.zeros((1, k + 1))])
-        trace = rows[mesh.interior_index] * sql
-        return cls(k, v[:, :nb] * sqj, v[:, nb:2 * nb] * sqj,
-                   v[:, 2 * nb:] * sqj, trace)
-
-    def to_reference(self, mesh: ShishkinMesh):
-        """Pulled-back coefficients (v, trace): v as in from_reference and
-        the traces of all edges, (nedges, k+1), 0 on the boundary."""
-        sqj, sql = self._scales(mesh)
-        v = np.concatenate([self.q1, self.q2, self.u], axis=1) / sqj
-        trace = np.where(mesh.edge_boundary[:, None], 0.0, self.trace / sql)
-        return v, trace
+        return cls(k, v[:, :nb], v[:, nb:2 * nb], v[:, 2 * nb:],
+                   rows[mesh.interior_index])
 
     def __sub__(self, other: "SolutionFields") -> "SolutionFields":
         return SolutionFields(self.k, self.q1 - other.q1, self.q2 - other.q2,
@@ -339,7 +323,7 @@ def _recover(mesh: ShishkinMesh, IF: np.ndarray, IC: np.ndarray, k: int,
     # boundary traces (dof id -1) read the 0 appended after the interior ones
     t_local = np.append(x, 0.0)[_trace_dofs(mesh, k)]
     v = IF - np.einsum("cij,cj->ci", IC, t_local)
-    return SolutionFields.from_reference(mesh, k, v, x)
+    return SolutionFields.from_unknowns(mesh, k, v, x)
 
 
 def assemble_and_solve(mesh: ShishkinMesh, spec: ProblemSpec,
@@ -378,18 +362,19 @@ def galerkin_residual(mesh: ShishkinMesh, spec: ProblemSpec,
     return res / scale
 
 
-def bilinear_form(fields: SolutionFields, mesh: ShishkinMesh,
-                  spec: ProblemSpec, cfg: HdgConfig) -> float:
-    """B(xi, xi) for a discrete triple xi: sum over cells of the local
+def bilinear_form(blocks: LocalBlocks, fields: SolutionFields,
+                  mesh: ShishkinMesh) -> float:
+    """B(xi, xi) for a discrete triple xi: sum over the cells of the local
+    systems `blocks` (build_local_systems over the whole mesh) of the local
     quadratic form, with boundary traces taken as zero.
 
     The flux-continuity rows enter the form with a minus sign (they are
     tested against -mu). That convention leaves the solution unchanged but
     makes the quadratic form equal the energy norm squared identically,
     which is the coercivity statement being sampled here."""
-    blocks = build_local_systems(mesh, spec, cfg)
-    v, trace = fields.to_reference(mesh)
-    t = trace[mesh.cell_edges].reshape(mesh.n_cells, 4 * (cfg.k + 1))
+    v = np.concatenate([fields.q1, fields.q2, fields.u], axis=1)
+    trace = np.where(mesh.edge_boundary[:, None], 0.0, fields.trace)
+    t = trace[mesh.cell_edges].reshape(mesh.n_cells, -1)
 
     av = np.einsum("ci,cij,cj->c", v, blocks.A, v)
     cv = np.einsum("ci,cij,cj->c", v, blocks.C, t)

@@ -9,6 +9,7 @@ failure, 2 validation failure under --strict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 
@@ -23,20 +24,11 @@ log = logging.getLogger(__name__)
 EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION = 0, 1, 2
 
 _LIST_KEYS = {"k", "eps", "n"}
-_DEFAULTS = {
-    "problem": "paper-sec5",
-    "k": [1],
-    "eps": [1e-6],
-    "n": [4, 8, 16, 32, 64, 128],
-    "sigma": None,
-    "tau": 3.0,
-    "mode": "true-error",
-    "quad_assembly": None,
-    "quad_error": None,
-    "out": None,
-    "strict": False,
-    "max_n": None,
-}
+# StudyConfig field of each option key that is named differently
+_FIELDS = {"k": "k_list", "eps": "eps_list", "n": "n_list", "out": "out_dir"}
+_KEYS = {field: key for key, field in _FIELDS.items()}
+_DEFAULTS = {_KEYS.get(name, name): val
+             for name, val in dataclasses.asdict(StudyConfig()).items()}
 
 
 def parse_config_file(path: str) -> dict:
@@ -107,13 +99,8 @@ def merged_options(args) -> dict:
 
 
 def study_config(opts: dict) -> StudyConfig:
-    return StudyConfig(problem=opts["problem"], k_list=list(opts["k"]),
-                       eps_list=list(opts["eps"]), n_list=list(opts["n"]),
-                       sigma=opts["sigma"], tau=opts["tau"],
-                       quad_assembly=opts["quad_assembly"],
-                       quad_error=opts["quad_error"], mode=opts["mode"],
-                       out_dir=opts["out"], strict=bool(opts["strict"]),
-                       max_n=opts["max_n"])
+    return StudyConfig(**{_FIELDS.get(key, key): val
+                          for key, val in opts.items()})
 
 
 def _strict_assumption_gate(opts: dict) -> bool:
@@ -177,8 +164,8 @@ def cmd_diagnose(args) -> int:
 
 def cmd_mesh_dump(args) -> int:
     opts = merged_options(args)
-    spec = get_problem(opts["problem"], opts["eps"][0])
     sigma = study_config(opts).sigma_for(opts["k"][0])
+    spec = get_problem(opts["problem"], opts["eps"][0])
     mcfg = MeshConfig(opts["n"][0], opts["eps"][0], sigma,
                       spec.beta_lb[0], spec.beta_lb[1])
     text = dump_mesh(build_mesh(mcfg))

@@ -6,7 +6,7 @@ from __future__ import annotations
 import logging
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -45,6 +45,8 @@ class StudyConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
+        if not self.k_list or not self.eps_list:
+            raise ValueError("the k and eps lists must not be empty")
         for n in self.n_list:
             if n < 4 or n % 4:
                 raise ValueError(f"N = {n} is not divisible by 4")
@@ -271,10 +273,11 @@ def run_diagnostics(cfg: StudyConfig, seed: int = 0,
 
     rng = np.random.default_rng(seed)
     wts = norms.energy_weights(CellQuad(mesh, hdg.n_error), spec, hdg.tau)
+    blocks = assembly.build_local_systems(mesh, spec, hdg)
     worst = np.inf
     for _ in range(n_triples):
         xi = assembly.random_fields(mesh, k, rng)
-        b = assembly.bilinear_form(xi, mesh, spec, hdg)
+        b = assembly.bilinear_form(blocks, xi, mesh)
         vals = norms.triple_values_discrete(wts.cq, xi)
         nrm2 = norms.energy_norm(wts, vals).total ** 2
         worst = min(worst, b / nrm2)
@@ -282,10 +285,8 @@ def run_diagnostics(cfg: StudyConfig, seed: int = 0,
         f"coercivity B(xi,xi)/|||xi|||^2 over {n_triples} random triples",
         worst, 1.0 - 1e-10, worst >= 1.0 - 1e-10))
 
-    cfg2 = StudyConfig(problem=cfg.problem, k_list=[k], eps_list=[eps],
-                       n_list=[N], sigma=cfg.sigma, tau=cfg.tau,
-                       quad_assembly=hdg.n_assembly + 2,
-                       quad_error=hdg.n_error + 2, mode=cfg.mode)
+    cfg2 = replace(cfg, quad_assembly=hdg.n_assembly + 2,
+                   quad_error=hdg.n_error + 2)
     rep2, _, _ = solve_cell(cfg2, k, eps, N)
     delta = abs(rep2.energy_error - report.energy_error) / report.energy_error
     entries.append(DiagnosticEntry(

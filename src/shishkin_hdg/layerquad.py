@@ -89,7 +89,9 @@ class LayerBatch:
 
     def basis(self, k: int) -> np.ndarray:
         """Tensor basis values at each cell's points, (cells, (k+1)^2,
-        points), in the pulled-back (reference-orthonormal) convention.
+        points): the pulled-back orthonormal basis that every coefficient
+        of the program is given in (assembly), so coefficients contract
+        with it directly.
 
         Evaluated once per k and shared, read-only, by every reader of the
         batch (the projection and the error corrections read the same

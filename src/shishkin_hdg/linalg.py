@@ -1,6 +1,6 @@
 """Sparse storage and linear solution for the condensed trace system.
 
-Backed by scipy CSR storage and SuperLU with iterative refinement. The
+Backed by scipy CSC storage and SuperLU with iterative refinement. The
 matrix is factored in the order it is given: the trace system arrives with
 its unknowns numbered by nested dissection along the mesh's grid lines
 (mesh.ShishkinMesh.interior_index), so SuperLU adds no column permutation
@@ -37,27 +37,28 @@ class SolveError(RuntimeError):
 
 
 class SparseMatrix:
-    """Square sparse matrix in CSR storage, with the gated direct solve."""
+    """Square sparse matrix with the gated direct solve. It keeps one copy,
+    in the CSC storage SuperLU factors, which also serves the residuals."""
 
-    def __init__(self, csr: sp.csr_matrix):
-        if csr.shape[0] != csr.shape[1]:
-            raise ValueError(f"matrix must be square, got {csr.shape}")
-        self.csr = csr
-        self.n = csr.shape[0]
+    def __init__(self, matrix: sp.spmatrix):
+        if matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(f"matrix must be square, got {matrix.shape}")
+        self.csc = sp.csc_matrix(matrix)
+        self.n = matrix.shape[0]
 
     @classmethod
     def from_blocks(cls, data: np.ndarray, indices: np.ndarray,
                     indptr: np.ndarray) -> "SparseMatrix":
         """Square matrix from block-CSR arrays: the (b, b) blocks `data`,
         their block columns `indices` and the block-row pointers `indptr`.
-        Converted to CSR entry by entry, explicit zeros kept."""
+        Converted entry by entry, explicit zeros kept."""
         n = (len(indptr) - 1) * data.shape[1]
         return cls(sp.bsr_matrix((data, indices, indptr),
                                  shape=(n, n)).tocsr())
 
     @property
     def nnz(self) -> int:
-        return self.csr.nnz
+        return self.csc.nnz
 
     def solve(self, b) -> np.ndarray:
         """Solve Ax = b to a relative residual <= RESIDUAL_TOL (2-norm) with
@@ -76,12 +77,11 @@ class SparseMatrix:
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros(self.n)
-        csc = self.csr.tocsc()
         tol = RESIDUAL_TOL * bnorm
         failed = []
         for name, opts in (("given order", GIVEN_ORDER), ("COLAMD", {})):
             try:
-                x, res = self._refined_solve(csc, opts, b, tol)
+                x, res = self._refined_solve(opts, b, tol)
             except RuntimeError as exc:  # singular factorization
                 failed.append(f"{name}: sparse LU factorization failed: "
                               f"{exc}")
@@ -96,15 +96,15 @@ class SparseMatrix:
         raise SolveError(f"direct solve failed (n={self.n}, nnz={self.nnz}); "
                          + "; ".join(failed))
 
-    def _refined_solve(self, csc, opts, b, tol):
+    def _refined_solve(self, opts, b, tol):
         """Factor with SuperLU options opts and solve, with up to two steps
         of iterative refinement toward tol; returns (x, residual 2-norm).
         The factor is released on return."""
-        lu = spla.splu(csc, **opts)
+        lu = spla.splu(self.csc, **opts)
         x = lu.solve(b)
         for _ in range(2):
-            r = b - self.csr @ x
+            r = b - self.csc @ x
             if np.linalg.norm(r) <= tol:
                 break
             x = x + lu.solve(r)
-        return x, np.linalg.norm(b - self.csr @ x)
+        return x, np.linalg.norm(b - self.csc @ x)

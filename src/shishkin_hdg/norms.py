@@ -7,7 +7,9 @@ points of every cell side (order W, E, S, N). The same machinery serves the
 true error, the supercloseness error and the Galerkin-orthogonality residual.
 Every function takes the CellQuad of its rule; the exact solution
 (ExactValues) and the energy-norm weights (EnergyWeights) are evaluated once
-per rule and shared by every measure.
+per rule and shared by every measure. Discrete triples are read in the
+pulled-back orthonormal bases the solver computes in (assembly), straight
+from the reference tables.
 """
 
 from __future__ import annotations
@@ -58,26 +60,23 @@ class TripleValues:
 
 def triple_values_discrete(cq: CellQuad, flds) -> TripleValues:
     """Evaluate a discrete triple given by SolutionFields-style coefficient
-    arrays (physically orthonormal bases) on the rule cq."""
+    arrays (pulled-back orthonormal bases) on the rule cq."""
     mesh, n, k = cq.mesh, cq.n, flds.k
     R = ref_tables(k, n)
-    sqj = np.sqrt(cq.J)
 
     def cell_vals(coef):
-        return np.einsum("ca,ag->cg", coef, R.B0) / sqj[:, None]
+        return np.einsum("ca,ag->cg", coef, R.B0)
 
     tabs = R.side_traces
 
     def side_vals(coef):
         out = np.empty((mesh.n_cells, 4, n))
         for s in range(4):
-            out[:, s] = np.einsum("ca,ag->cg", coef, tabs[s]) / sqj[:, None]
+            out[:, s] = np.einsum("ca,ag->cg", coef, tabs[s])
         return out
 
     # per-edge trace values, gathered onto cell sides
-    mu_edge = np.einsum("ea,ag->eg", flds.trace, R.V) / \
-        np.sqrt(mesh.edge_length / 2.0)[:, None]
-    mu = mu_edge[mesh.cell_edges]  # (nc, 4, n)
+    mu = np.einsum("ea,ag->eg", flds.trace, R.V)[mesh.cell_edges]  # (nc, 4, n)
 
     return TripleValues(n, cell_vals(flds.q1), cell_vals(flds.q2),
                         cell_vals(flds.u), side_vals(flds.q1),
@@ -298,7 +297,7 @@ def refined_error_corrections(exact: ExactValues, spec: ProblemSpec,
     dq, dr, du = (np.zeros(mesh.n_cells) for _ in range(3))
     for batches, sign in ((exact.batches, 1.0), (plain, -1.0)):
         for b, exact_b in batches:
-            B = b.basis(k) / np.sqrt(b.J)[:, None, None]
+            B = b.basis(k)
             q1t, q2t, ut = (v - np.einsum("ca,cag->cg", coef[b.cells], B)
                             for v, coef in zip(exact_b, (fields.q1, fields.q2,
                                                          fields.u)))

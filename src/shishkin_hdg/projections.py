@@ -1,7 +1,10 @@
 """Elementwise L2 projections onto the discrete spaces (cells and edges),
 used for supercloseness measurements and as test oracles. They project from
 values on a CellQuad rule, so the exact solution is evaluated once and
-shared with the error measures (norms.ExactValues)."""
+shared with the error measures (norms.ExactValues). Coefficients are in the
+pulled-back orthonormal bases the solver computes in (assembly): the cell
+mass matrix is J*I and the edge mass matrix (L/2)*I, so a coefficient is the
+moment against the reference basis function divided by J or L/2."""
 
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from .refelem import CellQuad, gauss_rule, ref_tables
 def project_cells(cq: CellQuad, values, k: int, batches=()) -> list:
     """Per-cell L2 projections onto Q^k of functions given by their values
     at the cell points of cq, (ncells, n*n) each; coefficients in the
-    physically orthonormal tensor Legendre basis, one (ncells, (k+1)^2)
+    pulled-back orthonormal tensor Legendre basis, one (ncells, (k+1)^2)
     array per function.
 
     batches holds (LayerBatch, values at its points) pairs: the cells of a
@@ -24,13 +27,11 @@ def project_cells(cq: CellQuad, values, k: int, batches=()) -> list:
     if cq.n < k + 1:
         raise ValueError("projection quadrature below k+1 points")
     R = ref_tables(k, cq.n)
-    coefs = [np.sqrt(cq.J)[:, None] *
-             np.einsum("cg,bg->cb", v * cq.W2, R.B0) for v in values]
+    coefs = [np.einsum("cg,bg->cb", v * cq.W2, R.B0) for v in values]
     for b, bvals in batches:
         B = b.basis(k)
         for coef, v in zip(coefs, bvals):
-            coef[b.cells] = np.einsum("cbg,cg->cb", B, b.W * v) \
-                / np.sqrt(b.J)[:, None]
+            coef[b.cells] = np.einsum("cbg,cg->cb", B, b.W * v) / b.J[:, None]
     return coefs
 
 
@@ -46,9 +47,8 @@ def project_edge(cq: CellQuad, side_values, k: int) -> np.ndarray:
     mesh = cq.mesh
     fv = np.empty((mesh.n_edges, cq.n))
     fv[mesh.cell_edges] = side_values
-    return np.sqrt(mesh.edge_length / 2.0)[:, None] * \
-        np.einsum("eg,ag->ea", fv * gauss_rule(cq.n).weights,
-                  ref_tables(k, cq.n).V)
+    return np.einsum("eg,ag->ea", fv * gauss_rule(cq.n).weights,
+                     ref_tables(k, cq.n).V)
 
 
 def project_exact(exact: ExactValues, k: int) -> SolutionFields:

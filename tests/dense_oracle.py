@@ -47,5 +47,5 @@ def solve_monolithic(mesh: ShishkinMesh, spec: ProblemSpec,
     M, b = assemble_monolithic(mesh, spec, cfg)
     sol = np.linalg.solve(M, b)
     nv = mesh.n_cells * 3 * (cfg.k + 1) ** 2
-    return SolutionFields.from_reference(
+    return SolutionFields.from_unknowns(
         mesh, cfg.k, sol[:nv].reshape(mesh.n_cells, -1), sol[nv:])

@@ -115,9 +115,10 @@ def test_coercivity_equals_energy_norm_for_random_triples():
     cfg = HdgConfig(1)
     rng = np.random.default_rng(11)
     wts = norms.energy_weights(CellQuad(mesh, cfg.n_error), spec, cfg.tau)
+    blocks = build_local_systems(mesh, spec, cfg)
     for _ in range(25):
         xi = random_fields(mesh, 1, rng)
-        b = bilinear_form(xi, mesh, spec, cfg)
+        b = bilinear_form(blocks, xi, mesh)
         vals = norms.triple_values_discrete(wts.cq, xi)
         nrm2 = norms.energy_norm(wts, vals).total ** 2
         assert b >= (1.0 - 1e-10) * nrm2
@@ -148,14 +149,14 @@ def test_zero_source_gives_zero_solution():
 
 def test_solution_fields_zeros():
     mesh = build_mesh(MeshConfig(4, 1e-2, 2.0, 1.0, 2.0))
-    # zero fields built from inline zero arrays round-trip through the
-    # pulled-back convention and have zero traces on every edge
+    # zero unknowns split into zero fields of the right shapes, with zero
+    # traces on every edge, the boundary edges included
     nb = 9
-    z = SolutionFields(2, np.zeros((16, nb)), np.zeros((16, nb)),
-                       np.zeros((16, nb)), np.zeros((mesh.n_edges, 3)))
-    v, trace = z.to_reference(mesh)
-    assert v.shape == (16, 3 * nb) and trace.shape == (mesh.n_edges, 3)
-    assert not v.any() and not trace.any()
+    z = SolutionFields.from_unknowns(mesh, 2, np.zeros((16, 3 * nb)),
+                                     np.zeros(mesh.n_interior_edges * 3))
+    for coef in (z.q1, z.q2, z.u):
+        assert coef.shape == (16, nb) and not coef.any()
+    assert z.trace.shape == (mesh.n_edges, 3) and not z.trace.any()
 
 
 def _coo_trace_system(mesh, cond, k):
@@ -194,8 +195,9 @@ def test_streamed_assembly_is_bit_identical_to_the_whole_mesh(k, N, eps):
     for name in ("q1", "q2", "u", "trace"):
         assert np.array_equal(getattr(fields, name), getattr(ref, name))
     A, b = assemble_trace_system(mesh, whole, k)
+    A_csc = A_coo.tocsc()
     for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(A.csr, name), getattr(A_coo, name))
+        assert np.array_equal(getattr(A.csc, name), getattr(A_csc, name))
     assert np.array_equal(b, b_coo)
 
 

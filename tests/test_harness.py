@@ -31,6 +31,10 @@ def test_study_config_validation():
     assert _cfg(n_list=[16, 4, 8, 8], max_n=8).effective_n_list() == [4, 8]
     with pytest.raises(ValueError, match="leaves no N"):
         _cfg(n_list=[8, 16], max_n=4)
+    # an empty k or eps list would give no tables or empty ones
+    for empty in (dict(k_list=[]), dict(eps_list=[])):
+        with pytest.raises(ValueError, match="must not be empty"):
+            _cfg(**empty)
 
 
 def test_run_single_requires_one_cell():
@@ -206,7 +210,7 @@ def test_cli_sweep_solver_failure_exit_code(capsys):
     assert "failed cell" in capsys.readouterr().err
 
 
-def test_cli_invalid_value_exit_code(capsys):
+def test_cli_invalid_value_exit_code(capsys, tmp_path):
     rc = cli.main(["solve", "--k", "1", "--eps", "1e-2", "--n", "6"])
     assert rc == cli.EXIT_SOLVER
     assert "error:" in capsys.readouterr().err
@@ -223,6 +227,14 @@ def test_cli_invalid_value_exit_code(capsys):
     assert rc == cli.EXIT_SOLVER
     captured = capsys.readouterr()
     assert "leaves no N" in captured.err and not captured.out
+    # so is a config-file line that leaves the k or the eps list empty
+    for line in ("k =", "eps ="):
+        conf = tmp_path / "empty.conf"
+        conf.write_text(f"{line}\nn = 8 16\n")
+        rc = cli.main(["sweep", "--config", str(conf)])
+        assert rc == cli.EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert "must not be empty" in captured.err and not captured.out
 
 
 def test_cli_diagnose(capsys):

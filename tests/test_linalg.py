@@ -34,9 +34,9 @@ def test_solve_matches_dense():
     A = _laplacian_1d(n)
     b = rng.standard_normal(n)
     x = A.solve(b)
-    dense = A.csr.toarray()
+    dense = A.csc.toarray()
     assert np.allclose(x, np.linalg.solve(dense, b), atol=1e-10)
-    assert np.linalg.norm(A.csr @ x - b) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(A.csc @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 def test_zero_rhs_and_empty_matrix():
@@ -60,7 +60,7 @@ def test_validation_errors():
 
 
 def _meets_gate(A, x, b):
-    return np.linalg.norm(b - A.csr @ x) <= \
+    return np.linalg.norm(b - A.csc @ x) <= \
         linalg.RESIDUAL_TOL * np.linalg.norm(b)
 
 
@@ -148,7 +148,7 @@ def _trace_system(k, N, eps):
 def test_condensed_solve_matches_colamd(k, N, eps):
     A, b = _trace_system(k, N, eps)
     x = A.solve(b)  # a fallback would raise (tests/conftest.py)
-    ref = spla.spsolve(A.csr.tocsc(), b, permc_spec="COLAMD")
+    ref = spla.spsolve(A.csc, b, permc_spec="COLAMD")
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -156,7 +156,7 @@ def test_nested_dissection_order_cuts_fill(monkeypatch):
     # the trace unknowns come in nested-dissection order, which SuperLU
     # keeps: the factor fills far less than under COLAMD (0.48 of it here)
     A, b = _trace_system(1, 32, 1e-6)
-    colamd = spla.splu(A.csr.tocsc()).nnz
+    colamd = spla.splu(A.csc).nnz
     fill = []
     calls = _patch_first_splu(monkeypatch,
                               lambda lu: fill.append(lu.nnz) or lu)

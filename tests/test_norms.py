@@ -76,8 +76,7 @@ def test_constant_one_reaction_weight(setting):
     # equals int (c - div beta / 2) = int (3/2 + 3/2 y^2) = 2 on the unit square
     mesh, spec = setting
     f = _zero_fields(mesh, 1)
-    area = mesh.cell_hx * mesh.cell_hy
-    f.u[:, 0] = np.sqrt(area)
+    f.u[:, 0] = 2.0  # the constant basis function is 1/2 on each cell
     cq = CellQuad(mesh, 6)
     vals = triple_values_discrete(cq, f)
     vals.mu[:] = vals.w_tr  # matching trace kills the jump term

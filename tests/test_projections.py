@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shishkin_hdg import layerquad
+from shishkin_hdg.assembly import random_fields
 from shishkin_hdg.mesh import MeshConfig, build_mesh
-from shishkin_hdg.norms import exact_values
+from shishkin_hdg.norms import exact_values, triple_values_discrete
 from shishkin_hdg.problems import paper_problem
 from shishkin_hdg.projections import project_cells, project_edge, project_exact
 from shishkin_hdg.refelem import CellQuad, gauss_rule, ref_tables
@@ -21,7 +22,7 @@ def mesh():
 def _cell_values(mesh, coef, k, n):
     R = ref_tables(k, n)
     cq = CellQuad(mesh, n)
-    return np.einsum("ca,ag->cg", coef, R.B0) / np.sqrt(cq.J)[:, None], cq
+    return np.einsum("ca,ag->cg", coef, R.B0), cq
 
 
 def _project(mesh, func, k, n, layer_spec=None):
@@ -93,7 +94,7 @@ def test_edge_projection_orthogonality_1d(mesh):
             xs = (mesh.x_nodes[seg] + mesh.x_nodes[seg + 1]) / 2.0 \
                 + L / 2.0 * rule.nodes
             fv = u(xs, np.full(n, mesh.y_nodes[line]))
-        vals = coef[e] @ V / np.sqrt(L / 2.0)
+        vals = coef[e] @ V
         moments = (L / 2.0) * ((fv - vals) * rule.weights) @ V.T
         assert np.max(np.abs(moments)) < 1e-10
 
@@ -140,9 +141,27 @@ def test_edge_projection_uses_the_side_points(N, eps, n):
     # the projection of x + y (degree 1) reproduces it on every edge
     coef = _project_edge(mesh, lambda x, y: x + y, 1, n)
     V = ref_tables(1, n).V
-    vals = coef @ V / np.sqrt(mesh.edge_length / 2.0)[:, None]
+    vals = coef @ V
     assert np.allclose(vals[mesh.cell_edges], sx + sy, rtol=1e-12,
                        atol=1e-14)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(k=st.integers(1, 3), N=st.sampled_from([4, 8, 16, 32]),
+       eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p),  # log-uniform
+       extra=st.integers(0, 4))
+def test_projection_inverts_evaluation(k, N, eps, extra):
+    # evaluation and projection share one coefficient convention: projecting
+    # the values of a discrete triple on a rule of n >= k+1 points gives its
+    # coefficients back, on the cells and on the edges
+    mesh = build_mesh(MeshConfig(N, eps, k + 1.0, 1.0, 2.0))
+    fields = random_fields(mesh, k, np.random.default_rng(N + k))
+    cq = CellQuad(mesh, k + 1 + extra)
+    vals = triple_values_discrete(cq, fields)
+    got = project_cells(cq, (vals.r1, vals.r2, vals.w), k)
+    got.append(project_edge(cq, vals.mu, k))
+    for g, want in zip(got, (fields.q1, fields.q2, fields.u, fields.trace)):
+        assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def _projection_error(mesh, spec, k, n_quad):
