@@ -362,16 +362,16 @@ def galerkin_residual(mesh: ShishkinMesh, spec: ProblemSpec,
     return res / scale
 
 
-def bilinear_form(blocks: LocalBlocks, fields: SolutionFields,
-                  mesh: ShishkinMesh) -> float:
-    """B(xi, xi) for a discrete triple xi: sum over the cells of the local
-    systems `blocks` (build_local_systems over the whole mesh) of the local
+def bilinear_form(fields: SolutionFields, mesh: ShishkinMesh,
+                  spec: ProblemSpec, cfg: HdgConfig) -> float:
+    """B(xi, xi) for a discrete triple xi: sum over cells of the local
     quadratic form, with boundary traces taken as zero.
 
     The flux-continuity rows enter the form with a minus sign (they are
     tested against -mu). That convention leaves the solution unchanged but
     makes the quadratic form equal the energy norm squared identically,
     which is the coercivity statement being sampled here."""
+    blocks = build_local_systems(mesh, spec, cfg)
     v = np.concatenate([fields.q1, fields.q2, fields.u], axis=1)
     trace = np.where(mesh.edge_boundary[:, None], 0.0, fields.trace)
     t = trace[mesh.cell_edges].reshape(mesh.n_cells, -1)

@@ -273,11 +273,10 @@ def run_diagnostics(cfg: StudyConfig, seed: int = 0,
 
     rng = np.random.default_rng(seed)
     wts = norms.energy_weights(CellQuad(mesh, hdg.n_error), spec, hdg.tau)
-    blocks = assembly.build_local_systems(mesh, spec, hdg)
     worst = np.inf
     for _ in range(n_triples):
         xi = assembly.random_fields(mesh, k, rng)
-        b = assembly.bilinear_form(blocks, xi, mesh)
+        b = assembly.bilinear_form(xi, mesh, spec, hdg)
         vals = norms.triple_values_discrete(wts.cq, xi)
         nrm2 = norms.energy_norm(wts, vals).total ** 2
         worst = min(worst, b / nrm2)

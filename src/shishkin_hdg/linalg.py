@@ -53,8 +53,7 @@ class SparseMatrix:
         their block columns `indices` and the block-row pointers `indptr`.
         Converted entry by entry, explicit zeros kept."""
         n = (len(indptr) - 1) * data.shape[1]
-        return cls(sp.bsr_matrix((data, indices, indptr),
-                                 shape=(n, n)).tocsr())
+        return cls(sp.bsr_matrix((data, indices, indptr), shape=(n, n)))
 
     @property
     def nnz(self) -> int:
