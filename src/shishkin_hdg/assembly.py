@@ -1,5 +1,6 @@
 """HDG assembly for the three-field formulation: per-cell local systems,
-static condensation onto edge traces, global trace solve and recovery.
+condensed block by block straight into the edge-trace system, global trace
+solve and recovery.
 
 Every coefficient, here and in the projection and norm modules, is in the
 pulled-back orthonormal bases: on a cell the reference Legendre tensor basis
@@ -65,18 +66,6 @@ class SolutionFields:
     u: np.ndarray
     trace: np.ndarray
 
-    @classmethod
-    def from_unknowns(cls, mesh: ShishkinMesh, k: int, v: np.ndarray,
-                      x: np.ndarray) -> "SolutionFields":
-        """Fields from the solved unknowns: v holds (q1, q2, u) per cell,
-        (ncells, 3(k+1)^2); x the traces of the interior edges,
-        (n_interior_edges * (k+1),), edge e at row mesh.interior_index[e]."""
-        nb = (k + 1) ** 2
-        # boundary edges (index -1) read the zero row appended last
-        rows = np.vstack([x.reshape(-1, k + 1), np.zeros((1, k + 1))])
-        return cls(k, v[:, :nb], v[:, nb:2 * nb], v[:, 2 * nb:],
-                   rows[mesh.interior_index])
-
     def __sub__(self, other: "SolutionFields") -> "SolutionFields":
         return SolutionFields(self.k, self.q1 - other.q1, self.q2 - other.q2,
                               self.u - other.u, self.trace - other.trace)
@@ -104,7 +93,8 @@ class LocalBlocks:
 
 @dataclass
 class CondensedSystem:
-    """Per-cell Schur complements and recovery operators."""
+    """Per-cell Schur complements, right-hand sides and recovery operators
+    of one block of cells."""
 
     S: np.ndarray      # (nc, nt, nt)
     rhs: np.ndarray    # (nc, nt)
@@ -265,65 +255,40 @@ def condense(blocks: LocalBlocks) -> CondensedSystem:
     return CondensedSystem(S, r, IF, IC)
 
 
-def _condense_in_blocks(mesh: ShishkinMesh, spec: ProblemSpec,
-                        cfg: HdgConfig) -> CondensedSystem:
-    """The condensed system of every cell, built and condensed CELL_BLOCK
-    cells at a time, so the dense local systems of the whole mesh never
-    exist at once."""
+def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
+                          cfg: HdgConfig) -> tuple[SparseMatrix, np.ndarray,
+                                                   np.ndarray, np.ndarray]:
+    """Build and condense the local systems CELL_BLOCK consecutive cells at
+    a time, so the dense local systems of the whole mesh never exist at
+    once, and sum each block's Schur blocks into the global interior-trace
+    system of dimension n_interior_edges * (k+1). Unknowns are numbered in
+    the mesh's interior edge order (mesh.interior_index, nested dissection
+    along grid lines), the k+1 dofs of an edge consecutively, so the matrix
+    is ready to factor in the order given. The blocks are summed on the
+    mesh's edge-block pattern (mesh.edge_blocks), so no entry sums more
+    than two terms. Returns (A, b, IF, IC), with IF and IC the recovery
+    operators of every cell (CondensedSystem)."""
     setup = _local_setup(mesh, spec, cfg)
     kp, nc = cfg.k + 1, mesh.n_cells
-    ni, nt = 3 * kp * kp, 4 * kp
-    cond = CondensedSystem(np.empty((nc, nt, nt)), np.empty((nc, nt)),
-                           np.empty((nc, ni)), np.empty((nc, ni, nt)))
+    pattern = mesh.edge_blocks
+    edge_row = mesh.interior_index[mesh.cell_edges]  # (ncells, 4)
+    # boundary edges (block position and row -1) go to a last, discarded
+    # block and rhs row
+    data = np.zeros((len(pattern.indices) + 1, kp, kp))
+    rows = np.zeros((mesh.n_interior_edges + 1, kp))
+    IF, IC = np.empty((nc, 3 * kp * kp)), np.empty((nc, 3 * kp * kp, 4 * kp))
     for start in range(0, nc, CELL_BLOCK):
         cells = range(start, min(start + CELL_BLOCK, nc))
         part = condense(build_local_systems(mesh, spec, cfg, cells, setup))
         sel = slice(cells.start, cells.stop)
-        cond.S[sel], cond.rhs[sel] = part.S, part.rhs
-        cond.IF[sel], cond.IC[sel] = part.IF, part.IC
+        # the (side i, side j) block of each cell: (cells, 4, 4, k+1, k+1)
+        np.add.at(data, pattern.position[sel],
+                  part.S.reshape(-1, 4, kp, 4, kp).swapaxes(2, 3))
+        np.add.at(rows, edge_row[sel], part.rhs.reshape(-1, 4, kp))
+        IF[sel], IC[sel] = part.IF, part.IC
         del part  # free this block before the next one is built
-    return cond
-
-
-def _trace_dofs(mesh: ShishkinMesh, k: int) -> np.ndarray:
-    """(ncells, 4*(k+1)) global trace dof ids, -1 on boundary edges."""
-    kp = k + 1
-    tri = mesh.interior_index[mesh.cell_edges]  # (nc, 4)
-    comp = np.arange(kp)
-    td = np.where(tri[:, :, None] >= 0, tri[:, :, None] * kp + comp, -1)
-    return td.reshape(mesh.n_cells, 4 * kp)
-
-
-def assemble_trace_system(mesh: ShishkinMesh, cond: CondensedSystem,
-                          k: int) -> tuple[SparseMatrix, np.ndarray]:
-    """Sum the per-cell Schur blocks into the global interior-trace system
-    of dimension n_interior_edges * (k+1). Unknowns are numbered in the
-    mesh's interior edge order (mesh.interior_index, nested dissection
-    along grid lines), the k+1 dofs of an edge consecutively, so the matrix
-    is ready to factor in the order given. The blocks are summed on the
-    mesh's edge-block pattern (mesh.edge_blocks), so no entry sums more
-    than two terms."""
-    kp = k + 1
-    pattern = mesh.edge_blocks
-    # the (side i, side j) block of each cell: (ncells, 4, 4, k+1, k+1)
-    side_blocks = cond.S.reshape(-1, 4, kp, 4, kp).swapaxes(2, 3)
-    # blocks on boundary edges (position -1) go to a last, discarded block
-    data = np.zeros((len(pattern.indices) + 1, kp, kp))
-    np.add.at(data, pattern.position, side_blocks)
     A = SparseMatrix.from_blocks(data[:-1], pattern.indices, pattern.indptr)
-    b = np.zeros(A.n)
-    td = _trace_dofs(mesh, k)
-    valid = td >= 0
-    np.add.at(b, td[valid], cond.rhs[valid])
-    return A, b
-
-
-def _recover(mesh: ShishkinMesh, IF: np.ndarray, IC: np.ndarray, k: int,
-             x: np.ndarray) -> SolutionFields:
-    # boundary traces (dof id -1) read the 0 appended after the interior ones
-    t_local = np.append(x, 0.0)[_trace_dofs(mesh, k)]
-    v = IF - np.einsum("cij,cj->ci", IC, t_local)
-    return SolutionFields.from_unknowns(mesh, k, v, x)
+    return A, rows[:-1].ravel(), IF, IC
 
 
 def assemble_and_solve(mesh: ShishkinMesh, spec: ProblemSpec,
@@ -331,12 +296,15 @@ def assemble_and_solve(mesh: ShishkinMesh, spec: ProblemSpec,
     """Full pipeline: local systems and their condensation in blocks of
     cells, global trace solve with homogeneous boundary traces, interior
     recovery."""
-    cond = _condense_in_blocks(mesh, spec, cfg)
-    A, b = assemble_trace_system(mesh, cond, cfg.k)
-    IF, IC = cond.IF, cond.IC
-    del cond  # S lives on in A: free it before the factorization
-    x = A.solve(b)
-    return _recover(mesh, IF, IC, cfg.k, x)
+    A, b, IF, IC = assemble_trace_system(mesh, spec, cfg)
+    kp, nb = cfg.k + 1, (cfg.k + 1) ** 2
+    # boundary edges (index -1) read the zero row appended last
+    trace = np.vstack([A.solve(b).reshape(-1, kp),
+                       np.zeros((1, kp))])[mesh.interior_index]
+    t_local = trace[mesh.cell_edges].reshape(mesh.n_cells, -1)
+    v = IF - np.einsum("cij,cj->ci", IC, t_local)
+    return SolutionFields(cfg.k, v[:, :nb], v[:, nb:2 * nb], v[:, 2 * nb:],
+                          trace)
 
 
 def galerkin_residual(mesh: ShishkinMesh, spec: ProblemSpec,

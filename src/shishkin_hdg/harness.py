@@ -57,7 +57,7 @@ class StudyConfig:
             if self.sigma is not None and self.sigma < k + 1:
                 warnings.warn(f"sigma = {self.sigma:g} below k+1 = {k + 1}; "
                               "layer resolution is degraded", UserWarning,
-                              stacklevel=2)
+                              stacklevel=3)
 
     def sigma_for(self, k: int) -> float:
         return self.sigma if self.sigma is not None else float(k + 1)

@@ -120,8 +120,12 @@ class RefTables:
         self.LHp = np.kron(eye, self.Ep[:, None])
         self.LHm = np.kron(eye, self.Em[:, None])
         # the tensor basis at the Gauss points of the sides W, E, S, N
-        self.side_traces = [L @ V for L in (self.LVm, self.LVp, self.LHm,
-                                            self.LHp)]
+        self.side_traces = tuple(L @ V for L in (self.LVm, self.LVp,
+                                                 self.LHm, self.LHp))
+        # ref_tables shares one instance between every caller
+        for arr in (*vars(self).values(), *self.side_traces):
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
 
 @lru_cache(maxsize=64)

@@ -1,22 +1,9 @@
 """Shared test plumbing: collects acceptance-criterion results so that one
-pass/fail line per criterion is printed at the end of the run, and makes a
-solve that falls back to COLAMD an error in every test that does not expect
-it (those use pytest.warns, which records the warning instead)."""
-
-import warnings
-
-import pytest
-
-from shishkin_hdg.linalg import SolveFallbackWarning
+pass/fail line per criterion is printed at the end of the run. Every
+warning a test does not expect with pytest.warns is an error (pyproject's
+filterwarnings), so a solve that falls back to COLAMD fails the test."""
 
 acceptance_lines = []
-
-
-@pytest.fixture(autouse=True)
-def _fallback_is_an_error():
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", SolveFallbackWarning)
-        yield
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -3,7 +3,7 @@ statically condensed solver is checked against on small meshes."""
 
 import numpy as np
 
-from shishkin_hdg.assembly import (HdgConfig, SolutionFields, _trace_dofs,
+from shishkin_hdg.assembly import (HdgConfig, SolutionFields,
                                    build_local_systems)
 from shishkin_hdg.mesh import ShishkinMesh
 from shishkin_hdg.problems import ProblemSpec
@@ -24,7 +24,9 @@ def assemble_monolithic(mesh: ShishkinMesh, spec: ProblemSpec,
         raise ValueError("monolithic oracle restricted to small meshes")
     M = np.zeros((dim, dim))
     b = np.zeros(dim)
-    td = _trace_dofs(mesh, k)
+    # the cell's trace dof ids, -1 on boundary edges
+    ie = mesh.interior_index[mesh.cell_edges][:, :, None]
+    td = np.where(ie >= 0, ie * kp + np.arange(kp), -1).reshape(nc, 4 * kp)
     for c in range(nc):
         r0 = c * ni
         M[r0:r0 + ni, r0:r0 + ni] = blocks.A[c]
@@ -46,6 +48,10 @@ def solve_monolithic(mesh: ShishkinMesh, spec: ProblemSpec,
     """Dense solve of the uncondensed system."""
     M, b = assemble_monolithic(mesh, spec, cfg)
     sol = np.linalg.solve(M, b)
-    nv = mesh.n_cells * 3 * (cfg.k + 1) ** 2
-    return SolutionFields.from_unknowns(
-        mesh, cfg.k, sol[:nv].reshape(mesh.n_cells, -1), sol[nv:])
+    kp, nc = cfg.k + 1, mesh.n_cells
+    nv = nc * 3 * kp * kp
+    q1, q2, u = np.split(sol[:nv].reshape(nc, -1), 3, axis=1)
+    # boundary edges (index -1) carry zero traces
+    ie = mesh.interior_index
+    trace = np.where(ie[:, None] >= 0, sol[nv:].reshape(-1, kp)[ie], 0.0)
+    return SolutionFields(cfg.k, q1, q2, u, trace)

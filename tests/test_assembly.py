@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from dense_oracle import assemble_monolithic, solve_monolithic
 from shishkin_hdg import assembly
-from shishkin_hdg.assembly import (HdgConfig, SolutionFields, _recover,
-                                   _trace_dofs, assemble_and_solve,
+from shishkin_hdg.assembly import (HdgConfig, assemble_and_solve,
                                    assemble_trace_system, bilinear_form,
                                    build_local_systems, check_stabilization,
                                    condense, flux_continuity_residual,
                                    galerkin_residual, random_fields)
 from shishkin_hdg.linalg import SolveError, SparseMatrix
-from shishkin_hdg.mesh import MeshConfig, build_mesh
+from shishkin_hdg.mesh import MeshAssumptionWarning, MeshConfig, build_mesh
 from shishkin_hdg.norms import StabilizationError
 from shishkin_hdg import norms
 from shishkin_hdg.problems import paper_problem, polynomial_problem
@@ -65,7 +64,8 @@ def test_polynomial_solution_reproduced_exactly(k):
     # must reproduce it to rounding
     spec = polynomial_problem(1.0)
     for N in (4, 8):
-        mesh = build_mesh(MeshConfig(N, 1.0, 2.0, 1.0, 2.0))
+        with pytest.warns(MeshAssumptionWarning):  # eps = 1 > 1/N
+            mesh = build_mesh(MeshConfig(N, 1.0, 2.0, 1.0, 2.0))
         cfg = HdgConfig(k)
         fields = assemble_and_solve(mesh, spec, cfg)
         assert _energy_error(mesh, spec, cfg, fields) < 1e-9
@@ -140,22 +140,18 @@ def test_zero_source_gives_zero_solution():
     zero = type(spec)(spec.name, spec.epsilon, spec.beta1, spec.beta2,
                       spec.c, spec.div_beta, lambda x, y: 0.0 * x, spec.beta_lb,
                       spec.c0, None)
-    mesh = build_mesh(MeshConfig(4, 1.0, 2.0, 1.0, 2.0))
+    with pytest.warns(MeshAssumptionWarning):  # eps = 1 > 1/N
+        mesh = build_mesh(MeshConfig(4, 1.0, 2.0, 1.0, 2.0))
     fields = assemble_and_solve(mesh, zero, HdgConfig(1))
     assert np.max(np.abs(fields.u)) < 1e-13
     assert np.max(np.abs(fields.trace)) < 1e-13
 
 
-def test_solution_fields_zeros():
-    mesh = build_mesh(MeshConfig(4, 1e-2, 2.0, 1.0, 2.0))
-    # zero unknowns split into zero fields of the right shapes, with zero
-    # traces on every edge, the boundary edges included
-    nb = 9
-    z = SolutionFields.from_unknowns(mesh, 2, np.zeros((16, 3 * nb)),
-                                     np.zeros(mesh.n_interior_edges * 3))
-    for coef in (z.q1, z.q2, z.u):
-        assert coef.shape == (16, nb) and not coef.any()
-    assert z.trace.shape == (mesh.n_edges, 3) and not z.trace.any()
+def _trace_dofs(mesh, k):
+    """(ncells, 4(k+1)) trace dof ids of each cell, -1 on boundary edges."""
+    ie = mesh.interior_index[mesh.cell_edges][:, :, None]
+    return np.where(ie >= 0, ie * (k + 1) + np.arange(k + 1),
+                    -1).reshape(mesh.n_cells, -1)
 
 
 def _coo_trace_system(mesh, cond, k):
@@ -176,6 +172,16 @@ def _coo_trace_system(mesh, cond, k):
     return A, b
 
 
+def _recover(mesh, cond, k, x):
+    """Interior unknowns of every cell from the interior traces x, split
+    into (q1, q2, u) and the per-edge traces, zero on boundary edges."""
+    v = cond.IF - np.einsum("cij,cj->ci", cond.IC,
+                            np.append(x, 0.0)[_trace_dofs(mesh, k)])
+    ie = mesh.interior_index
+    trace = np.where(ie[:, None] >= 0, x.reshape(-1, k + 1)[ie], 0.0)
+    return np.split(v, 3, axis=1) + [trace]
+
+
 @settings(max_examples=20, deadline=None, derandomize=True)
 @given(k=st.integers(1, 3), N=st.sampled_from([4, 8, 16, 32]),
        eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p))  # log-uniform
@@ -185,19 +191,20 @@ def test_streamed_assembly_is_bit_identical_to_the_whole_mesh(k, N, eps):
     cfg = HdgConfig(k)
     whole = condense(build_local_systems(mesh, spec, cfg))
     A_coo, b_coo = _coo_trace_system(mesh, whole, k)
-    ref = _recover(mesh, whole.IF, whole.IC, k,
-                   SparseMatrix(A_coo).solve(b_coo))
+    ref = _recover(mesh, whole, k, SparseMatrix(A_coo).solve(b_coo))
     # blocks of 7 cells straddle mesh columns and leave a partial last one
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(assembly, "CELL_BLOCK", 7)
+        A, b, IF, IC = assemble_trace_system(mesh, spec, cfg)
         fields = assemble_and_solve(mesh, spec, cfg)
-    for name in ("q1", "q2", "u", "trace"):
-        assert np.array_equal(getattr(fields, name), getattr(ref, name))
-    A, b = assemble_trace_system(mesh, whole, k)
     A_csc = A_coo.tocsc()
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(A.csc, name), getattr(A_csc, name))
     assert np.array_equal(b, b_coo)
+    assert np.array_equal(IF, whole.IF) and np.array_equal(IC, whole.IC)
+    for name, want in zip(("q1", "q2", "u", "trace"), ref):
+        assert np.array_equal(getattr(fields, name), want)
+    assert not fields.trace[mesh.edge_boundary].any()
 
 
 def test_singular_block_names_its_global_cell(monkeypatch):

@@ -24,8 +24,11 @@ def test_study_config_validation():
         _cfg(n_list=[6])
     with pytest.raises(ValueError):
         _cfg(mode="l2")
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as rec:
         _cfg(sigma=1.5)
+    # the warning names the line that built the config, not the generated
+    # __init__ of the dataclass
+    assert rec[0].filename == __file__
     assert _cfg().sigma_for(2) == 3.0
     assert _cfg(sigma=4.0).sigma_for(1) == 4.0
     assert _cfg(n_list=[16, 4, 8, 8], max_n=8).effective_n_list() == [4, 8]
@@ -235,6 +238,39 @@ def test_cli_invalid_value_exit_code(capsys, tmp_path):
         assert rc == cli.EXIT_SOLVER
         captured = capsys.readouterr()
         assert "must not be empty" in captured.err and not captured.out
+
+
+def test_cli_solve_solver_failure_exit_code(capsys):
+    # tau = 0.5 violates tau - |beta.n|/2 > 0 (max |beta.n|/2 = 1.5)
+    rc = cli.main(["solve", "--k", "1", "--eps", "1e-2", "--n", "4",
+                   "--tau", "0.5"])
+    assert rc == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert captured.err.startswith("solver failure:") and not captured.out
+
+
+def test_cli_diagnose_strict_failure_exit_code(capsys):
+    # the known orthogonality FAIL at this eps fails the suite under --strict
+    rc = cli.main(["diagnose", "--k", "1", "--eps", "1e-6", "--n", "8",
+                   "--strict"])
+    assert rc == cli.EXIT_VALIDATION
+    assert "orthogonality" in capsys.readouterr().out
+
+
+def test_cli_strict_assumption_gate(capsys, monkeypatch):
+    # declared bounds above the coefficients fail every assumption check
+    monkeypatch.setitem(
+        problems.PROBLEMS, "overclaimed",
+        lambda eps: dataclasses.replace(problems.paper_problem(eps),
+                                        beta_lb=(5.0, 5.0), c0=5.0))
+    for cmd in ("solve", "sweep"):
+        rc = cli.main([cmd, "--problem", "overclaimed", "--k", "1", "--eps",
+                       "1e-2", "--n", "4", "--strict"])
+        assert rc == cli.EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert not captured.out
+        for what in ("beta1 drops", "beta2 drops", "c - div(beta)/2 drops"):
+            assert f"assumption check failed: {what}" in captured.err
 
 
 def test_cli_diagnose(capsys):

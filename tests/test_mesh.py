@@ -32,7 +32,8 @@ def test_transition_points():
 
 
 def test_transition_caps_at_half():
-    mesh = build_mesh(MeshConfig(4, 0.9, 2.0, 1.0, 2.0))
+    with pytest.warns(MeshAssumptionWarning):
+        mesh = build_mesh(MeshConfig(4, 0.9, 2.0, 1.0, 2.0))
     assert mesh.tau_x == 0.5 and mesh.tau_y == 0.5
 
 

@@ -97,3 +97,15 @@ def test_cell_quad_covers_mesh():
     assert np.isclose(area, 1.0, atol=1e-13)
     # points stay inside their cells
     assert cq.X.min() > 0.0 and cq.X.max() < 1.0
+
+
+@pytest.mark.parametrize("k, n", [(1, 2), (2, 4), (3, 7)])
+def test_cached_ref_tables_are_read_only(k, n):
+    # one cached instance is shared by every solve in the process
+    R = ref_tables(k, n)
+    arrays = [a for a in vars(R).values() if isinstance(a, np.ndarray)]
+    assert len(arrays) > 20
+    for arr in arrays + list(R.side_traces):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0.0
