@@ -82,7 +82,6 @@ class LocalBlocks:
     unknowns (q1, q2, u) of size 3(k+1)^2 against the four edge-trace blocks
     of size k+1 each (order W, E, S, N)."""
 
-    k: int
     cells: range
     A: np.ndarray  # (nc, ni, ni) interior equations x interior unknowns
     C: np.ndarray  # (nc, ni, nt) interior equations x traces
@@ -231,7 +230,7 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
         inside = (layer_cells >= cells.start) & (layer_cells < cells.stop)
         F[layer_cells[inside] - cells.start, iu] = load[inside]
 
-    return LocalBlocks(k, cells, A, C, G, D, F)
+    return LocalBlocks(cells, A, C, G, D, F)
 
 
 def condense(blocks: LocalBlocks) -> CondensedSystem:

@@ -99,14 +99,6 @@ def triple_values_exact(cq: CellQuad, spec: ProblemSpec) -> TripleValues:
                         u_side, u_side)
 
 
-def _exact_on_batches(spec: ProblemSpec, batches) -> list:
-    """(batch, (q1, q2, u)) pairs: the exact solution at each batch's
-    points."""
-    ex = spec.exact
-    return [(b, (ex.q1(b.X, b.Y), ex.q2(b.X, b.Y), ex.u(b.X, b.Y)))
-            for b in batches]
-
-
 @dataclass
 class ExactValues:
     """The exact triple evaluated once on the rule cq: on its cells and
@@ -121,8 +113,10 @@ class ExactValues:
 
 def exact_values(cq: CellQuad, spec: ProblemSpec) -> ExactValues:
     """Evaluate the exact triple of a manufactured problem on the rule cq."""
-    return ExactValues(cq, triple_values_exact(cq, spec), _exact_on_batches(
-        spec, layerquad.layer_batches(cq.mesh, spec, cq.n)))
+    vals, ex = triple_values_exact(cq, spec), spec.exact
+    return ExactValues(cq, vals, [
+        (b, (ex.q1(b.X, b.Y), ex.q2(b.X, b.Y), ex.u(b.X, b.Y)))
+        for b in layerquad.layer_batches(cq.mesh, spec, cq.n)])
 
 
 def triple_sub(a: TripleValues, b: TripleValues) -> TripleValues:
@@ -167,40 +161,42 @@ def energy_weights(cq: CellQuad, spec: ProblemSpec,
                          - 0.5 * spec.div_beta(cq.X, cq.Y), weight)
 
 
+def _cell_integrals(wts: EnergyWeights, vals: TripleValues):
+    """Per-cell integrals of |r|^2, (c - div beta / 2) w^2 and w^2 of a
+    triple on the plain rule of the weights, (ncells,) each."""
+    cq = wts.cq
+    return (cq.J * np.einsum("g,cg->c", cq.W2, vals.r1**2 + vals.r2**2),
+            cq.J * np.einsum("cg,cg->c", cq.W2 * wts.reaction, vals.w**2),
+            cq.J * np.einsum("g,cg->c", cq.W2, vals.w**2))
+
+
+def _energy_result(wts: EnergyWeights, vals: TripleValues, flux,
+                   react) -> EnergyNormResult:
+    """The energy norm from the per-cell integrals of |r|^2 (flux) and
+    (c - div beta / 2) w^2 (react), and the side jumps of vals.
+
+    Every cell side contributes, so interior edges are visited from both
+    sides (with that cell's outward normal) and boundary sides once.
+    """
+    mesh = wts.cq.mesh
+    half = mesh.edge_length[mesh.cell_edges] / 2.0
+    jump_sq = float((half[:, :, None] * wts.jump * (vals.w_tr - vals.mu)**2
+                     * gauss_rule(wts.cq.n).weights).sum())
+    cell_q = flux / wts.epsilon
+    q_sq, r_sq = float(cell_q.sum()), float(react.sum())
+    return EnergyNormResult(float(np.sqrt(q_sq + r_sq + jump_sq)),
+                            q_sq, r_sq, jump_sq,
+                            mesh.region_sums(cell_q + react))
+
+
 def energy_norm(wts: EnergyWeights, vals: TripleValues) -> EnergyNormResult:
     """Energy norm of a triple given on the rule of the weights:
 
     |||(r, w, mu)|||^2 = eps^-1 ||r||^2 + ||(c - div beta / 2)^{1/2} w||^2
                          + sum_cells sum_sides (tau - beta.n/2) (w - mu)^2.
-
-    Every cell side contributes, so interior edges are visited from both
-    sides (with that cell's outward normal) and boundary sides once.
     """
-    cq = wts.cq
-    mesh = cq.mesh
-    w1 = gauss_rule(cq.n).weights
-
-    cell_q = (cq.J / wts.epsilon) * \
-        np.einsum("g,cg->c", cq.W2, vals.r1**2 + vals.r2**2)
-    cell_r = cq.J * np.einsum("cg,cg->c", cq.W2 * wts.reaction, vals.w**2)
-
-    jump = (vals.w_tr - vals.mu) ** 2
-    half = mesh.edge_length[mesh.cell_edges] / 2.0
-    side = half[:, :, None] * wts.jump * jump * w1
-    jump_sq = float(side.sum())
-
-    q_sq = float(cell_q.sum())
-    r_sq = float(cell_r.sum())
-    return EnergyNormResult(float(np.sqrt(q_sq + r_sq + jump_sq)),
-                            q_sq, r_sq, jump_sq,
-                            mesh.region_sums(cell_q + cell_r))
-
-
-def l2_norms(cq: CellQuad, vals: TripleValues) -> tuple[float, float]:
-    """(||w||, ||r||) of a triple given on the rule cq, over the cells."""
-    wsq = cq.J @ np.einsum("g,cg->c", cq.W2, vals.w**2)
-    qsq = cq.J @ np.einsum("g,cg->c", cq.W2, vals.r1**2 + vals.r2**2)
-    return float(np.sqrt(wsq)), float(np.sqrt(qsq))
+    flux, react, _ = _cell_integrals(wts, vals)
+    return _energy_result(wts, vals, flux, react)
 
 
 def bilinear_residual(cq: CellQuad, spec: ProblemSpec, cfg,
@@ -281,32 +277,30 @@ def load_vector_scale(cq: CellQuad, spec: ProblemSpec) -> float:
 
 
 def refined_error_corrections(exact: ExactValues, spec: ProblemSpec,
-                              fields):
-    """Cell-integral corrections from layer-refined quadrature, as
-    (composite - plain) differences so they add onto plain-rule totals. The
-    composite half reads the exact values on their batches; the plain half
-    evaluates the exact solution on the same cells with the plain rule.
-
-    Returns (d_flux_sq, d_react_sq, d_l2u_sq, d_region) where d_flux_sq is
-    the unweighted ||q - q_h||^2 correction and d_region maps region names
-    to the correction of the cell part of the squared energy norm.
+                              wts: EnergyWeights, fields, cells) -> None:
+    """Correct the per-cell integrals cells = (|r|^2, (c - div beta / 2)
+    w^2, w^2) of the error (_cell_integrals) on the layer-refined cells in
+    place, by adding the composite-rule integral and subtracting the
+    plain-rule one. The composite half reads the exact values on their
+    batches; the plain batches carry the points of the rule itself, so the
+    plain half reads the exact values and the weights already on the rule.
     """
-    mesh, k = exact.cq.mesh, fields.k
-    plain = _exact_on_batches(spec, layerquad.layer_batches(
-        mesh, spec, exact.cq.n, composite=False))
-    dq, dr, du = (np.zeros(mesh.n_cells) for _ in range(3))
-    for batches, sign in ((exact.batches, 1.0), (plain, -1.0)):
-        for b, exact_b in batches:
+    ev, k = exact.vals, fields.k
+    composite = [(b, vals, spec.c(b.X, b.Y) - 0.5 * spec.div_beta(b.X, b.Y))
+                 for b, vals in exact.batches]
+    plain = [(b, (ev.r1[b.cells], ev.r2[b.cells], ev.w[b.cells]),
+              wts.reaction[b.cells]) for b in layerquad.layer_batches(
+                  exact.cq.mesh, spec, exact.cq.n, composite=False)]
+    flux, react, l2u = cells
+    for batches, sign in ((composite, 1.0), (plain, -1.0)):
+        for b, exact_b, cw in batches:
             B = b.basis(k)
             q1t, q2t, ut = (v - np.einsum("ca,cag->cg", coef[b.cells], B)
                             for v, coef in zip(exact_b, (fields.q1, fields.q2,
                                                          fields.u)))
-            cw = spec.c(b.X, b.Y) - 0.5 * spec.div_beta(b.X, b.Y)
-            dq[b.cells] += sign * np.einsum("cg,cg->c", b.W, q1t**2 + q2t**2)
-            dr[b.cells] += sign * np.einsum("cg,cg->c", b.W, cw * ut**2)
-            du[b.cells] += sign * np.einsum("cg,cg->c", b.W, ut**2)
-    return (float(dq.sum()), float(dr.sum()), float(du.sum()),
-            mesh.region_sums(dq / spec.epsilon + dr))
+            flux[b.cells] += sign * np.einsum("cg,cg->c", b.W, q1t**2 + q2t**2)
+            react[b.cells] += sign * np.einsum("cg,cg->c", b.W, cw * ut**2)
+            l2u[b.cells] += sign * np.einsum("cg,cg->c", b.W, ut**2)
 
 
 @dataclass
@@ -336,23 +330,18 @@ def error_report(exact: ExactValues, spec: ProblemSpec, cfg, fields,
     cq = exact.cq
     wts = energy_weights(cq, spec, cfg.tau)
     diff = triple_sub(exact.vals, triple_values_discrete(cq, fields))
-    en = energy_norm(wts, diff)
-    l2u, l2q = l2_norms(cq, diff)
-    d_flux, d_react, d_l2u, d_region = refined_error_corrections(
-        exact, spec, fields)
-    q_sq = en.q_part_sq + d_flux / spec.epsilon
-    react_sq = en.reaction_part_sq + d_react
-    region = {key: val + d_region[key]
-              for key, val in en.region_cell_sq.items()}
-    total = float(np.sqrt(q_sq + react_sq + en.jump_part_sq))
-    l2u = float(np.sqrt(l2u**2 + d_l2u))
-    l2q = float(np.sqrt(l2q**2 + d_flux))
+    cells = _cell_integrals(wts, diff)
+    refined_error_corrections(exact, spec, wts, fields, cells)
+    flux, react, l2u = cells
+    en = _energy_result(wts, diff, flux, react)
     sc = None
     if projected is not None:
         sc = energy_norm(wts, triple_values_discrete(
             cq, projected - fields)).total
-    return ErrorReport(cq.mesh.N, cfg.k, spec.epsilon, total, l2u, l2q,
-                       q_sq, react_sq, en.jump_part_sq, region, sc)
+    return ErrorReport(cq.mesh.N, cfg.k, spec.epsilon, en.total,
+                       float(np.sqrt(l2u.sum())), float(np.sqrt(flux.sum())),
+                       en.q_part_sq, en.reaction_part_sq, en.jump_part_sq,
+                       en.region_cell_sq, sc)
 
 
 def convergence_rate(e_coarse: float, e_fine: float, n_coarse: int) -> float:

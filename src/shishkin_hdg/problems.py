@@ -172,7 +172,6 @@ class AssumptionReport:
     min_beta1_margin: float   # min over samples of beta1(x,y) - beta_lb[0]
     min_beta2_margin: float
     min_coercivity_margin: float  # min of c - div(beta)/2 - c0
-    samples: int
 
     def failures(self) -> list[str]:
         out = []
@@ -188,13 +187,13 @@ class AssumptionReport:
         return out
 
 
-def verify_assumptions(spec: ProblemSpec, samples: int = 101) -> AssumptionReport:
+def verify_assumptions(spec: ProblemSpec) -> AssumptionReport:
     """Check beta >= beta_lb componentwise and c - div(beta)/2 >= c0 on a
-    sample grid (closed domain)."""
-    s = np.linspace(0.0, 1.0, samples)
+    101 x 101 sample grid (closed domain)."""
+    s = np.linspace(0.0, 1.0, 101)
     X, Y = np.meshgrid(s, s, indexing="ij")
     m1 = float(np.min(spec.beta1(X, Y) - spec.beta_lb[0]))
     m2 = float(np.min(spec.beta2(X, Y) - spec.beta_lb[1]))
     mc = float(np.min(spec.c(X, Y) - 0.5 * spec.div_beta(X, Y) - spec.c0))
     passed = min(m1, m2, mc) >= -1e-12
-    return AssumptionReport(passed, m1, m2, mc, samples)
+    return AssumptionReport(passed, m1, m2, mc)

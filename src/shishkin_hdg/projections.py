@@ -15,7 +15,7 @@ from .norms import ExactValues
 from .refelem import CellQuad, gauss_rule, ref_tables
 
 
-def project_cells(cq: CellQuad, values, k: int, batches=()) -> list:
+def project_cells(cq: CellQuad, values, k: int, batches) -> list:
     """Per-cell L2 projections onto Q^k of functions given by their values
     at the cell points of cq, (ncells, n*n) each; coefficients in the
     pulled-back orthonormal tensor Legendre basis, one (ncells, (k+1)^2)

@@ -11,6 +11,7 @@ from scipy.integrate import quad
 from shishkin_hdg import layerquad
 from shishkin_hdg.mesh import MeshAssumptionWarning, MeshConfig, build_mesh
 from shishkin_hdg.problems import paper_problem
+from shishkin_hdg.refelem import CellQuad
 
 
 def test_composite_rule_weights_sum_to_width():
@@ -64,7 +65,7 @@ _layer_cases = dict(
     N=st.sampled_from([4, 8, 16]),
     eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p),  # log-uniform
     n=st.integers(2, 8))
-_settings = settings(max_examples=25, deadline=None, derandomize=True)
+_settings = settings(max_examples=25)
 
 
 def _setup(N, eps):
@@ -102,6 +103,23 @@ def test_layer_batch_weights_sum_to_cell_area(N, eps, n):
             assert np.allclose(b.W.sum(axis=1), area[b.cells], rtol=1e-14,
                                atol=0.0)
             assert np.allclose(4.0 * b.J, area[b.cells], rtol=1e-15, atol=0)
+
+
+def test_properties_run_derandomized():
+    # the tier-1 profile (conftest) seeds every property
+    assert settings.default.derandomize and settings.default.deadline is None
+
+
+@_settings
+@given(**_layer_cases)
+def test_plain_batches_carry_the_cell_rule_points(N, eps, n):
+    # the error corrections read the exact values of the plain batches off
+    # the cell rule, so their points must be the rule's bit for bit
+    mesh, spec = _setup(N, eps)
+    cq = CellQuad(mesh, n)
+    for b in layerquad.layer_batches(mesh, spec, n, composite=False):
+        assert np.array_equal(b.X, cq.X[b.cells])
+        assert np.array_equal(b.Y, cq.Y[b.cells])
 
 
 @_settings

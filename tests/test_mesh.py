@@ -89,7 +89,7 @@ def test_edge_geometry():
     assert mesh.edge_length[0] == mesh.hy[0]
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(N=st.sampled_from([4, 8, 16, 32]),
        eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p))  # log-uniform
 def test_side_lengths_are_cell_widths(N, eps):
@@ -125,7 +125,7 @@ def test_dump_mesh_contents():
     assert text.count("\nedge ") == mesh.n_edges
 
 
-@settings(max_examples=32, deadline=None, derandomize=True)
+@settings(max_examples=32)
 @given(N=st.integers(1, 32).map(lambda m: 4 * m))
 def test_interior_index_is_a_bijection(N):
     mesh = build_mesh(MeshConfig(N, 1e-6, 2.0, 1.0, 2.0))
@@ -155,7 +155,7 @@ def test_interior_edges_numbered_by_nested_dissection():
     assert np.all(inside_left[:half]) and not np.any(inside_left[half:])
 
 
-@settings(max_examples=32, deadline=None, derandomize=True)
+@settings(max_examples=32)
 @given(N=st.integers(1, 32).map(lambda m: 4 * m))
 def test_edge_block_pattern(N):
     mesh = build_mesh(MeshConfig(N, 1e-6, 2.0, 1.0, 2.0))

@@ -1,17 +1,21 @@
 """Energy norm, error reports and convergence-rate formulas."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shishkin_hdg import norms
 from shishkin_hdg.assembly import HdgConfig, SolutionFields, assemble_and_solve, random_fields
-from shishkin_hdg.mesh import MeshConfig, build_mesh
+from shishkin_hdg.mesh import MeshAssumptionWarning, MeshConfig, build_mesh
 from shishkin_hdg.norms import (StabilizationError, convergence_rate,
                                 dyadic_rate, energy_norm, energy_weights,
-                                error_report, exact_values, l2_norms,
-                                triple_sub, triple_values_discrete,
-                                triple_values_exact)
-from shishkin_hdg.problems import paper_problem
+                                error_report, exact_values, triple_sub,
+                                triple_values_discrete, triple_values_exact)
+from shishkin_hdg.problems import paper_problem, polynomial_problem
 from shishkin_hdg.projections import project_exact
 from shishkin_hdg.refelem import CellQuad
 
@@ -84,8 +88,17 @@ def test_constant_one_reaction_weight(setting):
     assert res.q_part_sq == 0.0
     assert np.isclose(res.jump_part_sq, 0.0, atol=1e-14)
     assert np.isclose(res.reaction_part_sq, 2.0, rtol=1e-12)
-    wnorm, qnorm = l2_norms(cq, vals)
-    assert np.isclose(wnorm, 1.0, rtol=1e-12) and qnorm == 0.0
+    # against zero fields the L2 errors are the norms of the exact solution
+    # u = x(1-x) y(1-y): ||u|| = int x^2 (1-x)^2 = 1/30 and
+    # ||q|| = eps ||grad u|| = eps sqrt(2 * 1/3 * 1/30) = eps / sqrt(45)
+    spec = polynomial_problem(1e-2)
+    cfg = HdgConfig(1)
+    exact = exact_values(CellQuad(mesh, cfg.n_error), spec)
+    assert exact.batches  # the layer cells are corrected too
+    rep = error_report(exact, spec, cfg, _zero_fields(mesh, 1))
+    assert np.isclose(rep.l2_error_u, 1.0 / 30.0, rtol=1e-12, atol=0.0)
+    assert np.isclose(rep.l2_error_q, 1e-2 / np.sqrt(45.0), rtol=1e-12,
+                      atol=0.0)
 
 
 def test_region_breakdown_sums_to_cell_parts(setting):
@@ -132,6 +145,46 @@ def test_error_report_consistency(setting):
     eta = energy_norm(energy_weights(cq, spec, cfg.tau),
                       triple_sub(exact.vals, pvals)).total
     assert rep.energy_error <= eta + rep.supercloseness_error + 1e-10
+
+
+@settings(max_examples=15)
+@given(k=st.integers(1, 3), N=st.sampled_from([4, 8, 16, 32]),
+       eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p))  # log-uniform
+def test_error_report_parts_add_up(k, N, eps):
+    spec = paper_problem(eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MeshAssumptionWarning)
+        mesh = build_mesh(MeshConfig(N, eps, k + 1.0, *spec.beta_lb))
+    cfg = HdgConfig(k)
+    exact = exact_values(CellQuad(mesh, cfg.n_error), spec)
+    rep = error_report(exact, spec, cfg, assemble_and_solve(mesh, spec, cfg))
+    cell_sq = rep.q_part_sq + rep.reaction_part_sq
+    assert np.isclose(rep.energy_error**2, cell_sq + rep.jump_part_sq,
+                      rtol=1e-12, atol=0.0)
+    assert np.isclose(sum(rep.region_cell_sq.values()), cell_sq, rtol=1e-10,
+                      atol=0.0)
+    assert np.isclose(eps * rep.q_part_sq, rep.l2_error_q**2, rtol=1e-12,
+                      atol=0.0)
+
+
+def test_error_report_evaluates_no_exact_field():
+    # the exact solution is evaluated once per rule, by exact_values; the
+    # error measures, the layer-cell corrections included, only read it
+    spec = paper_problem(1e-6)
+    mesh = build_mesh(MeshConfig(8, 1e-6, 2.0, *spec.beta_lb))
+    cfg = HdgConfig(1)
+    fields = assemble_and_solve(mesh, spec, cfg)
+    exact = exact_values(CellQuad(mesh, cfg.n_error), spec)
+    proj = project_exact(exact, 1)
+    assert exact.batches
+
+    def evaluated(x, y):
+        raise AssertionError("exact solution evaluated again")
+
+    bare = dataclasses.replace(spec, exact=dataclasses.replace(
+        spec.exact, u=evaluated, u_x=evaluated, u_y=evaluated))
+    rep = error_report(exact, bare, cfg, fields, projected=proj)
+    assert rep == error_report(exact, spec, cfg, fields, projected=proj)
 
 
 def test_supercloseness_zero_for_identical_fields(setting):
