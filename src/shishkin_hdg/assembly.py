@@ -11,6 +11,11 @@ and SolutionFields holds them as they come.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -71,9 +76,13 @@ class SolutionFields:
                               self.u - other.u, self.trace - other.trace)
 
 
-# cells per block of the streamed assembly: the dense local systems of
-# one block are built and condensed before the next block is built
+# cells whose dense local systems exist at once in the streamed assembly:
+# WORKERS threads each build and condense blocks of CELL_BLOCK // WORKERS
+# consecutive cells, and a block is freed before the next one is submitted
 CELL_BLOCK = 1024
+# the CPUs this process may use
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 
 
 @dataclass
@@ -257,16 +266,19 @@ def condense(blocks: LocalBlocks) -> CondensedSystem:
 def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
                           cfg: HdgConfig) -> tuple[SparseMatrix, np.ndarray,
                                                    np.ndarray, np.ndarray]:
-    """Build and condense the local systems CELL_BLOCK consecutive cells at
-    a time, so the dense local systems of the whole mesh never exist at
-    once, and sum each block's Schur blocks into the global interior-trace
-    system of dimension n_interior_edges * (k+1). Unknowns are numbered in
-    the mesh's interior edge order (mesh.interior_index, nested dissection
-    along grid lines), the k+1 dofs of an edge consecutively, so the matrix
-    is ready to factor in the order given. The blocks are summed on the
-    mesh's edge-block pattern (mesh.edge_blocks), so no entry sums more
-    than two terms. Returns (A, b, IF, IC), with IF and IC the recovery
-    operators of every cell (CondensedSystem)."""
+    """Build and condense the local systems in blocks of CELL_BLOCK //
+    WORKERS consecutive cells on WORKERS threads, with at most WORKERS
+    blocks in flight, so the dense local systems of the whole mesh never
+    exist at once, and sum each block's Schur blocks, in block order, into
+    the global interior-trace system of dimension n_interior_edges * (k+1).
+    A mesh of one block is built on the calling thread. Unknowns are
+    numbered in the mesh's interior edge order (mesh.interior_index, nested
+    dissection along grid lines), the k+1 dofs of an edge consecutively, so
+    the matrix is ready to factor in the order given. The blocks are summed
+    on the mesh's edge-block pattern (mesh.edge_blocks), so no entry sums
+    more than two terms and the result does not depend on the block size.
+    Returns (A, b, IF, IC), with IF and IC the recovery operators of every
+    cell (CondensedSystem)."""
     setup = _local_setup(mesh, spec, cfg)
     kp, nc = cfg.k + 1, mesh.n_cells
     pattern = mesh.edge_blocks
@@ -276,18 +288,52 @@ def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
     data = np.zeros((len(pattern.indices) + 1, kp, kp))
     rows = np.zeros((mesh.n_interior_edges + 1, kp))
     IF, IC = np.empty((nc, 3 * kp * kp)), np.empty((nc, 3 * kp * kp, 4 * kp))
-    for start in range(0, nc, CELL_BLOCK):
-        cells = range(start, min(start + CELL_BLOCK, nc))
-        part = condense(build_local_systems(mesh, spec, cfg, cells, setup))
+
+    def condensed(cells: range) -> CondensedSystem:
+        return condense(build_local_systems(mesh, spec, cfg, cells, setup))
+
+    def scatter(cells: range, part: CondensedSystem) -> None:
         sel = slice(cells.start, cells.stop)
         # the (side i, side j) block of each cell: (cells, 4, 4, k+1, k+1)
         np.add.at(data, pattern.position[sel],
                   part.S.reshape(-1, 4, kp, 4, kp).swapaxes(2, 3))
         np.add.at(rows, edge_row[sel], part.rhs.reshape(-1, 4, kp))
         IF[sel], IC[sel] = part.IF, part.IC
-        del part  # free this block before the next one is built
+
+    size = max(1, CELL_BLOCK // WORKERS)
+    blocks = [range(s, min(s + size, nc)) for s in range(0, nc, size)]
+    if len(blocks) == 1:
+        scatter(blocks[0], condensed(blocks[0]))
+    else:
+        _one_malloc_arena()
+        with ThreadPoolExecutor(WORKERS) as pool:
+            pending = deque(pool.submit(condensed, cells)
+                            for cells in blocks[:WORKERS])
+            for i, cells in enumerate(blocks):
+                try:
+                    part = pending.popleft().result()
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)  # drop queued blocks
+                    raise
+                scatter(cells, part)
+                del part  # free this block before the next one is submitted
+                if i + WORKERS < len(blocks):
+                    pending.append(pool.submit(condensed,
+                                               blocks[i + WORKERS]))
     A = SparseMatrix.from_blocks(data[:-1], pattern.indices, pattern.indptr)
     return A, rows[:-1].ravel(), IF, IC
+
+
+@functools.cache
+def _one_malloc_arena() -> None:
+    """Limit glibc malloc to one arena for the whole process (mallopt
+    M_ARENA_MAX = -8), where libc has mallopt. With an arena per thread,
+    the memory each pool thread freed stayed resident in its own arena."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # no libc handle or mallopt
+        return
+    mallopt(-8, 1)
 
 
 def assemble_and_solve(mesh: ShishkinMesh, spec: ProblemSpec,

@@ -1,5 +1,6 @@
 """HDG assembly, condensation, solve pipeline and its invariants."""
 
+import threading
 import tracemalloc
 
 import numpy as np
@@ -183,7 +184,7 @@ def _recover(mesh, cond, k, x):
 
 
 @settings(max_examples=20)
-@given(k=st.integers(1, 3), N=st.sampled_from([4, 8, 16, 32]),
+@given(k=st.integers(1, 3), N=st.sampled_from([4, 8, 12, 16, 20, 32]),
        eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p))  # log-uniform
 def test_streamed_assembly_is_bit_identical_to_the_whole_mesh(k, N, eps):
     spec = paper_problem(eps)
@@ -192,37 +193,70 @@ def test_streamed_assembly_is_bit_identical_to_the_whole_mesh(k, N, eps):
     whole = condense(build_local_systems(mesh, spec, cfg))
     A_coo, b_coo = _coo_trace_system(mesh, whole, k)
     ref = _recover(mesh, whole, k, SparseMatrix(A_coo).solve(b_coo))
-    # blocks of 7 cells straddle mesh columns and leave a partial last one
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(assembly, "CELL_BLOCK", 7)
-        A, b, IF, IC = assemble_trace_system(mesh, spec, cfg)
-        fields = assemble_and_solve(mesh, spec, cfg)
     A_csc = A_coo.tocsc()
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(A.csc, name), getattr(A_csc, name))
-    assert np.array_equal(b, b_coo)
-    assert np.array_equal(IF, whole.IF) and np.array_equal(IC, whole.IC)
-    for name, want in zip(("q1", "q2", "u", "trace"), ref):
-        assert np.array_equal(getattr(fields, name), want)
-    assert not fields.trace[mesh.edge_boundary].any()
+    # blocks of 7 // workers cells straddle mesh columns and mostly leave
+    # a partial last one
+    for workers in (1, 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assembly, "CELL_BLOCK", 7)
+            mp.setattr(assembly, "WORKERS", workers)
+            A, b, IF, IC = assemble_trace_system(mesh, spec, cfg)
+            fields = assemble_and_solve(mesh, spec, cfg)
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(A.csc, name), getattr(A_csc, name))
+        assert np.array_equal(b, b_coo)
+        assert np.array_equal(IF, whole.IF) and np.array_equal(IC, whole.IC)
+        for name, want in zip(("q1", "q2", "u", "trace"), ref):
+            assert np.array_equal(getattr(fields, name), want)
+        assert not fields.trace[mesh.edge_boundary].any()
 
 
 def test_singular_block_names_its_global_cell(monkeypatch):
-    # cell 12 is the sixth cell of the second block of 7
+    # two workers build blocks of 7 // 2 = 3 cells: cell 12 is the first
+    # cell of the fifth block, submitted while the fourth is in flight
     spec = paper_problem(1e-2)
     mesh = build_mesh(MeshConfig(4, 1e-2, 2.0, 1.0, 2.0))
     build = assembly.build_local_systems
+    built_on = []
 
     def singular_cell_12(*args):
         blocks = build(*args)
         if 12 in blocks.cells:
+            built_on.append(threading.current_thread())
             blocks.A[blocks.cells.index(12)] = 0.0
         return blocks
 
     monkeypatch.setattr(assembly, "CELL_BLOCK", 7)
+    monkeypatch.setattr(assembly, "WORKERS", 2)
     monkeypatch.setattr(assembly, "build_local_systems", singular_cell_12)
+    before = set(threading.enumerate())
     with pytest.raises(SolveError, match=r"singular interior block in cell 12;"):
         assemble_and_solve(mesh, spec, HdgConfig(1))
+    assert built_on and built_on[0] is not threading.main_thread()
+    assert set(threading.enumerate()) <= before  # the pool is shut down
+
+
+def test_one_block_mesh_is_built_on_the_calling_thread(monkeypatch):
+    # k=1, N=16 is 256 cells, one block of 1024 // 2: one build, no thread
+    spec = paper_problem(1e-6)
+    mesh = build_mesh(MeshConfig(16, 1e-6, 2.0, 1.0, 2.0))
+    build = assembly.build_local_systems
+    built_on = []
+
+    def counted(*args):
+        built_on.append(threading.current_thread())
+        return build(*args)
+
+    def no_pool(*args):
+        raise AssertionError("a one-block mesh started a thread pool")
+
+    monkeypatch.setattr(assembly, "WORKERS", 2)
+    monkeypatch.setattr(assembly, "build_local_systems", counted)
+    monkeypatch.setattr(assembly, "ThreadPoolExecutor", no_pool)
+    before = threading.active_count()
+    assemble_and_solve(mesh, spec, HdgConfig(1))
+    assert built_on == [threading.main_thread()]
+    assert threading.active_count() == before
 
 
 def test_assembly_never_holds_the_whole_mesh_local_systems():
