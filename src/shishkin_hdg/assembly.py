@@ -133,7 +133,7 @@ def _local_setup(mesh: ShishkinMesh, spec: ProblemSpec,
     # scale eps/beta into the coarse cells at the transition; integrate
     # those cells with the refined composite rule instead
     load = [(b.cells, np.einsum("cbg,cg->cb", b.basis(cfg.k),
-                                b.W * spec.f(b.X, b.Y)))
+                                b.W * b.on_cells(spec.f)))
             for b in layerquad.layer_batches(mesh, spec, n)]
     side_weight = (bn - cfg.tau) * gauss_rule(n).weights
     return _LocalSetup(ref_tables(cfg.k, n), cq,
@@ -178,17 +178,16 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
     nc = len(cells)
     eps = spec.epsilon
     tau = cfg.tau
-    X, Y, J = setup.cq.X[sel], setup.cq.Y[sel], setup.cq.J[sel]
-    W2 = setup.cq.W2  # reference weights, (n^2,)
+    cq = setup.cq
+    J, W2 = cq.J[sel], cq.W2  # W2: reference weights, (n^2,)
     side_weight = setup.side_weight[:, sel]
 
     iq1, iq2, iu = slice(0, nb), slice(nb, 2 * nb), slice(2 * nb, 3 * nb)
     sides = [slice(s * kp, (s + 1) * kp) for s in range(4)]  # W, E, S, N
 
-    b1 = spec.beta1(X, Y)
-    b2 = spec.beta2(X, Y)
-    cr = spec.c(X, Y) - spec.div_beta(X, Y)
-    fv = spec.f(X, Y)
+    b1, b2 = cq.on_cells(spec.beta1, cells), cq.on_cells(spec.beta2, cells)
+    cr = cq.on_cells(spec.c, cells) - cq.on_cells(spec.div_beta, cells)
+    fv = cq.on_cells(spec.f, cells)
 
     halfx = mesh.cell_hx[sel] / 2.0
     halfy = mesh.cell_hy[sel] / 2.0

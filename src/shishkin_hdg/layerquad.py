@@ -17,7 +17,7 @@ import numpy as np
 
 from .mesh import ShishkinMesh
 from .problems import ProblemSpec
-from .refelem import Basis1D, gauss_rule
+from .refelem import Basis1D, gauss_rule, on_lines
 
 # a tail below exp(-REACH) ~ 3e-20 is invisible at double precision
 REACH = 45.0
@@ -29,16 +29,15 @@ def composite_layer_rule(width: float, scale: float, n: int):
     """Composite n-point Gauss rule on [0, width], geometrically refined
     toward the right end with the smallest panel about one decay length.
 
-    Returns (points, weights) with sum(weights) = width.
+    Returns (points, weights) with sum(weights) = width; an interval
+    within one decay length gets the plain rule.
     """
     if width <= 0 or scale <= 0:
         raise ValueError("width and scale must be positive")
-    edges = [0.0]
-    d = min(scale, width)
-    while d < width:
-        edges.append(d)
-        d *= 2.0
-    edges = width - np.array(edges)[::-1]
+    dist = [min(scale, width)]  # panel ends, measured from the right end
+    while 2.0 * dist[-1] < width:
+        dist.append(2.0 * dist[-1])
+    edges = width - np.array([0.0] + dist)[::-1]
     edges[0] = 0.0
     rule = gauss_rule(n)
     pts, wts = [], []
@@ -72,20 +71,24 @@ class LayerBatch:
 
     Batch cell i*nrows + j lies in the i-th column and the j-th row; its
     points are ordered g = gx*npy + gy. Holds the flat mesh ids of the
-    cells, physical points (X, Y) and weights W of shape (cells, points),
-    the Jacobians J = hx*hy/4, and per-column / per-row reference
-    coordinates (tx, ty) of the 1D point sets for basis evaluation.
+    cells, the per-column / per-row 1D point sets (xq, yq) in physical and
+    (tx, ty) in reference coordinates, the weights W of shape (cells,
+    points) and the Jacobians J = hx*hy/4.
     """
 
     cells: np.ndarray
-    X: np.ndarray
-    Y: np.ndarray
+    xq: np.ndarray  # (ncols, npx)
+    yq: np.ndarray  # (nrows, npy)
     W: np.ndarray
     J: np.ndarray
     tx: np.ndarray  # (ncols, npx)
     ty: np.ndarray  # (nrows, npy)
     _bases: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
+
+    def on_cells(self, fn) -> np.ndarray:
+        """fn at the points of every batch cell, (cells, points)."""
+        return on_lines(fn, self.xq, self.yq)
 
     def basis(self, k: int) -> np.ndarray:
         """Tensor basis values at each cell's points, (cells, (k+1)^2,
@@ -157,14 +160,9 @@ def layer_batches(mesh: ShishkinMesh, spec: ProblemSpec, n: int,
         for j, (iy, (py, wy, ty)) in enumerate(yg):
             if (i == 0 and j == 0) or not (ix.size and iy.size):
                 continue
-            a, b, npx, npy = len(ix), len(iy), px.shape[1], py.shape[1]
-            shape = (a, b, npx, npy)
-            X = np.broadcast_to(px[:, None, :, None], shape)
-            Y = np.broadcast_to(py[None, :, None, :], shape)
             W = wx[:, None, :, None] * wy[None, :, None, :]
             J = mesh.hx[ix][:, None] * mesh.hy[iy][None, :] / 4.0
             batches.append(LayerBatch(
-                (ix[:, None] * mesh.ny + iy[None, :]).reshape(-1),
-                X.reshape(a * b, -1), Y.reshape(a * b, -1),
-                W.reshape(a * b, -1), J.reshape(-1), tx, ty))
+                (ix[:, None] * mesh.ny + iy[None, :]).reshape(-1), px, py,
+                W.reshape(len(ix) * len(iy), -1), J.reshape(-1), tx, ty))
     return batches

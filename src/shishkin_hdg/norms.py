@@ -32,11 +32,10 @@ class StabilizationError(ValueError):
 def edge_normal_beta(cq: CellQuad, spec: ProblemSpec):
     """beta.n at the side points of cq (W, E, S, N), signed with the cell's
     outward normal. Returns an (ncells, 4, n) array."""
-    xs, ys = cq.side_points
-    return np.stack([-spec.beta1(xs[:, 0], ys[:, 0]),
-                     spec.beta1(xs[:, 1], ys[:, 1]),
-                     -spec.beta2(xs[:, 2], ys[:, 2]),
-                     spec.beta2(xs[:, 3], ys[:, 3])], axis=1)
+    ce = cq.mesh.cell_edges
+    b1, b2 = cq.on_edges(spec.beta1), cq.on_edges(spec.beta2)
+    return np.stack([-b1[ce[:, 0]], b1[ce[:, 1]], -b2[ce[:, 2]],
+                     b2[ce[:, 3]]], axis=1)
 
 
 @dataclass
@@ -91,12 +90,11 @@ def triple_values_exact(cq: CellQuad, spec: ProblemSpec) -> TripleValues:
     shared array)."""
     if spec.exact is None:
         raise ValueError("problem has no exact solution attached")
-    ex = spec.exact
-    xs, ys = cq.side_points
-    u_side = ex.u(xs, ys)
-    return TripleValues(cq.n, ex.q1(cq.X, cq.Y), ex.q2(cq.X, cq.Y),
-                        ex.u(cq.X, cq.Y), ex.q1(xs, ys), ex.q2(xs, ys),
-                        u_side, u_side)
+    ex, ce = spec.exact, cq.mesh.cell_edges
+    u_side = cq.on_edges(ex.u)[ce]
+    return TripleValues(cq.n, cq.on_cells(ex.q1), cq.on_cells(ex.q2),
+                        cq.on_cells(ex.u), cq.on_edges(ex.q1)[ce],
+                        cq.on_edges(ex.q2)[ce], u_side, u_side)
 
 
 @dataclass
@@ -115,7 +113,7 @@ def exact_values(cq: CellQuad, spec: ProblemSpec) -> ExactValues:
     """Evaluate the exact triple of a manufactured problem on the rule cq."""
     vals, ex = triple_values_exact(cq, spec), spec.exact
     return ExactValues(cq, vals, [
-        (b, (ex.q1(b.X, b.Y), ex.q2(b.X, b.Y), ex.u(b.X, b.Y)))
+        (b, (b.on_cells(ex.q1), b.on_cells(ex.q2), b.on_cells(ex.u)))
         for b in layerquad.layer_batches(cq.mesh, spec, cq.n)])
 
 
@@ -157,8 +155,8 @@ def energy_weights(cq: CellQuad, spec: ProblemSpec,
         raise StabilizationError(
             f"tau = {tau:g} gives a negative edge weight tau - beta.n/2 "
             f"(min {np.min(weight):.3e}); energy norm undefined")
-    return EnergyWeights(cq, spec.epsilon, spec.c(cq.X, cq.Y)
-                         - 0.5 * spec.div_beta(cq.X, cq.Y), weight)
+    return EnergyWeights(cq, spec.epsilon, cq.on_cells(spec.c)
+                         - 0.5 * cq.on_cells(spec.div_beta), weight)
 
 
 def _cell_integrals(wts: EnergyWeights, vals: TripleValues):
@@ -241,9 +239,8 @@ def bilinear_residual(cq: CellQuad, spec: ProblemSpec, cfg,
             worst = max(worst, float(np.abs(res).max()))
 
     if "w" in parts:
-        b1 = spec.beta1(cq.X, cq.Y)
-        b2 = spec.beta2(cq.X, cq.Y)
-        cr = spec.c(cq.X, cq.Y) - spec.div_beta(cq.X, cq.Y)
+        b1, b2 = cq.on_cells(spec.beta1), cq.on_cells(spec.beta2)
+        cr = cq.on_cells(spec.c) - cq.on_cells(spec.div_beta)
         resw = -side[:, 0, None] * np.einsum(
             "cg,bg->cb", (vals.r1 + b1 * vals.w) * cq.W2, R.BX)
         resw -= side[:, 2, None] * np.einsum(
@@ -271,7 +268,7 @@ def load_vector_scale(cq: CellQuad, spec: ProblemSpec) -> float:
     """max |(f, w)| over normalized Q^2 cell test functions on the rule cq
     (residual scaling)."""
     R = ref_tables(2, cq.n)
-    fv = spec.f(cq.X, cq.Y)
+    fv = cq.on_cells(spec.f)
     F = np.sqrt(cq.J)[:, None] * np.einsum("cg,bg->cb", fv * cq.W2, R.B0)
     return float(np.abs(F).max())
 
@@ -286,7 +283,8 @@ def refined_error_corrections(exact: ExactValues, spec: ProblemSpec,
     plain half reads the exact values and the weights already on the rule.
     """
     ev, k = exact.vals, fields.k
-    composite = [(b, vals, spec.c(b.X, b.Y) - 0.5 * spec.div_beta(b.X, b.Y))
+    composite = [(b, vals, b.on_cells(spec.c)
+                  - 0.5 * b.on_cells(spec.div_beta))
                  for b, vals in exact.batches]
     plain = [(b, (ev.r1[b.cells], ev.r2[b.cells], ev.w[b.cells]),
               wts.reaction[b.cells]) for b in layerquad.layer_batches(

@@ -1,12 +1,13 @@
 """Reference-element machinery: Gauss-Legendre quadrature, orthonormal
 Legendre bases, tensor-product tables on the reference square, and the
-tensor rule over all cells of a mesh with the Gauss points of their sides."""
+tensor rule of a mesh's cells and edges, evaluated on its 1D point lines."""
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -92,33 +93,31 @@ class RefTables:
         self.k, self.n = k, n
         kp = k + 1
         rule = gauss_rule(n)
-        self.t, self.w = rule.nodes, rule.weights
         basis = Basis1D(k)
-        V, D = basis.eval(self.t)
-        self.V, self.D = V, D
-        self.Ep = basis.eval([1.0])[0][:, 0]
-        self.Em = basis.eval([-1.0])[0][:, 0]
+        V, D = basis.eval(rule.nodes)
+        self.V = V
+        Ep, Em = basis.eval([1.0, -1.0])[0].T
 
         self.B0 = np.einsum("mx,ny->mnxy", V, V).reshape(kp * kp, n * n)
         self.BX = np.einsum("mx,ny->mnxy", D, V).reshape(kp * kp, n * n)
         self.BY = np.einsum("mx,ny->mnxy", V, D).reshape(kp * kp, n * n)
-        self.W2 = np.outer(self.w, self.w).reshape(-1)
+        self.W2 = np.outer(rule.weights, rule.weights).reshape(-1)
 
         # volume derivative couplings (reference): KX[b,a] = sum W dphi_b/dx phi_a
         self.KX = np.einsum("g,bg,ag->ba", self.W2, self.BX, self.B0)
         self.KY = np.einsum("g,bg,ag->ba", self.W2, self.BY, self.B0)
         # 1D mass (identity for exact rules; kept as a quadrature sum)
-        self.M1 = (V * self.w) @ V.T
+        self.M1 = (V * rule.weights) @ V.T
         # edge traces of the tensor basis paired with themselves / the edge basis
-        self.EVp = np.kron(np.outer(self.Ep, self.Ep), self.M1)
-        self.EVm = np.kron(np.outer(self.Em, self.Em), self.M1)
-        self.EHp = np.kron(self.M1, np.outer(self.Ep, self.Ep))
-        self.EHm = np.kron(self.M1, np.outer(self.Em, self.Em))
+        self.EVp = np.kron(np.outer(Ep, Ep), self.M1)
+        self.EVm = np.kron(np.outer(Em, Em), self.M1)
+        self.EHp = np.kron(self.M1, np.outer(Ep, Ep))
+        self.EHm = np.kron(self.M1, np.outer(Em, Em))
         eye = np.eye(kp)
-        self.LVp = np.kron(self.Ep[:, None], eye)  # (nb, kp): cell trace x edge basis
-        self.LVm = np.kron(self.Em[:, None], eye)
-        self.LHp = np.kron(eye, self.Ep[:, None])
-        self.LHm = np.kron(eye, self.Em[:, None])
+        self.LVp = np.kron(Ep[:, None], eye)  # (nb, kp): cell trace x edge basis
+        self.LVm = np.kron(Em[:, None], eye)
+        self.LHp = np.kron(eye, Ep[:, None])
+        self.LHm = np.kron(eye, Em[:, None])
         # the tensor basis at the Gauss points of the sides W, E, S, N
         self.side_traces = tuple(L @ V for L in (self.LVm, self.LVp,
                                                  self.LHm, self.LHp))
@@ -133,9 +132,21 @@ def ref_tables(k: int, n: int) -> RefTables:
     return RefTables(k, n)
 
 
+def on_lines(fn, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The elementwise field fn on the tensor grid of the 1D point sets x,
+    (a, p), and y, (b, q): row i*b + j of the result holds the points x[i]
+    x y[j], ordered g = gx*q + gy. fn sees the lines, so a factor of one
+    coordinate is evaluated once per line point."""
+    (a, p), (b, q) = x.shape, y.shape
+    out = np.empty((a, b, p, q))
+    out[...] = fn(x.reshape(a, 1, p, 1), y.reshape(1, b, 1, q))
+    return out.reshape(a * b, p * q)
+
+
 class CellQuad:
-    """Tensor-product quadrature geometry over all cells of a mesh, and the
-    Gauss points on the cell sides.
+    """Tensor-product quadrature over the cells and edges of a mesh, kept as
+    1D lines: cell (ix, iy) has the points xq[ix] x yq[iy], vertical edge
+    (i, j) x_nodes[i] x yq[j] and horizontal edge (j, i) xq[i] x y_nodes[j].
 
     Cells are flattened as c = ix*ny + iy, points as g = gx*n + gy.
     """
@@ -148,31 +159,25 @@ class CellQuad:
         ym = (mesh.y_nodes[:-1] + mesh.y_nodes[1:]) / 2.0
         self.xq = xm[:, None] + hx[:, None] / 2.0 * rule.nodes  # (nx, n)
         self.yq = ym[:, None] + hy[:, None] / 2.0 * rule.nodes  # (ny, n)
-        nx, ny = mesh.nx, mesh.ny
-        self.X = np.broadcast_to(self.xq[:, None, :, None],
-                                 (nx, ny, n, n)).reshape(nx * ny, n * n)
-        self.Y = np.broadcast_to(self.yq[None, :, None, :],
-                                 (nx, ny, n, n)).reshape(nx * ny, n * n)
         self.W2 = np.outer(rule.weights, rule.weights).reshape(-1)
         self.J = mesh.cell_hx * mesh.cell_hy / 4.0
 
-    @cached_property
-    def side_points(self) -> tuple[np.ndarray, np.ndarray]:
-        """Physical coordinates (X, Y) of the n Gauss points on each cell
-        side, each of shape (ncells, 4, n), side order W, E, S, N.
+    def on_cells(self, fn, cells: Optional[range] = None) -> np.ndarray:
+        """fn at the points of the consecutive cells `cells` (a range with
+        step 1; all cells by default), (len(cells), n*n). Only the mesh
+        columns the cells touch are evaluated."""
+        if cells is None:
+            cells = range(self.mesh.n_cells)
+        ny = self.mesh.ny
+        first, last = cells.start // ny, -(-cells.stop // ny)
+        vals = on_lines(fn, self.xq[first:last], self.yq)
+        return vals[cells.start - first * ny:cells.stop - first * ny]
 
-        Built on first use, since most callers need only the cell points.
-        The two cells of an edge compute its points from the same node and
-        midpoint values, so they see the same points bit for bit."""
-        mesh, n = self.mesh, self.n
-        ix = np.repeat(np.arange(mesh.nx), mesh.ny)
-        iy = np.tile(np.arange(mesh.ny), mesh.nx)
-        xs = np.empty((mesh.n_cells, 4, n))
-        ys = np.empty((mesh.n_cells, 4, n))
-        xs[:, 0] = mesh.x_nodes[ix][:, None]
-        xs[:, 1] = mesh.x_nodes[ix + 1][:, None]
-        ys[:, 0] = ys[:, 1] = self.yq[iy]
-        xs[:, 2] = xs[:, 3] = self.xq[ix]
-        ys[:, 2] = mesh.y_nodes[iy][:, None]
-        ys[:, 3] = mesh.y_nodes[iy + 1][:, None]
-        return xs, ys
+    def on_edges(self, fn) -> np.ndarray:
+        """fn at the n Gauss points of every edge, (nedges, n) in edge-id
+        order. Cells read their side values through mesh.cell_edges, so
+        both cells of an edge see the same values."""
+        mesh = self.mesh
+        return np.concatenate([
+            on_lines(fn, mesh.x_nodes[:, None], self.yq),
+            on_lines(lambda y, x: fn(x, y), mesh.y_nodes[:, None], self.xq)])

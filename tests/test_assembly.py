@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -59,31 +60,45 @@ def test_stabilization_check():
         build_local_systems(mesh, spec, HdgConfig(1, 0.1))
 
 
+def _mesh(N, eps, sigma):
+    """The Shishkin mesh of the paper's convection bounds; eps > 1/N is
+    allowed here (it only leaves the mesh uniform)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MeshAssumptionWarning)
+        return build_mesh(MeshConfig(N, eps, sigma, 1.0, 2.0))
+
+
+_log_eps = st.floats(-8.0, 0.0).map(lambda p: 10.0 ** p)  # log-uniform
+
+
 @pytest.mark.parametrize("k", [2, 3])
-def test_polynomial_solution_reproduced_exactly(k):
+@settings(max_examples=6)
+@given(N=st.sampled_from([4, 8, 12, 16]), eps=_log_eps,
+       sigma=st.floats(0.5, 4.0))
+def test_polynomial_solution_reproduced_exactly(k, N, eps, sigma):
     # u = x(1-x)y(1-y) lies in Q^2, so for k >= 2 the discrete solution
-    # must reproduce it to rounding
-    spec = polynomial_problem(1.0)
-    for N in (4, 8):
-        with pytest.warns(MeshAssumptionWarning):  # eps = 1 > 1/N
-            mesh = build_mesh(MeshConfig(N, 1.0, 2.0, 1.0, 2.0))
-        cfg = HdgConfig(k)
-        fields = assemble_and_solve(mesh, spec, cfg)
-        assert _energy_error(mesh, spec, cfg, fields) < 1e-9
+    # must reproduce it to rounding on any mesh
+    spec = polynomial_problem(eps)
+    mesh = _mesh(N, eps, sigma)
+    cfg = HdgConfig(k)
+    fields = assemble_and_solve(mesh, spec, cfg)
+    assert _energy_error(mesh, spec, cfg, fields) < 1e-9
 
 
-def test_dense_monolithic_equivalence():
-    spec = paper_problem(1e-2)
-    mesh = build_mesh(MeshConfig(4, 1e-2, 2.0, 1.0, 2.0))
-    for k in (1, 2):
-        cfg = HdgConfig(k)
-        a = assemble_and_solve(mesh, spec, cfg)
-        b = solve_monolithic(mesh, spec, cfg)
-        scale = max(np.abs(a.u).max(), 1.0)
-        for name in ("q1", "q2", "u", "trace"):
-            da = getattr(a, name)
-            db = getattr(b, name)
-            assert np.max(np.abs(da - db)) < 1e-9 * scale
+@settings(max_examples=10)
+@given(k=st.integers(1, 3), N=st.sampled_from([4, 8]),
+       eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p))  # log-uniform
+def test_dense_monolithic_equivalence(k, N, eps):
+    spec = paper_problem(eps)
+    mesh = build_mesh(MeshConfig(N, eps, k + 1.0, 1.0, 2.0))
+    cfg = HdgConfig(k)
+    a = assemble_and_solve(mesh, spec, cfg)
+    b = solve_monolithic(mesh, spec, cfg)
+    scale = max(np.abs(a.u).max(), 1.0)
+    for name in ("q1", "q2", "u", "trace"):
+        da = getattr(a, name)
+        db = getattr(b, name)
+        assert np.max(np.abs(da - db)) < 1e-9 * scale
 
 
 def test_monolithic_size_guard():
@@ -109,20 +124,23 @@ def test_flux_continuity_after_solve():
     assert flux_continuity_residual(fields, cq, spec, cfg) < 1e-10
 
 
-def test_coercivity_equals_energy_norm_for_random_triples():
-    # B(xi, xi) = |||xi|||^2 holds exactly for this scheme
-    spec = paper_problem(1e-2)
-    mesh = build_mesh(MeshConfig(4, 1e-2, 2.0, 1.0, 2.0))
-    cfg = HdgConfig(1)
-    rng = np.random.default_rng(11)
+@settings(max_examples=10)
+@given(k=st.integers(1, 3), N=st.sampled_from([4, 8, 12, 16]), eps=_log_eps,
+       sigma=st.floats(0.5, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_coercivity_equals_energy_norm_for_random_triples(k, N, eps, sigma,
+                                                          seed):
+    # B(xi, xi) = |||xi|||^2 holds exactly for this scheme, on any mesh
+    spec = paper_problem(eps)
+    mesh = _mesh(N, eps, sigma)
+    cfg = HdgConfig(k)
+    rng = np.random.default_rng(seed)
     wts = norms.energy_weights(CellQuad(mesh, cfg.n_error), spec, cfg.tau)
-    for _ in range(25):
-        xi = random_fields(mesh, 1, rng)
+    for _ in range(3):
+        xi = random_fields(mesh, k, rng)
         b = bilinear_form(xi, mesh, spec, cfg)
         vals = norms.triple_values_discrete(wts.cq, xi)
         nrm2 = norms.energy_norm(wts, vals).total ** 2
-        assert b >= (1.0 - 1e-10) * nrm2
-        assert np.isclose(b, nrm2, rtol=1e-8)
+        assert abs(b - nrm2) <= 1e-10 * nrm2
 
 
 def test_condense_schur_identity():

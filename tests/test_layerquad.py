@@ -11,13 +11,16 @@ from scipy.integrate import quad
 from shishkin_hdg import layerquad
 from shishkin_hdg.mesh import MeshAssumptionWarning, MeshConfig, build_mesh
 from shishkin_hdg.problems import paper_problem
-from shishkin_hdg.refelem import CellQuad
+from shishkin_hdg.refelem import CellQuad, gauss_rule
 
 
 def test_composite_rule_weights_sum_to_width():
-    pts, wts = layerquad.composite_layer_rule(0.5, 1e-6, 4)
-    assert np.isclose(wts.sum(), 0.5, atol=1e-14)
-    assert pts.min() > 0.0 and pts.max() < 0.5
+    # the second interval lies within one decay length: one plain panel
+    for width, scale, n in ((0.5, 1e-6, 4), (1.0, 2.0, 3)):
+        pts, wts = layerquad.composite_layer_rule(width, scale, n)
+        assert np.isclose(wts.sum(), width, atol=1e-14)
+        assert pts.min() > 0.0 and pts.max() < width
+    assert np.allclose(pts, (gauss_rule(n).nodes + 1.0) / 2.0 * width)
     with pytest.raises(ValueError):
         layerquad.composite_layer_rule(-1.0, 1e-6, 4)
     with pytest.raises(ValueError):
@@ -32,7 +35,6 @@ def test_composite_rule_integrates_layer_tail():
     exact = s * (1.0 - np.exp(-w / s))
     assert np.isclose(val, exact, rtol=1e-10)
     # a plain Gauss rule of the same order misses the spike entirely
-    from shishkin_hdg.refelem import gauss_rule
     rule = gauss_rule(8)
     gp = w / 2.0 * (rule.nodes + 1.0)
     gv = float((w / 2.0 * rule.weights) @ np.exp(-(w - gp) / s))
@@ -99,7 +101,9 @@ def test_layer_batch_weights_sum_to_cell_area(N, eps, n):
     area = np.outer(mesh.hx, mesh.hy).reshape(-1)
     for composite in (True, False):
         for b in layerquad.layer_batches(mesh, spec, n, composite):
-            assert b.W.shape == b.X.shape == b.Y.shape
+            ncols, nrows = len(b.xq), len(b.yq)
+            assert ncols * nrows == len(b.cells)
+            assert b.W.shape == (len(b.cells), b.xq.shape[1] * b.yq.shape[1])
             assert np.allclose(b.W.sum(axis=1), area[b.cells], rtol=1e-14,
                                atol=0.0)
             assert np.allclose(4.0 * b.J, area[b.cells], rtol=1e-15, atol=0)
@@ -114,12 +118,15 @@ def test_properties_run_derandomized():
 @given(**_layer_cases)
 def test_plain_batches_carry_the_cell_rule_points(N, eps, n):
     # the error corrections read the exact values of the plain batches off
-    # the cell rule, so their points must be the rule's bit for bit
+    # the cell rule, so their point lines must be the rule's bit for bit
     mesh, spec = _setup(N, eps)
     cq = CellQuad(mesh, n)
     for b in layerquad.layer_batches(mesh, spec, n, composite=False):
-        assert np.array_equal(b.X, cq.X[b.cells])
-        assert np.array_equal(b.Y, cq.Y[b.cells])
+        ix, iy = np.divmod(b.cells.reshape(len(b.xq), len(b.yq)), mesh.ny)
+        # batch cell i*nrows + j lies in the i-th column and the j-th row
+        assert (ix == ix[:, :1]).all() and (iy == iy[:1]).all()
+        assert np.array_equal(b.xq, cq.xq[ix[:, 0]])
+        assert np.array_equal(b.yq, cq.yq[iy[0]])
 
 
 @_settings

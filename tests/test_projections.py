@@ -19,6 +19,14 @@ def mesh():
     return build_mesh(MeshConfig(8, 1e-2, 2.0, 1.0, 2.0))
 
 
+def _x(x, y):
+    return np.broadcast_to(x, np.broadcast(x, y).shape)
+
+
+def _y(x, y):
+    return np.broadcast_to(y, np.broadcast(x, y).shape)
+
+
 def _cell_values(mesh, coef, k, n):
     R = ref_tables(k, n)
     cq = CellQuad(mesh, n)
@@ -30,21 +38,21 @@ def _project(mesh, func, k, n, layer_spec=None):
     batches are integrated on their composite points."""
     cq = CellQuad(mesh, n)
     batches = [] if layer_spec is None else [
-        (b, [func(b.X, b.Y)])
+        (b, [b.on_cells(func)])
         for b in layerquad.layer_batches(mesh, layer_spec, n)]
-    return project_cells(cq, [func(cq.X, cq.Y)], k, batches)[0]
+    return project_cells(cq, [cq.on_cells(func)], k, batches)[0]
 
 
 def _project_edge(mesh, func, k, n):
     cq = CellQuad(mesh, n)
-    return project_edge(cq, func(*cq.side_points), k)
+    return project_edge(cq, cq.on_edges(func)[mesh.cell_edges], k)
 
 
 def test_cell_projection_reproduces_polynomials(mesh):
     f = lambda x, y: 1.0 - 2.0 * x * y + 3.0 * x**2 * y**2
     coef = _project(mesh, f, 2, 6)
     vals, cq = _cell_values(mesh, coef, 2, 5)
-    assert np.allclose(vals, f(cq.X, cq.Y), atol=1e-12)
+    assert np.allclose(vals, cq.on_cells(f), atol=1e-12)
 
 
 def test_cell_projection_orthogonality(mesh):
@@ -53,7 +61,7 @@ def test_cell_projection_orthogonality(mesh):
     u = lambda x, y: np.sin(2 * x + y) * np.exp(x * y)
     coef = _project(mesh, u, k, n)
     vals, cq = _cell_values(mesh, coef, k, n)
-    resid = u(cq.X, cq.Y) - vals
+    resid = cq.on_cells(u) - vals
     R = ref_tables(k, n)
     moments = cq.J[:, None] * np.einsum("cg,bg->cb", resid * cq.W2, R.B0)
     assert np.max(np.abs(moments)) < 1e-10
@@ -64,13 +72,13 @@ def test_cell_projection_best_approximation(mesh):
     u = lambda x, y: np.cos(3 * x) * y**2
     coef = _project(mesh, u, k, n)
     vals, cq = _cell_values(mesh, coef, k, n)
-    err = cq.J @ np.einsum("g,cg->c", cq.W2, (u(cq.X, cq.Y) - vals) ** 2)
+    err = cq.J @ np.einsum("g,cg->c", cq.W2, (cq.on_cells(u) - vals) ** 2)
     rng = np.random.default_rng(7)
     for _ in range(20):
         other = coef + rng.standard_normal(coef.shape)
         ovals, _ = _cell_values(mesh, other, k, n)
         oerr = cq.J @ np.einsum("g,cg->c", cq.W2,
-                                (u(cq.X, cq.Y) - ovals) ** 2)
+                                (cq.on_cells(u) - ovals) ** 2)
         assert np.all(err <= oerr + 1e-10)
 
 
@@ -129,11 +137,11 @@ def test_componentwise_vector_projection(mesh):
        eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p),  # log-uniform
        n=st.integers(2, 8))
 def test_edge_projection_uses_the_side_points(N, eps, n):
-    # every cell side sees the points of its edge bit for bit, so both cells
-    # of an interior edge see the same points and gathering the side values
-    # onto the edges loses nothing; project_edge integrates on them
+    # every cell side sees the values of its edge, so gathering the side
+    # values onto the edges loses nothing; project_edge integrates on them
     mesh = build_mesh(MeshConfig(N, eps, 2.0, 1.0, 2.0))
-    sx, sy = CellQuad(mesh, n).side_points
+    cq = CellQuad(mesh, n)
+    sx, sy = (cq.on_edges(f)[mesh.cell_edges] for f in (_x, _y))
     for side in (sx, sy):
         edge = np.empty((mesh.n_edges, n))
         edge[mesh.cell_edges] = side
@@ -169,7 +177,7 @@ def _projection_error(mesh, spec, k, n_quad):
     more points than it was computed with."""
     coef = _project(mesh, spec.exact.u, k, n_quad)
     vals, cq = _cell_values(mesh, coef, k, n_quad + 4)
-    diff = spec.exact.u(cq.X, cq.Y) - vals
+    diff = cq.on_cells(spec.exact.u) - vals
     return float(np.sqrt(cq.J @ np.einsum("g,cg->c", cq.W2, diff**2)))
 
 
@@ -187,6 +195,6 @@ def test_projection_error_decay():
 def test_quadrature_validation(mesh):
     cq = CellQuad(mesh, 2)
     with pytest.raises(ValueError):
-        project_cells(cq, [cq.X], 2, ())
+        project_cells(cq, [cq.on_cells(_x)], 2, ())
     with pytest.raises(ValueError):
-        project_edge(cq, cq.side_points[0], 2)
+        project_edge(cq, cq.on_edges(_x)[mesh.cell_edges], 2)

@@ -83,3 +83,33 @@ def test_every_public_method_has_a_caller_outside_tests():
                             for q, tree in trees.items()):
                     unused.append(f"{path.name}: {cls.name}.{node.name}")
     assert not unused, unused
+
+
+def _imported_names(tree) -> set:
+    """The names a module's imports bind, except __future__ features."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names |= {a.asname or a.name for a in node.names}
+    return names
+
+
+def test_every_imported_name_is_used():
+    # no linter runs on the package, so an import that a deletion left
+    # behind is caught here; __init__ uses its re-exports by listing them
+    # in __all__
+    unused = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        unused += [f"{path.name}: {name}"
+                   for name in sorted(_imported_names(tree) - used)]
+    assert not unused, unused

@@ -1,12 +1,18 @@
 """Reference-element machinery: quadrature exactness, orthonormal bases,
 tensor tables and the mesh-wide tensor rule."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from shishkin_hdg import layerquad
 from shishkin_hdg.refelem import (Basis1D, CellQuad, QuadRule1D, gauss_rule,
                                   ref_tables)
-from shishkin_hdg.mesh import MeshConfig, build_mesh
+from shishkin_hdg.mesh import MeshAssumptionWarning, MeshConfig, build_mesh
+from shishkin_hdg.problems import paper_problem
 
 
 def test_gauss_rule_basic():
@@ -96,7 +102,70 @@ def test_cell_quad_covers_mesh():
     area = float((cq.J[:, None] * cq.W2).sum())
     assert np.isclose(area, 1.0, atol=1e-13)
     # points stay inside their cells
-    assert cq.X.min() > 0.0 and cq.X.max() < 1.0
+    for q, nodes in ((cq.xq, mesh.x_nodes), (cq.yq, mesh.y_nodes)):
+        assert (q > nodes[:-1, None]).all() and (q < nodes[1:, None]).all()
+
+
+@settings(max_examples=25)
+@given(N=st.sampled_from([4, 8, 12, 16, 20]),
+       eps=st.floats(-8.0, -1.0).map(lambda p: 10.0 ** p),  # log-uniform
+       n=st.integers(1, 8), coef=st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+       data=st.data())
+def test_fields_on_lines_equal_fields_at_the_points(N, eps, n, coef, data):
+    # evaluating on the 1D point lines gives, bit for bit, the field at the
+    # points of every cell, cell range, edge and layer batch, with the
+    # points rebuilt here one by one
+    a, b, c = coef
+
+    def fn(x, y):  # elementwise, neither separable nor symmetric
+        return np.sin(a * x + y) * np.exp(b * y) + c * x * y**2
+
+    spec = paper_problem(eps)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MeshAssumptionWarning)
+        mesh = build_mesh(MeshConfig(N, eps, 2.0, *spec.beta_lb))
+    cq, nodes = CellQuad(mesh, n), gauss_rule(n).nodes
+    xn, yn = mesh.x_nodes, mesh.y_nodes
+    xq, yq = (((z[:-1] + z[1:]) / 2.0)[:, None]
+              + np.diff(z)[:, None] / 2.0 * nodes for z in (xn, yn))
+    assert np.array_equal(cq.xq, xq) and np.array_equal(cq.yq, yq)
+
+    # cells c = ix*ny + iy with points g = gx*n + gy
+    nc = mesh.n_cells
+    ix, iy = np.divmod(np.arange(nc), mesh.ny)
+    gx, gy = np.divmod(np.arange(n * n), n)
+    X, Y = xq[ix[:, None], gx], yq[iy[:, None], gy]
+    assert np.array_equal(cq.on_cells(fn), fn(X, Y))
+    start = data.draw(st.integers(0, nc), label="start")
+    stop = data.draw(st.integers(start, nc), label="stop")
+    assert np.array_equal(cq.on_cells(fn, range(start, stop)),
+                          fn(X[start:stop], Y[start:stop]))
+
+    # edges from the mesh's edge table, each by ascending coordinate
+    XE, YE = np.empty((mesh.n_edges, n)), np.empty((mesh.n_edges, n))
+    v, h = mesh.edge_axis == 0, mesh.edge_axis == 1
+    XE[v], YE[v] = xn[mesh.edge_line[v], None], yq[mesh.edge_seg[v]]
+    XE[h], YE[h] = xq[mesh.edge_seg[h]], yn[mesh.edge_line[h], None]
+    assert np.array_equal(cq.on_edges(fn), fn(XE, YE))
+    # gathered onto the cells they are the points of the sides W, E, S, N
+    sides = ((xn[ix, None], yq[iy]), (xn[ix + 1, None], yq[iy]),
+             (xq[ix], yn[iy, None]), (xq[ix], yn[iy + 1, None]))
+    for s, (sx, sy) in enumerate(sides):
+        e = mesh.cell_edges[:, s]
+        assert np.array_equal(XE[e], np.broadcast_to(sx, (nc, n)))
+        assert np.array_equal(YE[e], np.broadcast_to(sy, (nc, n)))
+
+    # batch cell i*nrows + j on the points xq[i] x yq[j], g = gx*npy + gy
+    for composite in (True, False):
+        for bt in layerquad.layer_batches(mesh, spec, n, composite):
+            i, j = np.divmod(np.arange(len(bt.cells)), len(bt.yq))
+            px, py = bt.xq.shape[1], bt.yq.shape[1]
+            gx, gy = np.divmod(np.arange(px * py), py)
+            X, Y = bt.xq[i[:, None], gx], bt.yq[j[:, None], gy]
+            assert np.array_equal(bt.on_cells(fn), fn(X, Y))
+            cx, cy = np.divmod(bt.cells, mesh.ny)
+            assert ((xn[cx, None] <= X) & (X <= xn[cx + 1, None])).all()
+            assert ((yn[cy, None] <= Y) & (Y <= yn[cy + 1, None])).all()
 
 
 @pytest.mark.parametrize("k, n", [(1, 2), (2, 4), (3, 7)])
@@ -104,7 +173,7 @@ def test_cached_ref_tables_are_read_only(k, n):
     # one cached instance is shared by every solve in the process
     R = ref_tables(k, n)
     arrays = [a for a in vars(R).values() if isinstance(a, np.ndarray)]
-    assert len(arrays) > 20
+    assert len(arrays) >= 16
     for arr in arrays + list(R.side_traces):
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
