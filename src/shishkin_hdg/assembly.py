@@ -80,9 +80,10 @@ class SolutionFields:
 # WORKERS threads each build and condense blocks of CELL_BLOCK // WORKERS
 # consecutive cells, and a block is freed before the next one is submitted
 CELL_BLOCK = 1024
-# the CPUs this process may use
-WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-           else os.cpu_count() or 1)
+# the CPUs this process may use, at most 4, so a block is never below 256
+# cells and the block count of a mesh does not grow with the host
+WORKERS = min(4, len(os.sched_getaffinity(0))
+              if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 @dataclass
@@ -92,22 +93,27 @@ class LocalBlocks:
     of size k+1 each (order W, E, S, N)."""
 
     cells: range
-    A: np.ndarray  # (nc, ni, ni) interior equations x interior unknowns
-    C: np.ndarray  # (nc, ni, nt) interior equations x traces
-    G: np.ndarray  # (nc, nt, ni) flux-continuity rows x interior unknowns
-    D: np.ndarray  # (nc, nt, nt) flux-continuity rows x traces
-    F: np.ndarray  # (nc, ni) load
+    A: np.ndarray   # (nc, ni, ni) interior equations x interior unknowns
+    FC: np.ndarray  # (nc, ni, 1 + nt) load F, then C: condense solves for it
+    G: np.ndarray   # (nc, nt, ni) flux-continuity rows x interior unknowns
+    D: np.ndarray   # (nc, nt, nt) flux-continuity rows x traces
+
+    @property
+    def C(self) -> np.ndarray:
+        """(nc, ni, nt) interior equations x traces."""
+        return self.FC[:, :, 1:]
 
 
 @dataclass
 class CondensedSystem:
-    """Per-cell Schur complements, right-hand sides and recovery operators
-    of one block of cells."""
+    """Per-cell Schur complements, right-hand sides and the u-rows of the
+    recovery operators of one block of cells, nb = (k+1)^2; the flux is
+    recovered from equation (i) instead (_recover_flux)."""
 
     S: np.ndarray      # (nc, nt, nt)
     rhs: np.ndarray    # (nc, nt)
-    IF: np.ndarray     # (nc, ni) = A^{-1} F
-    IC: np.ndarray     # (nc, ni, nt) = A^{-1} C
+    IF: np.ndarray     # (nc, nb) = u-rows of A^{-1} F
+    IC: np.ndarray     # (nc, nb, nt) = u-rows of A^{-1} C
 
 
 @dataclass
@@ -194,10 +200,10 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
     half_side = mesh.edge_length[mesh.cell_edges[sel]] / 2.0  # (nc, 4)
 
     A = np.zeros((nc, ni, ni))
-    C = np.zeros((nc, ni, nt))
+    FC = np.zeros((nc, ni, 1 + nt))
+    F, C = FC[:, :, 0], FC[:, :, 1:]
     G = np.zeros((nc, nt, ni))
     D = np.zeros((nc, nt, nt))
-    F = np.zeros((nc, ni))
 
     eye = np.eye(nb)
     A[:, iq1, iq1] = (J / eps)[:, None, None] * eye
@@ -238,19 +244,18 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
         inside = (layer_cells >= cells.start) & (layer_cells < cells.stop)
         F[layer_cells[inside] - cells.start, iu] = load[inside]
 
-    return LocalBlocks(cells, A, C, G, D, F)
+    return LocalBlocks(cells, A, FC, G, D)
 
 
 def condense(blocks: LocalBlocks) -> CondensedSystem:
-    """Schur complement onto the traces: S = D - G A^{-1} C, with recovery
-    operators for the interior unknowns."""
-    rhs = np.concatenate([blocks.F[:, :, None], blocks.C], axis=2)
+    """Schur complement onto the traces: S = D - G A^{-1} C, with the u-rows
+    of the recovery operators A^{-1} F and A^{-1} C."""
     try:
-        sol = np.linalg.solve(blocks.A, rhs)
+        sol = np.linalg.solve(blocks.A, blocks.FC)
     except np.linalg.LinAlgError:
         for c in range(blocks.A.shape[0]):
             try:
-                np.linalg.solve(blocks.A[c], rhs[c])
+                np.linalg.solve(blocks.A[c], blocks.FC[c])
             except np.linalg.LinAlgError:
                 raise SolveError(f"singular interior block in cell "
                                  f"{blocks.cells[c]}; well-posedness "
@@ -259,7 +264,8 @@ def condense(blocks: LocalBlocks) -> CondensedSystem:
     IF, IC = sol[:, :, 0], sol[:, :, 1:]
     S = blocks.D - blocks.G @ IC
     r = -np.einsum("cij,cj->ci", blocks.G, IF)
-    return CondensedSystem(S, r, IF, IC)
+    iu = slice(2 * blocks.A.shape[1] // 3, None)
+    return CondensedSystem(S, r, IF[:, iu], IC[:, iu])
 
 
 def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
@@ -276,8 +282,8 @@ def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
     the matrix is ready to factor in the order given. The blocks are summed
     on the mesh's edge-block pattern (mesh.edge_blocks), so no entry sums
     more than two terms and the result does not depend on the block size.
-    Returns (A, b, IF, IC), with IF and IC the recovery operators of every
-    cell (CondensedSystem)."""
+    Returns (A, b, IF, IC), with IF and IC the u-rows of the recovery
+    operators of every cell (CondensedSystem)."""
     setup = _local_setup(mesh, spec, cfg)
     kp, nc = cfg.k + 1, mesh.n_cells
     pattern = mesh.edge_blocks
@@ -286,7 +292,7 @@ def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
     # block and rhs row
     data = np.zeros((len(pattern.indices) + 1, kp, kp))
     rows = np.zeros((mesh.n_interior_edges + 1, kp))
-    IF, IC = np.empty((nc, 3 * kp * kp)), np.empty((nc, 3 * kp * kp, 4 * kp))
+    IF, IC = np.empty((nc, kp * kp)), np.empty((nc, kp * kp, 4 * kp))
 
     def condensed(cells: range) -> CondensedSystem:
         return condense(build_local_systems(mesh, spec, cfg, cells, setup))
@@ -338,17 +344,32 @@ def _one_malloc_arena() -> None:
 def assemble_and_solve(mesh: ShishkinMesh, spec: ProblemSpec,
                        cfg: HdgConfig) -> SolutionFields:
     """Full pipeline: local systems and their condensation in blocks of
-    cells, global trace solve with homogeneous boundary traces, interior
-    recovery."""
+    cells, global trace solve with homogeneous boundary traces, recovery of
+    u from the stored operators and of the flux from equation (i)."""
     A, b, IF, IC = assemble_trace_system(mesh, spec, cfg)
-    kp, nb = cfg.k + 1, (cfg.k + 1) ** 2
+    kp = cfg.k + 1
     # boundary edges (index -1) read the zero row appended last
     trace = np.vstack([A.solve(b).reshape(-1, kp),
                        np.zeros((1, kp))])[mesh.interior_index]
-    t_local = trace[mesh.cell_edges].reshape(mesh.n_cells, -1)
-    v = IF - np.einsum("cij,cj->ci", IC, t_local)
-    return SolutionFields(cfg.k, v[:, :nb], v[:, nb:2 * nb], v[:, 2 * nb:],
-                          trace)
+    t_local = trace[mesh.cell_edges]  # (ncells, 4, k+1)
+    u = IF - np.einsum("cij,cj->ci", IC, t_local.reshape(mesh.n_cells, -1))
+    q1, q2 = _recover_flux(mesh, spec, cfg, u, t_local)
+    return SolutionFields(cfg.k, q1, q2, u, trace)
+
+
+def _recover_flux(mesh: ShishkinMesh, spec: ProblemSpec, cfg: HdgConfig,
+                  u: np.ndarray, t_local: np.ndarray) -> tuple:
+    """(q1, q2) of every cell from u and the cell traces t_local, (ncells,
+    4, k+1) in side order W, E, S, N, by equation (i), which is local with
+    flux block (J/eps) I: q = -(eps/J) (A_qu u + C_q t)."""
+    R = ref_tables(cfg.k, cfg.n_assembly)
+    t = mesh.edge_length[mesh.cell_edges][:, :, None] / 2.0 * t_local
+    j_eps = (mesh.cell_hx * mesh.cell_hy / 4.0 / spec.epsilon)[:, None]
+    q1 = ((mesh.cell_hy / 2.0)[:, None] * (u @ R.KX.T)
+          + t[:, 0] @ R.LVm.T - t[:, 1] @ R.LVp.T)
+    q2 = ((mesh.cell_hx / 2.0)[:, None] * (u @ R.KY.T)
+          + t[:, 2] @ R.LHm.T - t[:, 3] @ R.LHp.T)
+    return q1 / j_eps, q2 / j_eps
 
 
 def galerkin_residual(mesh: ShishkinMesh, spec: ProblemSpec,

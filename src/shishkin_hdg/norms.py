@@ -82,16 +82,17 @@ def triple_values_discrete(cq: CellQuad, flds) -> TripleValues:
                         side_vals(flds.q2), side_vals(flds.u), mu)
 
 
-def triple_values_exact(cq: CellQuad, spec: ProblemSpec) -> TripleValues:
+def triple_values_exact(cq: CellQuad, spec: ProblemSpec,
+                        u_edges: Optional[np.ndarray] = None) -> TripleValues:
     """Evaluate the exact triple (q, u, u|_edges) of a manufactured problem
-    on the rule cq.
+    on the rule cq; u_edges (u at the edge points) is evaluated if not given.
 
     u is continuous, so its side values serve as both w_tr and mu (one
     shared array)."""
     if spec.exact is None:
         raise ValueError("problem has no exact solution attached")
     ex, ce = spec.exact, cq.mesh.cell_edges
-    u_side = cq.on_edges(ex.u)[ce]
+    u_side = (cq.on_edges(ex.u) if u_edges is None else u_edges)[ce]
     return TripleValues(cq.n, cq.on_cells(ex.q1), cq.on_cells(ex.q2),
                         cq.on_cells(ex.u), cq.on_edges(ex.q1)[ce],
                         cq.on_edges(ex.q2)[ce], u_side, u_side)
@@ -100,19 +101,23 @@ def triple_values_exact(cq: CellQuad, spec: ProblemSpec) -> TripleValues:
 @dataclass
 class ExactValues:
     """The exact triple evaluated once on the rule cq: on its cells and
-    sides (vals), and on the composite layer batches of the same n as
-    (LayerBatch, (q1, q2, u)) pairs. The projection of the exact solution
-    and the error measures all read these values."""
+    sides (vals), u on its edges, (nedges, n), and on the composite layer
+    batches of the same n as (LayerBatch, (q1, q2, u)) pairs. The
+    projection of the exact solution and the error measures all read these
+    values."""
 
     cq: CellQuad
     vals: TripleValues
+    u_edges: np.ndarray
     batches: list
 
 
 def exact_values(cq: CellQuad, spec: ProblemSpec) -> ExactValues:
     """Evaluate the exact triple of a manufactured problem on the rule cq."""
-    vals, ex = triple_values_exact(cq, spec), spec.exact
-    return ExactValues(cq, vals, [
+    ex = spec.exact
+    u_edges = None if ex is None else cq.on_edges(ex.u)
+    vals = triple_values_exact(cq, spec, u_edges)  # raises if ex is None
+    return ExactValues(cq, vals, u_edges, [
         (b, (b.on_cells(ex.q1), b.on_cells(ex.q2), b.on_cells(ex.u)))
         for b in layerquad.layer_batches(cq.mesh, spec, cq.n)])
 

@@ -35,19 +35,13 @@ def project_cells(cq: CellQuad, values, k: int, batches) -> list:
     return coefs
 
 
-def project_edge(cq: CellQuad, side_values, k: int) -> np.ndarray:
+def project_edge(cq: CellQuad, edge_values, k: int) -> np.ndarray:
     """Per-edge L2 projection onto P^k of a function given by its values at
-    the side points of cq, (ncells, 4, n); shape (nedges, k+1).
-
-    Both cells of an edge see its points bit for bit, so the side values
-    are gathered onto the edges through mesh.cell_edges.
-    """
+    the edge points of cq, (nedges, n) (CellQuad.on_edges); shape
+    (nedges, k+1)."""
     if cq.n < k + 1:
         raise ValueError("projection quadrature below k+1 points")
-    mesh = cq.mesh
-    fv = np.empty((mesh.n_edges, cq.n))
-    fv[mesh.cell_edges] = side_values
-    return np.einsum("eg,ag->ea", fv * gauss_rule(cq.n).weights,
+    return np.einsum("eg,ag->ea", edge_values * gauss_rule(cq.n).weights,
                      ref_tables(k, cq.n).V)
 
 
@@ -56,6 +50,6 @@ def project_exact(exact: ExactValues, k: int) -> SolutionFields:
     its values, with homogeneous boundary traces."""
     v = exact.vals
     q1, q2, u = project_cells(exact.cq, (v.r1, v.r2, v.w), k, exact.batches)
-    trace = project_edge(exact.cq, v.mu, k)
+    trace = project_edge(exact.cq, exact.u_edges, k)
     trace[exact.cq.mesh.edge_boundary] = 0.0
     return SolutionFields(k, q1, q2, u, trace)

@@ -30,7 +30,7 @@ def assemble_monolithic(mesh: ShishkinMesh, spec: ProblemSpec,
     for c in range(nc):
         r0 = c * ni
         M[r0:r0 + ni, r0:r0 + ni] = blocks.A[c]
-        b[r0:r0 + ni] = blocks.F[c]
+        b[r0:r0 + ni] = blocks.FC[c, :, 0]
         for loc, dof in enumerate(td[c]):
             if dof < 0:
                 continue

@@ -45,7 +45,7 @@ def _project(mesh, func, k, n, layer_spec=None):
 
 def _project_edge(mesh, func, k, n):
     cq = CellQuad(mesh, n)
-    return project_edge(cq, cq.on_edges(func)[mesh.cell_edges], k)
+    return project_edge(cq, cq.on_edges(func), k)
 
 
 def test_cell_projection_reproduces_polynomials(mesh):
@@ -137,8 +137,9 @@ def test_componentwise_vector_projection(mesh):
        eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p),  # log-uniform
        n=st.integers(2, 8))
 def test_edge_projection_uses_the_side_points(N, eps, n):
-    # every cell side sees the values of its edge, so gathering the side
-    # values onto the edges loses nothing; project_edge integrates on them
+    # every cell side sees the values of its edge, so scattering the side
+    # values onto the edges loses nothing; project_edge integrates on the
+    # edge values themselves
     mesh = build_mesh(MeshConfig(N, eps, 2.0, 1.0, 2.0))
     cq = CellQuad(mesh, n)
     sx, sy = (cq.on_edges(f)[mesh.cell_edges] for f in (_x, _y))
@@ -167,7 +168,7 @@ def test_projection_inverts_evaluation(k, N, eps, extra):
     cq = CellQuad(mesh, k + 1 + extra)
     vals = triple_values_discrete(cq, fields)
     got = project_cells(cq, (vals.r1, vals.r2, vals.w), k, ())
-    got.append(project_edge(cq, vals.mu, k))
+    got.append(project_edge(cq, fields.trace @ ref_tables(k, cq.n).V, k))
     for g, want in zip(got, (fields.q1, fields.q2, fields.u, fields.trace)):
         assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -197,4 +198,4 @@ def test_quadrature_validation(mesh):
     with pytest.raises(ValueError):
         project_cells(cq, [cq.on_cells(_x)], 2, ())
     with pytest.raises(ValueError):
-        project_edge(cq, cq.on_edges(_x)[mesh.cell_edges], 2)
+        project_edge(cq, cq.on_edges(_x), 2)
