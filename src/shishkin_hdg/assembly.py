@@ -14,7 +14,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-from collections import deque
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -23,9 +23,10 @@ import numpy as np
 
 from . import layerquad
 from .linalg import SolveError, SparseMatrix
-from .mesh import ShishkinMesh
+from .mesh import SIDES, ShishkinMesh
 from .problems import ProblemSpec
-from .refelem import CellQuad, RefTables, gauss_rule, ref_tables
+from .refelem import (MAX_GAUSS_POINTS, CellQuad, RefTables, gauss_rule,
+                      ref_tables)
 from . import norms
 from .norms import StabilizationError, edge_normal_beta
 
@@ -49,6 +50,8 @@ class HdgConfig:
             raise ValueError("assembly quadrature below k+1 points")
         if self.n_error < self.k + 1:
             raise ValueError("error quadrature below k+1 points")
+        if max(self.n_assembly, self.n_error) > MAX_GAUSS_POINTS:
+            raise ValueError(f"quadrature above {MAX_GAUSS_POINTS} points")
 
     @property
     def n_assembly(self) -> int:
@@ -77,8 +80,8 @@ class SolutionFields:
 
 
 # cells whose dense local systems exist at once in the streamed assembly:
-# WORKERS threads each build and condense blocks of CELL_BLOCK // WORKERS
-# consecutive cells, and a block is freed before the next one is submitted
+# WORKERS threads each build, condense and sum blocks of CELL_BLOCK // WORKERS
+# consecutive cells, and a block is freed when its task ends
 CELL_BLOCK = 1024
 # the CPUs this process may use, at most 4, so a block is never below 256
 # cells and the block count of a mesh does not grow with the host
@@ -189,6 +192,7 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
     side_weight = setup.side_weight[:, sel]
 
     iq1, iq2, iu = slice(0, nb), slice(nb, 2 * nb), slice(2 * nb, 3 * nb)
+    iq = (iq1, iq2)  # the flux rows of each normal axis
     sides = [slice(s * kp, (s + 1) * kp) for s in range(4)]  # W, E, S, N
 
     b1, b2 = cq.on_cells(spec.beta1, cells), cq.on_cells(spec.beta2, cells)
@@ -197,7 +201,7 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
 
     halfx = mesh.cell_hx[sel] / 2.0
     halfy = mesh.cell_hy[sel] / 2.0
-    half_side = mesh.edge_length[mesh.cell_edges[sel]] / 2.0  # (nc, 4)
+    half_side = mesh.half_side[sel]
 
     A = np.zeros((nc, ni, ni))
     FC = np.zeros((nc, ni, 1 + nt))
@@ -222,21 +226,18 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
                     - halfx[:, None, None] * conv_y
                     + J[:, None, None] * react + tau * stab)
 
-    # per side (W, E, S, N): the flux component whose normal trace it
-    # carries, the outward sign, and the cell trace in the edge basis
-    side_terms = ((iq1, -1.0, R.LVm), (iq1, 1.0, R.LVp),
-                  (iq2, -1.0, R.LHm), (iq2, 1.0, R.LHp))
-    for s, (iq, sign, L) in enumerate(side_terms):
+    # per side: the flux rows of its normal axis take the outward sign
+    for s, ((axis, sign), L) in enumerate(zip(SIDES, R.L)):
         h = half_side[:, s, None, None]
         # traces entering equation (i): <u_hat, r.n>
-        C[:, iq, sides[s]] = sign * h * L
+        C[:, iq[axis], sides[s]] = sign * h * L
         # traces entering equation (ii): <(beta.n - tau) u_hat, w>, and the
         # edge mass of (beta.n - tau) for the flux rows (iii)
         em = np.einsum("cg,ng,eg->cne", side_weight[s], R.V, R.V)
         C[:, iu, sides[s]] = h * (L @ em)
         D[:, sides[s], sides[s]] = h * em
         # flux rows: <q.n, mu> and <tau u, mu>
-        G[:, sides[s], iq] = sign * h * L.T
+        G[:, sides[s], iq[axis]] = sign * h * L.T
         G[:, sides[s], iu] = tau * h * L.T
 
     F[:, iu] = J[:, None] * np.einsum("cg,bg->cb", W2 * fv, R.B0)
@@ -272,16 +273,16 @@ def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
                           cfg: HdgConfig) -> tuple[SparseMatrix, np.ndarray,
                                                    np.ndarray, np.ndarray]:
     """Build and condense the local systems in blocks of CELL_BLOCK //
-    WORKERS consecutive cells on WORKERS threads, with at most WORKERS
-    blocks in flight, so the dense local systems of the whole mesh never
-    exist at once, and sum each block's Schur blocks, in block order, into
-    the global interior-trace system of dimension n_interior_edges * (k+1).
-    A mesh of one block is built on the calling thread. Unknowns are
-    numbered in the mesh's interior edge order (mesh.interior_index, nested
-    dissection along grid lines), the k+1 dofs of an edge consecutively, so
-    the matrix is ready to factor in the order given. The blocks are summed
-    on the mesh's edge-block pattern (mesh.edge_blocks), so no entry sums
-    more than two terms and the result does not depend on the block size.
+    WORKERS consecutive cells, one task per block on WORKERS threads, so the
+    dense local systems of the whole mesh never exist at once; each task
+    sums its block's Schur blocks into the global interior-trace system of
+    dimension n_interior_edges * (k+1). A mesh of one block is built on the
+    calling thread. Unknowns are numbered in the mesh's interior edge order
+    (mesh.interior_index, nested dissection along grid lines), the k+1 dofs
+    of an edge consecutively, so the matrix is ready to factor in the order
+    given. The blocks are summed on the mesh's edge-block pattern
+    (mesh.edge_blocks), so no entry sums more than two terms and the result
+    depends neither on the block size nor on the order the tasks finish in.
     Returns (A, b, IF, IC), with IF and IC the u-rows of the recovery
     operators of every cell (CondensedSystem)."""
     setup = _local_setup(mesh, spec, cfg)
@@ -293,38 +294,27 @@ def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
     data = np.zeros((len(pattern.indices) + 1, kp, kp))
     rows = np.zeros((mesh.n_interior_edges + 1, kp))
     IF, IC = np.empty((nc, kp * kp)), np.empty((nc, kp * kp, 4 * kp))
+    lock = threading.Lock()  # neighbouring blocks share edges
 
-    def condensed(cells: range) -> CondensedSystem:
-        return condense(build_local_systems(mesh, spec, cfg, cells, setup))
-
-    def scatter(cells: range, part: CondensedSystem) -> None:
+    def condense_block(cells: range) -> None:
+        part = condense(build_local_systems(mesh, spec, cfg, cells, setup))
         sel = slice(cells.start, cells.stop)
-        # the (side i, side j) block of each cell: (cells, 4, 4, k+1, k+1)
-        np.add.at(data, pattern.position[sel],
-                  part.S.reshape(-1, 4, kp, 4, kp).swapaxes(2, 3))
-        np.add.at(rows, edge_row[sel], part.rhs.reshape(-1, 4, kp))
         IF[sel], IC[sel] = part.IF, part.IC
+        with lock:
+            # the (side i, side j) block of each cell: (cells, 4, 4, k+1, k+1)
+            np.add.at(data, pattern.position[sel],
+                      part.S.reshape(-1, 4, kp, 4, kp).swapaxes(2, 3))
+            np.add.at(rows, edge_row[sel], part.rhs.reshape(-1, 4, kp))
 
     size = max(1, CELL_BLOCK // WORKERS)
     blocks = [range(s, min(s + size, nc)) for s in range(0, nc, size)]
     if len(blocks) == 1:
-        scatter(blocks[0], condensed(blocks[0]))
+        condense_block(blocks[0])
     else:
         _one_malloc_arena()
         with ThreadPoolExecutor(WORKERS) as pool:
-            pending = deque(pool.submit(condensed, cells)
-                            for cells in blocks[:WORKERS])
-            for i, cells in enumerate(blocks):
-                try:
-                    part = pending.popleft().result()
-                except BaseException:
-                    pool.shutdown(cancel_futures=True)  # drop queued blocks
-                    raise
-                scatter(cells, part)
-                del part  # free this block before the next one is submitted
-                if i + WORKERS < len(blocks):
-                    pending.append(pool.submit(condensed,
-                                               blocks[i + WORKERS]))
+            # map cancels the queued blocks when one raises
+            list(pool.map(condense_block, blocks))
     A = SparseMatrix.from_blocks(data[:-1], pattern.indices, pattern.indptr)
     return A, rows[:-1].ravel(), IF, IC
 
@@ -363,13 +353,13 @@ def _recover_flux(mesh: ShishkinMesh, spec: ProblemSpec, cfg: HdgConfig,
     4, k+1) in side order W, E, S, N, by equation (i), which is local with
     flux block (J/eps) I: q = -(eps/J) (A_qu u + C_q t)."""
     R = ref_tables(cfg.k, cfg.n_assembly)
-    t = mesh.edge_length[mesh.cell_edges][:, :, None] / 2.0 * t_local
+    t = mesh.half_side[:, :, None] * t_local
     j_eps = (mesh.cell_hx * mesh.cell_hy / 4.0 / spec.epsilon)[:, None]
-    q1 = ((mesh.cell_hy / 2.0)[:, None] * (u @ R.KX.T)
-          + t[:, 0] @ R.LVm.T - t[:, 1] @ R.LVp.T)
-    q2 = ((mesh.cell_hx / 2.0)[:, None] * (u @ R.KY.T)
-          + t[:, 2] @ R.LHm.T - t[:, 3] @ R.LHp.T)
-    return q1 / j_eps, q2 / j_eps
+    q = [(mesh.cell_hy / 2.0)[:, None] * (u @ R.KX.T),
+         (mesh.cell_hx / 2.0)[:, None] * (u @ R.KY.T)]
+    for s, ((axis, sign), L) in enumerate(zip(SIDES, R.L)):
+        q[axis] -= sign * (t[:, s] @ L.T)
+    return q[0] / j_eps, q[1] / j_eps
 
 
 def galerkin_residual(mesh: ShishkinMesh, spec: ProblemSpec,

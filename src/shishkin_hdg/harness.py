@@ -53,7 +53,11 @@ class StudyConfig:
         if not self.effective_n_list():
             raise ValueError(f"the N grid {self.n_list} with max_n = "
                              f"{self.max_n} leaves no N")
+        # an invalid degree, rule, problem or eps fails here, before any solve
+        for eps in self.eps_list:
+            get_problem(self.problem, eps)
         for k in self.k_list:
+            self.hdg(k)
             if self.sigma is not None and self.sigma < k + 1:
                 warnings.warn(f"sigma = {self.sigma:g} below k+1 = {k + 1}; "
                               "layer resolution is degraded", UserWarning,

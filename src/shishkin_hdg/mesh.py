@@ -43,6 +43,10 @@ class MeshConfig:
                 raise ValueError(f"{name} must be positive")
 
 
+# the sides of a cell in cell_edges order W, E, S, N: the axis of the
+# outward normal (0 for x, 1 for y) and its sign
+SIDES = ((0, -1.0), (0, 1.0), (1, -1.0), (1, 1.0))
+
 # a box of cells with at most this many interior edges is not split further
 ND_LEAF_EDGES = 16
 
@@ -139,6 +143,7 @@ class ShishkinMesh:
     cell_hy: np.ndarray = field(init=False)
     edge_length: np.ndarray = field(init=False)      # (nedges,)
     cell_edges: np.ndarray = field(init=False)       # (ncells, 4): W, E, S, N
+    half_side: np.ndarray = field(init=False)        # (ncells, 4) lengths / 2
     edge_axis: np.ndarray = field(init=False)        # 0 vertical, 1 horizontal
     edge_line: np.ndarray = field(init=False)
     edge_seg: np.ndarray = field(init=False)
@@ -198,6 +203,7 @@ class ShishkinMesh:
             n_vert + iy * nx + ix,   # S: horizontal line iy
             n_vert + (iy + 1) * nx + ix,  # N
         ])
+        self.half_side = length[self.cell_edges] / 2.0
 
     @property
     def nx(self) -> int:

@@ -2,9 +2,10 @@
 discrete bilinear form, and convergence-rate formulas.
 
 All field evaluation goes through TripleValues: pointwise values of a triple
-(r, w, mu) on the tensor quadrature grid of every cell and on the Gauss
-points of every cell side (order W, E, S, N). The same machinery serves the
-true error, the supercloseness error and the Galerkin-orthogonality residual.
+(r, w, mu) on the tensor quadrature grid of every cell, on the Gauss points
+of every cell side (mesh.SIDES order W, E, S, N) and, for mu, of every
+edge. The same machinery serves the true error, the supercloseness error
+and the Galerkin-orthogonality residual.
 Every function takes the CellQuad of its rule; the exact solution
 (ExactValues) and the energy-norm weights (EnergyWeights) are evaluated once
 per rule and shared by every measure. Discrete triples are read in the
@@ -20,6 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import layerquad
+from .mesh import SIDES
 from .problems import ProblemSpec
 from .refelem import CellQuad, gauss_rule, ref_tables
 
@@ -29,30 +31,34 @@ class StabilizationError(ValueError):
     energy norm (and the method's stability) is not defined."""
 
 
+def _outward(mesh, fx: np.ndarray, fy: np.ndarray) -> np.ndarray:
+    """n.(fx, fy) with each cell's outward normal n, from the components at
+    the edge points, (nedges, n) each. Returns an (ncells, 4, n) array."""
+    ce = mesh.cell_edges
+    return np.stack([sign * (fx, fy)[axis][ce[:, s]]
+                     for s, (axis, sign) in enumerate(SIDES)], axis=1)
+
+
 def edge_normal_beta(cq: CellQuad, spec: ProblemSpec):
     """beta.n at the side points of cq (W, E, S, N), signed with the cell's
     outward normal. Returns an (ncells, 4, n) array."""
-    ce = cq.mesh.cell_edges
-    b1, b2 = cq.on_edges(spec.beta1), cq.on_edges(spec.beta2)
-    return np.stack([-b1[ce[:, 0]], b1[ce[:, 1]], -b2[ce[:, 2]],
-                     b2[ce[:, 3]]], axis=1)
+    return _outward(cq.mesh, cq.on_edges(spec.beta1), cq.on_edges(spec.beta2))
 
 
 @dataclass
 class TripleValues:
     """Pointwise values of a triple (r, w, mu) on the quadrature grid.
 
-    r1, r2, w: (ncells, n*n) cell values. r1_tr, r2_tr, w_tr, mu:
-    (ncells, 4, n) side values; mu is single-valued per edge but stored per
-    adjacent cell side for locality.
+    r1, r2, w: (ncells, n*n) cell values. rn, w_tr: (ncells, 4, n) side
+    values, rn the outward normal component r.n. mu: (nedges, n) edge
+    values, single-valued per edge.
     """
 
     n: int
     r1: np.ndarray
     r2: np.ndarray
     w: np.ndarray
-    r1_tr: np.ndarray
-    r2_tr: np.ndarray
+    rn: np.ndarray
     w_tr: np.ndarray
     mu: np.ndarray
 
@@ -60,64 +66,54 @@ class TripleValues:
 def triple_values_discrete(cq: CellQuad, flds) -> TripleValues:
     """Evaluate a discrete triple given by SolutionFields-style coefficient
     arrays (pulled-back orthonormal bases) on the rule cq."""
-    mesh, n, k = cq.mesh, cq.n, flds.k
-    R = ref_tables(k, n)
+    R = ref_tables(flds.k, cq.n)
 
     def cell_vals(coef):
         return np.einsum("ca,ag->cg", coef, R.B0)
 
-    tabs = R.side_traces
+    def side_vals(coef, s):
+        return np.einsum("ca,ag->cg", coef, R.side_traces[s])
 
-    def side_vals(coef):
-        out = np.empty((mesh.n_cells, 4, n))
-        for s in range(4):
-            out[:, s] = np.einsum("ca,ag->cg", coef, tabs[s])
-        return out
-
-    # per-edge trace values, gathered onto cell sides
-    mu = np.einsum("ea,ag->eg", flds.trace, R.V)[mesh.cell_edges]  # (nc, 4, n)
-
-    return TripleValues(n, cell_vals(flds.q1), cell_vals(flds.q2),
-                        cell_vals(flds.u), side_vals(flds.q1),
-                        side_vals(flds.q2), side_vals(flds.u), mu)
+    q = (flds.q1, flds.q2)
+    return TripleValues(
+        cq.n, cell_vals(flds.q1), cell_vals(flds.q2), cell_vals(flds.u),
+        np.stack([sign * side_vals(q[axis], s)
+                  for s, (axis, sign) in enumerate(SIDES)], axis=1),
+        np.stack([side_vals(flds.u, s) for s in range(4)], axis=1),
+        np.einsum("ea,ag->eg", flds.trace, R.V))
 
 
-def triple_values_exact(cq: CellQuad, spec: ProblemSpec,
-                        u_edges: Optional[np.ndarray] = None) -> TripleValues:
+def triple_values_exact(cq: CellQuad, spec: ProblemSpec) -> TripleValues:
     """Evaluate the exact triple (q, u, u|_edges) of a manufactured problem
-    on the rule cq; u_edges (u at the edge points) is evaluated if not given.
-
-    u is continuous, so its side values serve as both w_tr and mu (one
-    shared array)."""
+    on the rule cq. u is continuous, so its edge values serve as mu and,
+    gathered onto the cell sides, as w_tr."""
     if spec.exact is None:
         raise ValueError("problem has no exact solution attached")
-    ex, ce = spec.exact, cq.mesh.cell_edges
-    u_side = (cq.on_edges(ex.u) if u_edges is None else u_edges)[ce]
+    ex, mesh = spec.exact, cq.mesh
+    mu = cq.on_edges(ex.u)
     return TripleValues(cq.n, cq.on_cells(ex.q1), cq.on_cells(ex.q2),
-                        cq.on_cells(ex.u), cq.on_edges(ex.q1)[ce],
-                        cq.on_edges(ex.q2)[ce], u_side, u_side)
+                        cq.on_cells(ex.u), _outward(mesh, cq.on_edges(ex.q1),
+                                                    cq.on_edges(ex.q2)),
+                        mu[mesh.cell_edges], mu)
 
 
 @dataclass
 class ExactValues:
-    """The exact triple evaluated once on the rule cq: on its cells and
-    sides (vals), u on its edges, (nedges, n), and on the composite layer
-    batches of the same n as (LayerBatch, (q1, q2, u)) pairs. The
-    projection of the exact solution and the error measures all read these
-    values."""
+    """The exact triple evaluated once on the rule cq: on its cells, sides
+    and edges (vals), and on the composite layer batches of the same n as
+    (LayerBatch, (q1, q2, u)) pairs. The projection of the exact solution
+    and the error measures all read these values."""
 
     cq: CellQuad
     vals: TripleValues
-    u_edges: np.ndarray
     batches: list
 
 
 def exact_values(cq: CellQuad, spec: ProblemSpec) -> ExactValues:
     """Evaluate the exact triple of a manufactured problem on the rule cq."""
+    vals = triple_values_exact(cq, spec)  # raises if there is no exact u
     ex = spec.exact
-    u_edges = None if ex is None else cq.on_edges(ex.u)
-    vals = triple_values_exact(cq, spec, u_edges)  # raises if ex is None
-    return ExactValues(cq, vals, u_edges, [
+    return ExactValues(cq, vals, [
         (b, (b.on_cells(ex.q1), b.on_cells(ex.q2), b.on_cells(ex.u)))
         for b in layerquad.layer_batches(cq.mesh, spec, cq.n)])
 
@@ -126,8 +122,7 @@ def triple_sub(a: TripleValues, b: TripleValues) -> TripleValues:
     if a.n != b.n:
         raise ValueError("quadrature mismatch between triples")
     return TripleValues(a.n, a.r1 - b.r1, a.r2 - b.r2, a.w - b.w,
-                        a.r1_tr - b.r1_tr, a.r2_tr - b.r2_tr,
-                        a.w_tr - b.w_tr, a.mu - b.mu)
+                        a.rn - b.rn, a.w_tr - b.w_tr, a.mu - b.mu)
 
 
 @dataclass
@@ -182,8 +177,8 @@ def _energy_result(wts: EnergyWeights, vals: TripleValues, flux,
     sides (with that cell's outward normal) and boundary sides once.
     """
     mesh = wts.cq.mesh
-    half = mesh.edge_length[mesh.cell_edges] / 2.0
-    jump_sq = float((half[:, :, None] * wts.jump * (vals.w_tr - vals.mu)**2
+    jump = vals.w_tr - vals.mu[mesh.cell_edges]
+    jump_sq = float((mesh.half_side[:, :, None] * wts.jump * jump**2
                      * gauss_rule(wts.cq.n).weights).sum())
     cell_q = flux / wts.epsilon
     q_sq, r_sq = float(cell_q.sum()), float(react.sum())
@@ -212,36 +207,28 @@ def bilinear_residual(cq: CellQuad, spec: ProblemSpec, cfg,
     """
     k, tau = cfg.k, cfg.tau
     mesh, n = cq.mesh, cq.n
-    kp = k + 1
     R = ref_tables(k, n)
     w1 = gauss_rule(n).weights
     sqj = np.sqrt(cq.J)
-    sscale = mesh.edge_length[mesh.cell_edges] / 2.0  # half side lengths
-    side = sscale / sqj[:, None]
+    side = mesh.half_side / sqj[:, None]
     tabs = R.side_traces
-    bn = edge_normal_beta(cq, spec)
+    mu = vals.mu[mesh.cell_edges]  # (ncells, 4, n)
 
     # numerical flux r.n + beta.n mu + tau (w - mu) on every cell side
-    rn = np.empty_like(vals.mu)
-    rn[:, 0] = -vals.r1_tr[:, 0]
-    rn[:, 1] = vals.r1_tr[:, 1]
-    rn[:, 2] = -vals.r2_tr[:, 2]
-    rn[:, 3] = vals.r2_tr[:, 3]
-    flux = rn + bn * vals.mu + tau * (vals.w_tr - vals.mu)
+    flux = vals.rn + edge_normal_beta(cq, spec) * mu + tau * (vals.w_tr - mu)
 
     worst = 0.0
     if "r" in parts:
-        # rows of r1 (x derivative, sides W and E), then of r2 (S and N)
-        for r, BD, s in ((vals.r1, R.BX, 0), (vals.r2, R.BY, 2)):
-            res = (sqj / spec.epsilon)[:, None] * \
-                np.einsum("cg,bg->cb", r * cq.W2, R.B0)
-            res -= side[:, s, None] * \
-                np.einsum("cg,bg->cb", vals.w * cq.W2, BD)
-            res -= side[:, s, None] * \
-                np.einsum("cg,bg->cb", vals.mu[:, s] * w1, tabs[s])
-            res += side[:, s + 1, None] * \
-                np.einsum("cg,bg->cb", vals.mu[:, s + 1] * w1, tabs[s + 1])
-            worst = max(worst, float(np.abs(res).max()))
+        # rows of r1 (x derivative), then of r2: the cell terms, then the
+        # trace on each side, signed with its outward normal
+        res = [(sqj / spec.epsilon)[:, None]
+               * np.einsum("cg,bg->cb", r * cq.W2, R.B0)
+               - side[:, s, None] * np.einsum("cg,bg->cb", vals.w * cq.W2, BD)
+               for r, BD, s in ((vals.r1, R.BX, 0), (vals.r2, R.BY, 2))]
+        for s, (axis, sign) in enumerate(SIDES):
+            res[axis] += sign * side[:, s, None] * \
+                np.einsum("cg,bg->cb", mu[:, s] * w1, tabs[s])
+        worst = max(worst, *(float(np.abs(r).max()) for r in res))
 
     if "w" in parts:
         b1, b2 = cq.on_cells(spec.beta1), cq.on_cells(spec.beta2)
@@ -258,11 +245,9 @@ def bilinear_residual(cq: CellQuad, spec: ProblemSpec, cfg,
         worst = max(worst, float(np.abs(resw).max()))
 
     if "mu" in parts:
-        resm = np.zeros((mesh.n_edges, kp))
-        contrib = np.sqrt(sscale)[:, :, None] * \
-            np.einsum("csg,eg->cse", flux * w1, R.V)
-        for s in range(4):
-            np.add.at(resm, mesh.cell_edges[:, s], contrib[:, s])
+        resm = np.zeros((mesh.n_edges, k + 1))
+        np.add.at(resm, mesh.cell_edges, np.sqrt(mesh.half_side)[:, :, None]
+                  * np.einsum("csg,eg->cse", flux * w1, R.V))
         interior = resm[~mesh.edge_boundary]
         if interior.size:
             worst = max(worst, float(np.abs(interior).max()))

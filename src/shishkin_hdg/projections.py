@@ -50,6 +50,6 @@ def project_exact(exact: ExactValues, k: int) -> SolutionFields:
     its values, with homogeneous boundary traces."""
     v = exact.vals
     q1, q2, u = project_cells(exact.cq, (v.r1, v.r2, v.w), k, exact.batches)
-    trace = project_edge(exact.cq, exact.u_edges, k)
+    trace = project_edge(exact.cq, exact.vals.mu, k)
     trace[exact.cq.mesh.edge_boundary] = 0.0
     return SolutionFields(k, q1, q2, u, trace)

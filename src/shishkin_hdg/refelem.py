@@ -11,6 +11,8 @@ from typing import Optional
 
 import numpy as np
 
+from .mesh import SIDES
+
 log = logging.getLogger(__name__)
 
 MAX_GAUSS_POINTS = 30
@@ -113,16 +115,14 @@ class RefTables:
         self.EVm = np.kron(np.outer(Em, Em), self.M1)
         self.EHp = np.kron(self.M1, np.outer(Ep, Ep))
         self.EHm = np.kron(self.M1, np.outer(Em, Em))
-        eye = np.eye(kp)
-        self.LVp = np.kron(Ep[:, None], eye)  # (nb, kp): cell trace x edge basis
-        self.LVm = np.kron(Em[:, None], eye)
-        self.LHp = np.kron(eye, Ep[:, None])
-        self.LHm = np.kron(eye, Em[:, None])
-        # the tensor basis at the Gauss points of the sides W, E, S, N
-        self.side_traces = tuple(L @ V for L in (self.LVm, self.LVp,
-                                                 self.LHm, self.LHp))
+        # per side (SIDES order W, E, S, N): the cell trace in the edge
+        # basis, (nb, kp), and the tensor basis at the side's Gauss points
+        eye, end = np.eye(kp), {-1.0: Em[:, None], 1.0: Ep[:, None]}
+        self.L = tuple(np.kron(end[sign], eye) if axis == 0
+                       else np.kron(eye, end[sign]) for axis, sign in SIDES)
+        self.side_traces = tuple(L @ V for L in self.L)
         # ref_tables shares one instance between every caller
-        for arr in (*vars(self).values(), *self.side_traces):
+        for arr in (*vars(self).values(), *self.L, *self.side_traces):
             if isinstance(arr, np.ndarray):
                 arr.flags.writeable = False
 

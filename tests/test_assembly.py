@@ -42,8 +42,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         HdgConfig(1, tau=0.0)
     # either rule below k+1 points is rejected; 0 is a value, not "unset"
+    # and so is either rule above the largest supported Gauss rule
     for bad in (dict(quad_assembly=2), dict(quad_error=2),
-                dict(quad_assembly=0), dict(quad_error=0)):
+                dict(quad_assembly=0), dict(quad_error=0),
+                dict(quad_assembly=31), dict(quad_error=31)):
         with pytest.raises(ValueError):
             HdgConfig(2, **bad)
     cfg = HdgConfig(2)
@@ -227,14 +229,21 @@ def test_streamed_assembly_is_bit_identical_to_the_whole_mesh(k, N, eps):
     ref = _recover(mesh, IF_full, IC_full, k,
                    SparseMatrix(A_coo).solve(b_coo))
     A_csc = A_coo.tocsc()
-    # blocks of 7 // workers cells straddle mesh columns and mostly leave
-    # a partial last one
-    for workers in (1, 2):
+    # blocks of 7, 3 and 5 cells straddle mesh columns and mostly leave a
+    # partial last one; at 4 workers, more than a small host's CPUs, four
+    # tasks contend for the lock on the shared sums, and threads switch
+    # often, so a lost update would show
+    interval = sys.getswitchinterval()
+    for cell_block, workers in ((7, 1), (7, 2), (20, 4)):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(assembly, "CELL_BLOCK", 7)
+            mp.setattr(assembly, "CELL_BLOCK", cell_block)
             mp.setattr(assembly, "WORKERS", workers)
-            A, b, IF, IC = assemble_trace_system(mesh, spec, cfg)
-            fields = assemble_and_solve(mesh, spec, cfg)
+            sys.setswitchinterval(1e-5)
+            try:
+                A, b, IF, IC = assemble_trace_system(mesh, spec, cfg)
+                fields = assemble_and_solve(mesh, spec, cfg)
+            finally:
+                sys.setswitchinterval(interval)
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(A.csc, name), getattr(A_csc, name))
         assert np.array_equal(b, b_coo)

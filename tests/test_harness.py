@@ -38,6 +38,14 @@ def test_study_config_validation():
     for empty in (dict(k_list=[]), dict(eps_list=[])):
         with pytest.raises(ValueError, match="must not be empty"):
             _cfg(**empty)
+    # a bad degree, eps, problem or rule late in a list fails before any
+    # solve: k = 29 needs a 33-point error rule
+    for bad, msg in ((dict(k_list=[1, 0]), "k must be >= 1"),
+                     (dict(eps_list=[1e-2, 2.0]), "epsilon must lie"),
+                     (dict(k_list=[1, 29]), "quadrature above 30"),
+                     (dict(problem="nope"), "unknown problem")):
+        with pytest.raises(ValueError, match=msg):
+            _cfg(**bad)
 
 
 def test_run_single_requires_one_cell():
@@ -213,7 +221,7 @@ def test_cli_sweep_solver_failure_exit_code(capsys):
     assert "failed cell" in capsys.readouterr().err
 
 
-def test_cli_invalid_value_exit_code(capsys, tmp_path):
+def test_cli_invalid_value_exit_code(capsys, tmp_path, monkeypatch):
     rc = cli.main(["solve", "--k", "1", "--eps", "1e-2", "--n", "6"])
     assert rc == cli.EXIT_SOLVER
     assert "error:" in capsys.readouterr().err
@@ -238,6 +246,18 @@ def test_cli_invalid_value_exit_code(capsys, tmp_path):
         assert rc == cli.EXIT_SOLVER
         captured = capsys.readouterr()
         assert "must not be empty" in captured.err and not captured.out
+
+    def no_solve(*args):
+        raise AssertionError("a cell was solved")
+
+    # an invalid degree late in the list fails before any cell is solved
+    monkeypatch.setattr(harness, "solve_cell", no_solve)
+    rc = cli.main(["sweep", "--k", "1", "--k", "0", "--eps", "1e-6",
+                   "--n", "4", "--n", "8", "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert "k must be >= 1" in captured.err and not captured.out
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_solve_solver_failure_exit_code(capsys):

@@ -17,7 +17,7 @@ from shishkin_hdg.norms import (StabilizationError, convergence_rate,
                                 triple_values_discrete, triple_values_exact)
 from shishkin_hdg.problems import paper_problem, polynomial_problem
 from shishkin_hdg.projections import project_exact
-from shishkin_hdg.refelem import CellQuad
+from shishkin_hdg.refelem import CellQuad, gauss_rule
 
 
 @pytest.fixture(scope="module")
@@ -81,10 +81,12 @@ def test_constant_one_reaction_weight(setting):
     mesh, spec = setting
     f = _zero_fields(mesh, 1)
     f.u[:, 0] = 2.0  # the constant basis function is 1/2 on each cell
+    # matching trace 1 kills the jump term; the constant edge basis
+    # function is 1/sqrt(2)
+    f.trace[:, 0] = np.sqrt(2.0)
     cq = CellQuad(mesh, 6)
-    vals = triple_values_discrete(cq, f)
-    vals.mu[:] = vals.w_tr  # matching trace kills the jump term
-    res = energy_norm(energy_weights(cq, spec, 3.0), vals)
+    res = energy_norm(energy_weights(cq, spec, 3.0),
+                      triple_values_discrete(cq, f))
     assert res.q_part_sq == 0.0
     assert np.isclose(res.jump_part_sq, 0.0, atol=1e-14)
     assert np.isclose(res.reaction_part_sq, 2.0, rtol=1e-12)
@@ -194,6 +196,22 @@ def test_supercloseness_zero_for_identical_fields(setting):
     exact = exact_values(CellQuad(mesh, cfg.n_error), spec)
     rep = error_report(exact, spec, cfg, fields, projected=fields)
     assert rep.supercloseness_error == 0.0
+
+
+@settings(max_examples=25)
+@given(N=st.sampled_from([4, 8, 16, 32]), n=st.integers(1, 6),
+       eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p))  # log-uniform
+def test_outward_normal_beta_obeys_the_divergence_theorem(N, n, eps):
+    # beta = (x, y) has divergence 2, so the outward flux of beta through
+    # the sides of a cell is 2 hx hy; beta.n is constant on each side, so
+    # every rule integrates it exactly
+    spec = dataclasses.replace(paper_problem(eps), beta1=lambda x, y: x,
+                               beta2=lambda x, y: y)
+    mesh = build_mesh(MeshConfig(N, eps, 2.0, 1.0, 2.0))
+    terms = (mesh.half_side[:, :, None] * gauss_rule(n).weights
+             * norms.edge_normal_beta(CellQuad(mesh, n), spec))
+    err = terms.sum(axis=(1, 2)) - 2.0 * mesh.cell_hx * mesh.cell_hy
+    assert np.all(np.abs(err) <= 1e-13 * np.abs(terms).sum(axis=(1, 2)))
 
 
 def test_convergence_rate_worked_examples():
