@@ -276,13 +276,13 @@ def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
     WORKERS consecutive cells, one task per block on WORKERS threads, so the
     dense local systems of the whole mesh never exist at once; each task
     sums its block's Schur blocks into the global interior-trace system of
-    dimension n_interior_edges * (k+1). A mesh of one block is built on the
-    calling thread. Unknowns are numbered in the mesh's interior edge order
-    (mesh.interior_index, nested dissection along grid lines), the k+1 dofs
-    of an edge consecutively, so the matrix is ready to factor in the order
-    given. The blocks are summed on the mesh's edge-block pattern
-    (mesh.edge_blocks), so no entry sums more than two terms and the result
-    depends neither on the block size nor on the order the tasks finish in.
+    dimension n_interior_edges * (k+1). Unknowns are numbered in the mesh's
+    interior edge order (mesh.interior_index, nested dissection along grid
+    lines), the k+1 dofs of an edge consecutively, so the matrix is ready
+    to factor in the order given. The blocks are summed on the mesh's
+    edge-block pattern (mesh.edge_blocks), so no entry sums more than two
+    terms and the result depends neither on the block size nor on the order
+    the tasks finish in.
     Returns (A, b, IF, IC), with IF and IC the u-rows of the recovery
     operators of every cell (CondensedSystem)."""
     setup = _local_setup(mesh, spec, cfg)
@@ -307,14 +307,11 @@ def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
             np.add.at(rows, edge_row[sel], part.rhs.reshape(-1, 4, kp))
 
     size = max(1, CELL_BLOCK // WORKERS)
-    blocks = [range(s, min(s + size, nc)) for s in range(0, nc, size)]
-    if len(blocks) == 1:
-        condense_block(blocks[0])
-    else:
-        _one_malloc_arena()
-        with ThreadPoolExecutor(WORKERS) as pool:
-            # map cancels the queued blocks when one raises
-            list(pool.map(condense_block, blocks))
+    _one_malloc_arena()
+    with ThreadPoolExecutor(WORKERS) as pool:
+        # map cancels the queued blocks when one raises
+        list(pool.map(condense_block, (range(s, min(s + size, nc))
+                                       for s in range(0, nc, size))))
     A = SparseMatrix.from_blocks(data[:-1], pattern.indices, pattern.indptr)
     return A, rows[:-1].ravel(), IF, IC
 
@@ -378,9 +375,7 @@ def galerkin_residual(mesh: ShishkinMesh, spec: ProblemSpec,
     hcfg = HdgConfig(cfg.k, cfg.tau, quad_assembly=n, quad_error=n)
     fields = assemble_and_solve(mesh, spec, hcfg)
     cq = CellQuad(mesh, n)
-    diff = norms.triple_sub(norms.triple_values_exact(cq, spec),
-                            norms.triple_values_discrete(cq, fields))
-    res = norms.bilinear_residual(cq, spec, hcfg, diff)
+    res = norms.bilinear_residual(cq, spec, hcfg, fields, of_error=True)
     scale = max(1.0, norms.load_vector_scale(cq, spec))
     return res / scale
 
@@ -425,5 +420,4 @@ def flux_continuity_residual(fields: SolutionFields, cq: CellQuad,
     """Max trace-test moment of the summed two-sided numerical flux after the
     solve, on the assembly rule cq; near zero by construction of the trace
     system."""
-    vals = norms.triple_values_discrete(cq, fields)
-    return norms.bilinear_residual(cq, spec, cfg, vals, parts=("mu",))
+    return norms.bilinear_residual(cq, spec, cfg, fields, parts=("mu",))

@@ -5,7 +5,8 @@ All field evaluation goes through TripleValues: pointwise values of a triple
 (r, w, mu) on the tensor quadrature grid of every cell, on the Gauss points
 of every cell side (mesh.SIDES order W, E, S, N) and, for mu, of every
 edge. The same machinery serves the true error, the supercloseness error
-and the Galerkin-orthogonality residual.
+and the Galerkin-orthogonality residual; only the residual reads the
+outward normal flux r.n, and it evaluates that itself.
 Every function takes the CellQuad of its rule; the exact solution
 (ExactValues) and the energy-norm weights (EnergyWeights) are evaluated once
 per rule and shared by every measure. Discrete triples are read in the
@@ -49,16 +50,14 @@ def edge_normal_beta(cq: CellQuad, spec: ProblemSpec):
 class TripleValues:
     """Pointwise values of a triple (r, w, mu) on the quadrature grid.
 
-    r1, r2, w: (ncells, n*n) cell values. rn, w_tr: (ncells, 4, n) side
-    values, rn the outward normal component r.n. mu: (nedges, n) edge
-    values, single-valued per edge.
+    r1, r2, w: (ncells, n*n) cell values. w_tr: (ncells, 4, n) side
+    values. mu: (nedges, n) edge values, single-valued per edge.
     """
 
     n: int
     r1: np.ndarray
     r2: np.ndarray
     w: np.ndarray
-    rn: np.ndarray
     w_tr: np.ndarray
     mu: np.ndarray
 
@@ -71,15 +70,10 @@ def triple_values_discrete(cq: CellQuad, flds) -> TripleValues:
     def cell_vals(coef):
         return np.einsum("ca,ag->cg", coef, R.B0)
 
-    def side_vals(coef, s):
-        return np.einsum("ca,ag->cg", coef, R.side_traces[s])
-
-    q = (flds.q1, flds.q2)
     return TripleValues(
         cq.n, cell_vals(flds.q1), cell_vals(flds.q2), cell_vals(flds.u),
-        np.stack([sign * side_vals(q[axis], s)
-                  for s, (axis, sign) in enumerate(SIDES)], axis=1),
-        np.stack([side_vals(flds.u, s) for s in range(4)], axis=1),
+        np.stack([np.einsum("ca,ag->cg", flds.u, tab)
+                  for tab in R.side_traces], axis=1),
         np.einsum("ea,ag->eg", flds.trace, R.V))
 
 
@@ -89,12 +83,10 @@ def triple_values_exact(cq: CellQuad, spec: ProblemSpec) -> TripleValues:
     gathered onto the cell sides, as w_tr."""
     if spec.exact is None:
         raise ValueError("problem has no exact solution attached")
-    ex, mesh = spec.exact, cq.mesh
+    ex = spec.exact
     mu = cq.on_edges(ex.u)
     return TripleValues(cq.n, cq.on_cells(ex.q1), cq.on_cells(ex.q2),
-                        cq.on_cells(ex.u), _outward(mesh, cq.on_edges(ex.q1),
-                                                    cq.on_edges(ex.q2)),
-                        mu[mesh.cell_edges], mu)
+                        cq.on_cells(ex.u), mu[cq.mesh.cell_edges], mu)
 
 
 @dataclass
@@ -122,16 +114,7 @@ def triple_sub(a: TripleValues, b: TripleValues) -> TripleValues:
     if a.n != b.n:
         raise ValueError("quadrature mismatch between triples")
     return TripleValues(a.n, a.r1 - b.r1, a.r2 - b.r2, a.w - b.w,
-                        a.rn - b.rn, a.w_tr - b.w_tr, a.mu - b.mu)
-
-
-@dataclass
-class EnergyNormResult:
-    total: float
-    q_part_sq: float         # eps^-1 ||r||^2
-    reaction_part_sq: float  # ||(c - div beta / 2)^{1/2} w||^2
-    jump_part_sq: float      # ||(tau - beta.n/2)^{1/2} (w - mu)||^2 on cell sides
-    region_cell_sq: dict     # cell contributions (q + reaction) per Region name
+                        a.w_tr - b.w_tr, a.mu - b.mu)
 
 
 @dataclass
@@ -168,39 +151,35 @@ def _cell_integrals(wts: EnergyWeights, vals: TripleValues):
             cq.J * np.einsum("g,cg->c", cq.W2, vals.w**2))
 
 
-def _energy_result(wts: EnergyWeights, vals: TripleValues, flux,
-                   react) -> EnergyNormResult:
-    """The energy norm from the per-cell integrals of |r|^2 (flux) and
-    (c - div beta / 2) w^2 (react), and the side jumps of vals.
+def _jump_sq(wts: EnergyWeights, vals: TripleValues) -> float:
+    """||(tau - beta.n/2)^{1/2} (w - mu)||^2 over the cell sides of vals.
 
     Every cell side contributes, so interior edges are visited from both
     sides (with that cell's outward normal) and boundary sides once.
     """
     mesh = wts.cq.mesh
     jump = vals.w_tr - vals.mu[mesh.cell_edges]
-    jump_sq = float((mesh.half_side[:, :, None] * wts.jump * jump**2
-                     * gauss_rule(wts.cq.n).weights).sum())
-    cell_q = flux / wts.epsilon
-    q_sq, r_sq = float(cell_q.sum()), float(react.sum())
-    return EnergyNormResult(float(np.sqrt(q_sq + r_sq + jump_sq)),
-                            q_sq, r_sq, jump_sq,
-                            mesh.region_sums(cell_q + react))
+    return float((mesh.half_side[:, :, None] * wts.jump * jump**2
+                  * gauss_rule(wts.cq.n).weights).sum())
 
 
-def energy_norm(wts: EnergyWeights, vals: TripleValues) -> EnergyNormResult:
+def energy_norm(wts: EnergyWeights, vals: TripleValues) -> float:
     """Energy norm of a triple given on the rule of the weights:
 
     |||(r, w, mu)|||^2 = eps^-1 ||r||^2 + ||(c - div beta / 2)^{1/2} w||^2
                          + sum_cells sum_sides (tau - beta.n/2) (w - mu)^2.
     """
     flux, react, _ = _cell_integrals(wts, vals)
-    return _energy_result(wts, vals, flux, react)
+    q_sq = float((flux / wts.epsilon).sum())
+    return float(np.sqrt(q_sq + float(react.sum()) + _jump_sq(wts, vals)))
 
 
-def bilinear_residual(cq: CellQuad, spec: ProblemSpec, cfg,
-                      vals: TripleValues, parts=("r", "w", "mu")) -> float:
-    """max |B(vals; test)| over all normalized discrete test functions, for
-    a triple given on the rule cq.
+def bilinear_residual(cq: CellQuad, spec: ProblemSpec, cfg, fields,
+                      of_error: bool = False,
+                      parts=("r", "w", "mu")) -> float:
+    """max |B(e; test)| over all normalized discrete test functions, on the
+    rule cq, for the discrete triple e = fields or, with of_error, for the
+    error e = exact - fields of a manufactured problem.
 
     Tests are the physically orthonormal basis functions of the three spaces;
     "r" and "w" rows run over every cell, "mu" rows over interior edges.
@@ -212,10 +191,18 @@ def bilinear_residual(cq: CellQuad, spec: ProblemSpec, cfg,
     sqj = np.sqrt(cq.J)
     side = mesh.half_side / sqj[:, None]
     tabs = R.side_traces
+    vals = triple_values_discrete(cq, fields)
+    q = (fields.q1, fields.q2)
+    rn = np.stack([sign * np.einsum("ca,ag->cg", q[axis], tabs[s])
+                   for s, (axis, sign) in enumerate(SIDES)], axis=1)
+    if of_error:
+        vals = triple_sub(triple_values_exact(cq, spec), vals)
+        rn = _outward(mesh, cq.on_edges(spec.exact.q1),
+                      cq.on_edges(spec.exact.q2)) - rn
     mu = vals.mu[mesh.cell_edges]  # (ncells, 4, n)
 
     # numerical flux r.n + beta.n mu + tau (w - mu) on every cell side
-    flux = vals.rn + edge_normal_beta(cq, spec) * mu + tau * (vals.w_tr - mu)
+    flux = rn + edge_normal_beta(cq, spec) * mu + tau * (vals.w_tr - mu)
 
     worst = 0.0
     if "r" in parts:
@@ -321,15 +308,16 @@ def error_report(exact: ExactValues, spec: ProblemSpec, cfg, fields,
     cells = _cell_integrals(wts, diff)
     refined_error_corrections(exact, spec, wts, fields, cells)
     flux, react, l2u = cells
-    en = _energy_result(wts, diff, flux, react)
-    sc = None
-    if projected is not None:
-        sc = energy_norm(wts, triple_values_discrete(
-            cq, projected - fields)).total
-    return ErrorReport(cq.mesh.N, cfg.k, spec.epsilon, en.total,
+    cell_q = flux / wts.epsilon
+    q_sq, r_sq = float(cell_q.sum()), float(react.sum())
+    jump_sq = _jump_sq(wts, diff)
+    sc = None if projected is None else energy_norm(
+        wts, triple_values_discrete(cq, projected - fields))
+    return ErrorReport(cq.mesh.N, cfg.k, spec.epsilon,
+                       float(np.sqrt(q_sq + r_sq + jump_sq)),
                        float(np.sqrt(l2u.sum())), float(np.sqrt(flux.sum())),
-                       en.q_part_sq, en.reaction_part_sq, en.jump_part_sq,
-                       en.region_cell_sq, sc)
+                       q_sq, r_sq, jump_sq,
+                       cq.mesh.region_sums(cell_q + react), sc)
 
 
 def convergence_rate(e_coarse: float, e_fine: float, n_coarse: int) -> float:

@@ -32,8 +32,7 @@ def _energy_error(mesh, spec, cfg, fields):
     cq = CellQuad(mesh, cfg.n_error)
     diff = norms.triple_sub(norms.triple_values_exact(cq, spec),
                             norms.triple_values_discrete(cq, fields))
-    return norms.energy_norm(norms.energy_weights(cq, spec, cfg.tau),
-                             diff).total
+    return norms.energy_norm(norms.energy_weights(cq, spec, cfg.tau), diff)
 
 
 def test_config_validation():
@@ -144,7 +143,7 @@ def test_coercivity_equals_energy_norm_for_random_triples(k, N, eps, sigma,
         xi = random_fields(mesh, k, rng)
         b = bilinear_form(xi, mesh, spec, cfg)
         vals = norms.triple_values_discrete(wts.cq, xi)
-        nrm2 = norms.energy_norm(wts, vals).total ** 2
+        nrm2 = norms.energy_norm(wts, vals) ** 2
         assert abs(b - nrm2) <= 1e-10 * nrm2
 
 
@@ -316,29 +315,6 @@ def test_singular_block_names_its_global_cell(monkeypatch):
         assemble_and_solve(mesh, spec, HdgConfig(1))
     assert built_on and built_on[0] is not threading.main_thread()
     assert set(threading.enumerate()) <= before  # the pool is shut down
-
-
-def test_one_block_mesh_is_built_on_the_calling_thread(monkeypatch):
-    # k=1, N=16 is 256 cells, one block of 1024 // 2: one build, no thread
-    spec = paper_problem(1e-6)
-    mesh = build_mesh(MeshConfig(16, 1e-6, 2.0, 1.0, 2.0))
-    build = assembly.build_local_systems
-    built_on = []
-
-    def counted(*args):
-        built_on.append(threading.current_thread())
-        return build(*args)
-
-    def no_pool(*args):
-        raise AssertionError("a one-block mesh started a thread pool")
-
-    monkeypatch.setattr(assembly, "WORKERS", 2)
-    monkeypatch.setattr(assembly, "build_local_systems", counted)
-    monkeypatch.setattr(assembly, "ThreadPoolExecutor", no_pool)
-    before = threading.active_count()
-    assemble_and_solve(mesh, spec, HdgConfig(1))
-    assert built_on == [threading.main_thread()]
-    assert threading.active_count() == before
 
 
 def test_assembly_never_holds_the_whole_mesh_local_systems():

@@ -109,9 +109,14 @@ def test_solve_cell_evaluates_each_point_set_once(monkeypatch):
     # exact solution and of the coefficients: within one solve cell no
     # field is evaluated twice on the same point array
     seen = Counter()
+    on_edge_lines = set()  # the fields evaluated on edges
 
     def recorded(name, fn):
         def field(x, y):
+            # on the lines of an edge the x or the y factor has one point
+            # per line (refelem.on_lines)
+            if min(np.prod(np.shape(x)[-2:]), np.prod(np.shape(y)[-2:])) == 1:
+                on_edge_lines.add(name)
             bx, by = np.broadcast_arrays(np.asarray(x, float),
                                          np.asarray(y, float))
             seen[(name, bx.shape, bx.tobytes(), by.tobytes())] += 1
@@ -136,6 +141,10 @@ def test_solve_cell_evaluates_each_point_set_once(monkeypatch):
     repeated = sorted((key[0], key[1]) for key, count in seen.items()
                       if count > 1)
     assert not repeated, repeated
+    # only the residual reads the normal flux r.n, so no error measure
+    # evaluates the exact flux on the edges; u is, as the trace
+    assert "u" in on_edge_lines
+    assert not on_edge_lines & {"u_x", "u_y"}, on_edge_lines
 
 
 def test_solve_cell_evaluates_each_layer_basis_once(monkeypatch):
@@ -166,7 +175,7 @@ def test_skips_rates_for_non_doubling_pairs():
     assert res.tables[0].rates[1e-2] == {}
 
 
-def test_diagnostics_pass_at_moderate_epsilon():
+def test_diagnostics_pass_at_moderate_epsilon(monkeypatch):
     cfg = _cfg(n_list=[8])
     rep = run_diagnostics(cfg, n_triples=50)
     assert isinstance(rep, DiagnosticReport)
@@ -175,6 +184,15 @@ def test_diagnostics_pass_at_moderate_epsilon():
     assert "coercivity" in text and "diagnostics passed" in text
     with pytest.raises(ValueError):
         run_diagnostics(_cfg(n_list=[4, 8]))
+
+    # the robustness check raises both rules by 2 points; a raised rule
+    # above 30 points fails before the first solve
+    def no_solve(*args):
+        raise AssertionError("solved before the raised rule was checked")
+
+    monkeypatch.setattr(harness, "solve_cell", no_solve)
+    with pytest.raises(ValueError, match="quadrature above 30 points"):
+        run_diagnostics(_cfg(n_list=[4], quad_error=29))
 
 
 def test_cli_solve_and_flag_override(capsys, tmp_path):
