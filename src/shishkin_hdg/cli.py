@@ -9,31 +9,51 @@ failure, 2 validation failure under --strict.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import sys
+from dataclasses import replace
 
-from .harness import MODES, StudyConfig, run_diagnostics, run_single, run_sweep
+from .harness import (MODES, StudyConfig, cell_mesh, run_diagnostics,
+                      run_single, run_sweep)
 from .linalg import SolveError
-from .mesh import MeshConfig, build_mesh, dump_mesh
+from .mesh import dump_mesh
 from .norms import StabilizationError
 from .problems import get_problem, verify_assumptions
 
-log = logging.getLogger(__name__)
-
 EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION = 0, 1, 2
 
-_LIST_KEYS = {"k", "eps", "n"}
-# StudyConfig field of each option key that is named differently
-_FIELDS = {"k": "k_list", "eps": "eps_list", "n": "n_list", "out": "out_dir"}
-_KEYS = {field: key for key, field in _FIELDS.items()}
-_DEFAULTS = {_KEYS.get(name, name): val
-             for name, val in dataclasses.asdict(StudyConfig()).items()}
+
+def _bool(text: str) -> bool:
+    if text.lower() in ("1", "true", "yes", "on"):
+        return True
+    if text.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"{text!r} is not 1/true/yes/on or 0/false/no/off")
+
+
+# config key (the flag without "--", "-" read as "_") -> (StudyConfig field,
+# value type, help); a list type marks a repeatable flag
+_OPTIONS = {
+    "problem": ("problem", str, "problem name (default paper-sec5)"),
+    "k": ("k_list", [int], "polynomial degree, repeatable"),
+    "eps": ("eps_list", [float], "perturbation parameter, repeatable"),
+    "n": ("n_list", [int], "mesh cells per direction, repeatable"),
+    "sigma": ("sigma", float, "mesh parameter (default k+1)"),
+    "tau": ("tau", float, "stabilization constant"),
+    "mode": ("mode", str, "errors to measure and tabulate"),
+    "quad_assembly": ("quad_assembly", int,
+                      "quadrature points per direction for assembly"),
+    "quad_error": ("quad_error", int,
+                   "quadrature points per direction for error norms"),
+    "out": ("out_dir", str, "output directory (sweep) or file"),
+    "strict": ("strict", _bool, "turn validation failures into exit code 2"),
+    "max_n": ("max_n", int, "cap on N values taken from the sweep grid"),
+}
 
 
 def parse_config_file(path: str) -> dict:
     """key=value per line; '#' starts a comment; list values separated by
-    commas or whitespace."""
+    commas or whitespace. Returns the values by StudyConfig field."""
     out = {}
     with open(path) as fh:
         for ln, raw in enumerate(fh, 1):
@@ -44,67 +64,43 @@ def parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{ln}: expected key=value")
             key, val = (s.strip() for s in line.split("=", 1))
             key = key.replace("-", "_")
-            if key not in _DEFAULTS:
+            if key not in _OPTIONS:
                 raise ValueError(f"{path}:{ln}: unknown key {key!r}")
-            out[key] = _coerce(key, val)
+            field, typ, _ = _OPTIONS[key]
+            items = val.replace(",", " ").split()
+            try:
+                out[field] = [typ[0](v) for v in items] \
+                    if isinstance(typ, list) else typ(val)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {key}: {exc}") from None
     return out
-
-
-def _coerce(key: str, val: str):
-    if key in _LIST_KEYS:
-        items = val.replace(",", " ").split()
-        cast = int if key in ("k", "n") else float
-        return [cast(v) for v in items]
-    if key in ("sigma", "tau"):
-        return float(val)
-    if key in ("quad_assembly", "quad_error", "max_n"):
-        return int(val)
-    if key == "strict":
-        return val.lower() in ("1", "true", "yes", "on")
-    return val
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key=value config file (flags override)")
-    p.add_argument("--problem", help="problem name (default paper-sec5)")
-    p.add_argument("--k", type=int, action="append",
-                   help="polynomial degree, repeatable")
-    p.add_argument("--eps", type=float, action="append",
-                   help="perturbation parameter, repeatable")
-    p.add_argument("--n", type=int, action="append",
-                   help="mesh cells per direction, repeatable")
-    p.add_argument("--sigma", type=float, help="mesh parameter (default k+1)")
-    p.add_argument("--tau", type=float, help="stabilization constant")
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--quad-assembly", type=int, dest="quad_assembly",
-                   help="quadrature points per direction for assembly")
-    p.add_argument("--quad-error", type=int, dest="quad_error",
-                   help="quadrature points per direction for error norms")
-    p.add_argument("--out", help="output directory (sweep) or file")
-    p.add_argument("--strict", action="store_true", default=None,
-                   help="turn validation failures into exit code 2")
-    p.add_argument("--max-n", type=int, dest="max_n",
-                   help="cap on N values taken from the sweep grid")
+    for key, (field, typ, help_) in _OPTIONS.items():
+        kw = dict(type=typ, metavar=key.upper())
+        if typ is _bool:
+            kw = dict(action="store_true", default=None)
+        elif isinstance(typ, list):
+            kw.update(type=typ[0], action="append")
+        elif key == "mode":
+            kw.update(choices=MODES, metavar=None)
+        p.add_argument("--" + key.replace("_", "-"), dest=field, help=help_,
+                       **kw)
 
 
-def merged_options(args) -> dict:
-    opts = dict(_DEFAULTS)
-    if args.config:
-        opts.update(parse_config_file(args.config))
-    for key in _DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            opts[key] = val
-    return opts
+def study_config(args) -> StudyConfig:
+    """The config file's values, overridden by every flag given."""
+    fields = parse_config_file(args.config) if args.config else {}
+    for field, _, _ in _OPTIONS.values():
+        if getattr(args, field) is not None:
+            fields[field] = getattr(args, field)
+    return StudyConfig(**fields)
 
 
-def study_config(opts: dict) -> StudyConfig:
-    return StudyConfig(**{_FIELDS.get(key, key): val
-                          for key, val in opts.items()})
-
-
-def _strict_assumption_gate(opts: dict) -> bool:
-    rep = verify_assumptions(get_problem(opts["problem"], opts["eps"][0]))
+def _strict_assumption_gate(cfg: StudyConfig) -> bool:
+    rep = verify_assumptions(get_problem(cfg.problem, cfg.eps_list[0]))
     if not rep.passed:
         for msg in rep.failures():
             print(f"assumption check failed: {msg}", file=sys.stderr)
@@ -112,9 +108,8 @@ def _strict_assumption_gate(opts: dict) -> bool:
 
 
 def cmd_solve(args) -> int:
-    opts = merged_options(args)
-    cfg = study_config(opts)
-    if cfg.strict and not _strict_assumption_gate(opts):
+    cfg = study_config(args)
+    if cfg.strict and not _strict_assumption_gate(cfg):
         return EXIT_VALIDATION
     report = run_single(cfg)
     pairs = [("problem", cfg.problem), ("N", report.N), ("k", report.k),
@@ -134,9 +129,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    opts = merged_options(args)
-    cfg = study_config(opts)
-    if cfg.strict and not _strict_assumption_gate(opts):
+    cfg = study_config(args)
+    if cfg.strict and not _strict_assumption_gate(cfg):
         return EXIT_VALIDATION
     result = run_sweep(cfg)
     for table in result.tables:
@@ -145,32 +139,22 @@ def cmd_sweep(args) -> int:
     for k, eps, n, msg in result.failures:
         print(f"failed cell (k={k}, eps={eps:g}, N={n}): {msg}",
               file=sys.stderr)
-    if result.failures:
-        return EXIT_SOLVER
-    return EXIT_OK
+    return EXIT_SOLVER if result.failures else EXIT_OK
 
 
 def cmd_diagnose(args) -> int:
-    opts = merged_options(args)
-    if len(opts["n"]) > 1:
-        opts["n"] = opts["n"][:1]
-    cfg = study_config(opts)
-    report = run_diagnostics(cfg)
+    cfg = study_config(args)
+    report = run_diagnostics(replace(cfg, n_list=cfg.n_list[:1]))
     sys.stdout.write(report.render())
-    if not report.passed and cfg.strict:
-        return EXIT_VALIDATION
-    return EXIT_OK
+    return EXIT_VALIDATION if cfg.strict and not report.passed else EXIT_OK
 
 
 def cmd_mesh_dump(args) -> int:
-    opts = merged_options(args)
-    sigma = study_config(opts).sigma_for(opts["k"][0])
-    spec = get_problem(opts["problem"], opts["eps"][0])
-    mcfg = MeshConfig(opts["n"][0], opts["eps"][0], sigma,
-                      spec.beta_lb[0], spec.beta_lb[1])
-    text = dump_mesh(build_mesh(mcfg))
-    if opts["out"]:
-        with open(opts["out"], "w") as fh:
+    cfg = study_config(args)
+    spec = get_problem(cfg.problem, cfg.eps_list[0])
+    text = dump_mesh(cell_mesh(cfg, spec, cfg.k_list[0], cfg.n_list[0]))
+    if cfg.out_dir:
+        with open(cfg.out_dir, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -234,15 +234,22 @@ def test_streamed_assembly_is_bit_identical_to_the_whole_mesh(k, N, eps):
     # often, so a lost update would show
     interval = sys.getswitchinterval()
     for cell_block, workers in ((7, 1), (7, 2), (20, 4)):
+        systems = []  # the trace system the solve below assembles
+
+        def record(*args):
+            systems.append(assemble_trace_system(*args))
+            return systems[-1]
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(assembly, "CELL_BLOCK", cell_block)
             mp.setattr(assembly, "WORKERS", workers)
+            mp.setattr(assembly, "assemble_trace_system", record)
             sys.setswitchinterval(1e-5)
             try:
-                A, b, IF, IC = assemble_trace_system(mesh, spec, cfg)
                 fields = assemble_and_solve(mesh, spec, cfg)
             finally:
                 sys.setswitchinterval(interval)
+        [(A, b, IF, IC)] = systems
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(A.csc, name), getattr(A_csc, name))
         assert np.array_equal(b, b_coo)

@@ -213,7 +213,7 @@ def test_cli_solve_and_flag_override(capsys, tmp_path):
     assert "region_smooth_cell_sq = " in out
 
 
-def test_cli_config_file_errors(tmp_path):
+def test_cli_config_file_errors(capsys, tmp_path):
     bad = tmp_path / "bad.conf"
     bad.write_text("nope = 1\n")
     assert cli.main(["solve", "--config", str(bad)]) == cli.EXIT_SOLVER
@@ -221,6 +221,44 @@ def test_cli_config_file_errors(tmp_path):
     assert cli.main(["solve", "--config", str(bad)]) == cli.EXIT_SOLVER
     assert cli.main(["solve", "--config", str(tmp_path / "missing.conf")]) \
         == cli.EXIT_SOLVER
+    capsys.readouterr()
+    # a misspelt boolean is an error, not false; a value that fails to
+    # convert names its line and key
+    for line, msg in (("strict = ture", "strict: 'ture' is not"),
+                      ("k = 1.5", "k: invalid literal for int()")):
+        bad.write_text(f"eps = 1e-2\nn = 4\n{line}\n")
+        assert cli.main(["solve", "--config", str(bad)]) == cli.EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert f"error: {bad}:3: {msg}" in captured.err and not captured.out
+
+
+# every option as a config-file value and as the same value given by flags
+_OPTION_SAMPLES = {
+    "problem": ("poly-q2", ["--problem", "poly-q2"]),
+    "k": ("1, 2", ["--k", "1", "--k", "2"]),
+    "eps": ("1e-3 1e-5", ["--eps", "1e-3", "--eps", "1e-5"]),
+    "n": ("8,16", ["--n", "8", "--n", "16"]),
+    "sigma": ("3.5", ["--sigma", "3.5"]),
+    "tau": ("2.5", ["--tau", "2.5"]),
+    "mode": ("both", ["--mode", "both"]),
+    "quad_assembly": ("6", ["--quad-assembly", "6"]),
+    "quad_error": ("7", ["--quad-error", "7"]),
+    "out": ("tables", ["--out", "tables"]),
+    "strict": ("Yes", ["--strict"]),
+    "max_n": ("64", ["--max-n", "64"]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(cli._OPTIONS))
+def test_cli_config_file_and_flags_agree(key, tmp_path):
+    text, flags = _OPTION_SAMPLES[key]
+    conf = tmp_path / "one.conf"
+    conf.write_text(f"{key.replace('_', '-')} = {text}\n")
+    parser = cli.build_parser()
+    from_file = cli.study_config(parser.parse_args(
+        ["sweep", "--config", str(conf)]))
+    from_flags = cli.study_config(parser.parse_args(["sweep"] + flags))
+    assert from_file == from_flags != StudyConfig()
 
 
 def test_cli_sweep_writes_tables(capsys, tmp_path):
