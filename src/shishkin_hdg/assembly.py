@@ -414,10 +414,3 @@ def random_fields(mesh: ShishkinMesh, k: int,
     f.trace[mesh.edge_boundary] = 0.0
     return f
 
-
-def flux_continuity_residual(fields: SolutionFields, cq: CellQuad,
-                             spec: ProblemSpec, cfg: HdgConfig) -> float:
-    """Max trace-test moment of the summed two-sided numerical flux after the
-    solve, on the assembly rule cq; near zero by construction of the trace
-    system."""
-    return norms.bilinear_residual(cq, spec, cfg, fields, parts=("mu",))

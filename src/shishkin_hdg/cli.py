@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
 
 from .harness import (MODES, StudyConfig, cell_mesh, run_diagnostics,
                       run_single, run_sweep)
@@ -144,7 +143,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = study_config(args)
-    report = run_diagnostics(replace(cfg, n_list=cfg.n_list[:1]))
+    report = run_diagnostics(cfg.derive(n_list=cfg.n_list[:1]))
     sys.stdout.write(report.render())
     return EXIT_VALIDATION if cfg.strict and not report.passed else EXIT_OK
 

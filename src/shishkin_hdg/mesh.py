@@ -141,15 +141,10 @@ class ShishkinMesh:
     hy: np.ndarray = field(init=False)
     cell_hx: np.ndarray = field(init=False)          # (ncells,) cell widths
     cell_hy: np.ndarray = field(init=False)
-    edge_length: np.ndarray = field(init=False)      # (nedges,)
     cell_edges: np.ndarray = field(init=False)       # (ncells, 4): W, E, S, N
     half_side: np.ndarray = field(init=False)        # (ncells, 4) lengths / 2
-    edge_axis: np.ndarray = field(init=False)        # 0 vertical, 1 horizontal
-    edge_line: np.ndarray = field(init=False)
-    edge_seg: np.ndarray = field(init=False)
-    edge_cells: np.ndarray = field(init=False)       # (nedges, 2), -1 if none
-    edge_boundary: np.ndarray = field(init=False)
     interior_index: np.ndarray = field(init=False)   # ND order, -1 boundary
+    edge_boundary: np.ndarray = field(init=False)    # interior_index < 0
 
     def __post_init__(self):
         self.x_nodes = np.asarray(self.x_nodes, dtype=float)
@@ -163,47 +158,20 @@ class ShishkinMesh:
         self.cell_hy = np.tile(self.hy, nx)
 
         n_vert = (nx + 1) * ny
-        n_horiz = nx * (ny + 1)
-        nedges = n_vert + n_horiz
-        axis = np.empty(nedges, dtype=np.int8)
-        line = np.empty(nedges, dtype=np.int64)
-        seg = np.empty(nedges, dtype=np.int64)
-        cells = np.full((nedges, 2), -1, dtype=np.int64)
-        length = np.empty(nedges)
-
-        i, j = np.meshgrid(np.arange(nx + 1), np.arange(ny), indexing="ij")
-        vid = (i * ny + j).reshape(-1)
-        axis[vid], line[vid], seg[vid] = 0, i.reshape(-1), j.reshape(-1)
-        length[vid] = self.hy[j.reshape(-1)]
-        left = np.where(i > 0, (i - 1) * ny + j, -1).reshape(-1)
-        right = np.where(i < nx, i * ny + j, -1).reshape(-1)
-        cells[vid, 0], cells[vid, 1] = left, right
-
-        j2, i2 = np.meshgrid(np.arange(ny + 1), np.arange(nx), indexing="ij")
-        hid = (n_vert + j2 * nx + i2).reshape(-1)
-        axis[hid], line[hid], seg[hid] = 1, j2.reshape(-1), i2.reshape(-1)
-        length[hid] = self.hx[i2.reshape(-1)]
-        below = np.where(j2 > 0, i2 * ny + (j2 - 1), -1).reshape(-1)
-        above = np.where(j2 < ny, i2 * ny + j2, -1).reshape(-1)
-        cells[hid, 0], cells[hid, 1] = below, above
-
-        self.edge_axis, self.edge_line, self.edge_seg = axis, line, seg
-        self.edge_cells = cells
-        self.edge_length = length
-        self.edge_boundary = (cells == -1).any(axis=1)
-        order = _nested_dissection(nx, ny)
-        self.interior_index = np.full(nedges, -1, dtype=np.int64)
-        self.interior_index[order] = np.arange(len(order))
-
-        ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-        ix, iy = ix.reshape(-1), iy.reshape(-1)
+        ix, iy = np.divmod(np.arange(nx * ny), ny)
         self.cell_edges = np.column_stack([
             ix * ny + iy,            # W: vertical line ix
             (ix + 1) * ny + iy,      # E
             n_vert + iy * nx + ix,   # S: horizontal line iy
             n_vert + (iy + 1) * nx + ix,  # N
         ])
-        self.half_side = length[self.cell_edges] / 2.0
+        # a W or E side is as long as its cell is high, S or N as it is wide
+        self.half_side = np.column_stack(
+            [self.cell_hy, self.cell_hy, self.cell_hx, self.cell_hx]) / 2.0
+        order = _nested_dissection(nx, ny)
+        self.interior_index = np.full(self.n_edges, -1, dtype=np.int64)
+        self.interior_index[order] = np.arange(len(order))
+        self.edge_boundary = self.interior_index < 0
 
     @property
     def nx(self) -> int:
@@ -225,11 +193,11 @@ class ShishkinMesh:
 
     @property
     def n_edges(self) -> int:
-        return len(self.edge_axis)
+        return (self.nx + 1) * self.ny + self.nx * (self.ny + 1)
 
     @property
     def n_interior_edges(self) -> int:
-        return int((~self.edge_boundary).sum())
+        return (self.nx - 1) * self.ny + self.nx * (self.ny - 1)
 
     @cached_property
     def edge_blocks(self) -> EdgeBlockPattern:
@@ -309,9 +277,15 @@ def dump_mesh(mesh: ShishkinMesh) -> str:
                 f"{mesh.y_nodes[iy]:.17g} {mesh.y_nodes[iy + 1]:.17g} "
                 f"{regions[codes[c]].value}\n")
     buf.write("# edges: id axis line seg cell- cell+ boundary\n")
-    for e in range(mesh.n_edges):
-        buf.write(
-            f"edge {e} {int(mesh.edge_axis[e])} {int(mesh.edge_line[e])} "
-            f"{int(mesh.edge_seg[e])} {int(mesh.edge_cells[e, 0])} "
-            f"{int(mesh.edge_cells[e, 1])} {int(mesh.edge_boundary[e])}\n")
+    # the cell below or left of each edge (cell-) has it as its E or N side,
+    # the cell above or right (cell+) as its W or S side
+    cells = np.full((mesh.n_edges, 2), -1)
+    for s, (_, sign) in enumerate(SIDES):
+        cells[mesh.cell_edges[:, s], int(sign < 0)] = np.arange(mesh.n_cells)
+    n_vert = (mesh.nx + 1) * mesh.ny
+    for e, boundary in enumerate(mesh.edge_boundary):
+        axis = int(e >= n_vert)  # the edge-id layout of ShishkinMesh
+        line, seg = divmod(e - axis * n_vert, (mesh.ny, mesh.nx)[axis])
+        buf.write(f"edge {e} {axis} {line} {seg} {cells[e, 0]} "
+                  f"{cells[e, 1]} {int(boundary)}\n")
     return buf.getvalue()

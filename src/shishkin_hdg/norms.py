@@ -50,25 +50,28 @@ def edge_normal_beta(cq: CellQuad, spec: ProblemSpec):
 class TripleValues:
     """Pointwise values of a triple (r, w, mu) on the quadrature grid.
 
-    r1, r2, w: (ncells, n*n) cell values. w_tr: (ncells, 4, n) side
-    values. mu: (nedges, n) edge values, single-valued per edge.
+    r1, r2, w: (ncells, n*n) cell values, None when only the sides and
+    edges were evaluated. w_tr: (ncells, 4, n) side values. mu: (nedges, n)
+    edge values, single-valued per edge.
     """
 
     n: int
-    r1: np.ndarray
-    r2: np.ndarray
-    w: np.ndarray
+    r1: Optional[np.ndarray]
+    r2: Optional[np.ndarray]
+    w: Optional[np.ndarray]
     w_tr: np.ndarray
     mu: np.ndarray
 
 
-def triple_values_discrete(cq: CellQuad, flds) -> TripleValues:
+def triple_values_discrete(cq: CellQuad, flds,
+                           cells: bool = True) -> TripleValues:
     """Evaluate a discrete triple given by SolutionFields-style coefficient
-    arrays (pulled-back orthonormal bases) on the rule cq."""
+    arrays (pulled-back orthonormal bases) on the rule cq; without cells,
+    r1, r2 and w are None and only the side and edge values are evaluated."""
     R = ref_tables(flds.k, cq.n)
 
     def cell_vals(coef):
-        return np.einsum("ca,ag->cg", coef, R.B0)
+        return np.einsum("ca,ag->cg", coef, R.B0) if cells else None
 
     return TripleValues(
         cq.n, cell_vals(flds.q1), cell_vals(flds.q2), cell_vals(flds.u),
@@ -191,7 +194,9 @@ def bilinear_residual(cq: CellQuad, spec: ProblemSpec, cfg, fields,
     sqj = np.sqrt(cq.J)
     side = mesh.half_side / sqj[:, None]
     tabs = R.side_traces
-    vals = triple_values_discrete(cq, fields)
+    # the mu rows read no cell values; the error's are always evaluated
+    cells = of_error or "r" in parts or "w" in parts
+    vals = triple_values_discrete(cq, fields, cells)
     q = (fields.q1, fields.q2)
     rn = np.stack([sign * np.einsum("ca,ag->cg", q[axis], tabs[s])
                    for s, (axis, sign) in enumerate(SIDES)], axis=1)

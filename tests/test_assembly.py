@@ -1,5 +1,6 @@
 """HDG assembly, condensation, solve pipeline and its invariants."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -18,8 +19,8 @@ from shishkin_hdg import assembly
 from shishkin_hdg.assembly import (HdgConfig, assemble_and_solve,
                                    assemble_trace_system, bilinear_form,
                                    build_local_systems, check_stabilization,
-                                   condense, flux_continuity_residual,
-                                   galerkin_residual, random_fields)
+                                   condense, galerkin_residual,
+                                   random_fields)
 from shishkin_hdg.linalg import SolveError, SparseMatrix
 from shishkin_hdg.mesh import MeshAssumptionWarning, MeshConfig, build_mesh
 from shishkin_hdg.norms import StabilizationError
@@ -119,13 +120,27 @@ def test_galerkin_residual_small():
         assert galerkin_residual(mesh, spec, HdgConfig(k)) < 1e-10
 
 
-def test_flux_continuity_after_solve():
+def test_flux_continuity_after_solve(monkeypatch):
     spec = paper_problem(1e-2)
     mesh = build_mesh(MeshConfig(8, 1e-2, 2.0, 1.0, 2.0))
     cfg = HdgConfig(1)
     fields = assemble_and_solve(mesh, spec, cfg)
     cq = CellQuad(mesh, cfg.n_assembly)
-    assert flux_continuity_residual(fields, cq, spec, cfg) < 1e-10
+    # the mu rows read only side and edge values: the cell basis table B0,
+    # which every cell value is evaluated with, is never read
+    tables = norms.ref_tables
+
+    class NoCellTable:
+        def __init__(self, k, n):
+            self.tables = tables(k, n)
+
+        def __getattr__(self, name):
+            assert name != "B0", "a cell value was evaluated"
+            return getattr(self.tables, name)
+
+    monkeypatch.setattr(norms, "ref_tables", NoCellTable)
+    assert norms.bilinear_residual(cq, spec, cfg, fields,
+                                   parts=("mu",)) < 1e-10
 
 
 @settings(max_examples=10)
@@ -263,6 +278,44 @@ def test_streamed_assembly_is_bit_identical_to_the_whole_mesh(k, N, eps):
             got = getattr(fields, name)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         assert not fields.trace[mesh.edge_boundary].any()
+
+
+def test_tasks_sharing_edges_sum_at_the_same_time():
+    # two 32-cell blocks of the N=8 mesh share the edges of grid line 4; each
+    # ufunc call on a task's condensed blocks, and so each of its sums into
+    # the trace system, first waits at a barrier for the other task's, so
+    # unlocked sums would run side by side, entry by entry
+    spec = paper_problem(1e-4)
+    mesh = build_mesh(MeshConfig(8, 1e-4, 2.0, 1.0, 2.0))
+    cfg = HdgConfig(1)
+    A_want, b_want = _coo_trace_system(
+        mesh, condense(build_local_systems(mesh, spec, cfg)), 1)
+    barrier = threading.Barrier(2, timeout=0.5)
+
+    class Meeting(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            try:
+                barrier.wait()
+            except threading.BrokenBarrierError:  # the other holds the lock
+                pass
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+    def condense_to_meet(blocks):
+        part = condense(blocks)
+        return dataclasses.replace(part, S=part.S.view(Meeting),
+                                   rhs=part.rhs.view(Meeting))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "CELL_BLOCK", 64)
+        mp.setattr(assembly, "WORKERS", 2)
+        mp.setattr(assembly, "condense", condense_to_meet)
+        A, b, _, _ = assemble_trace_system(mesh, spec, cfg)
+    A_want = A_want.tocsc()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(A.csc, name), getattr(A_want, name))
+    assert np.array_equal(b, b_want)
+    # the two sums never met: the first waited out the timeout alone
+    assert barrier.broken
 
 
 @settings(max_examples=10)

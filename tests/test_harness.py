@@ -356,6 +356,17 @@ def test_cli_diagnose(capsys):
     assert "diagnostics passed" in out
 
 
+def test_cli_diagnose_warns_once_about_sigma(capsys):
+    # the configs diagnose derives from the command's do not warn again
+    with pytest.warns(UserWarning) as rec:
+        rc = cli.main(["diagnose", "--k", "1", "--eps", "1e-2", "--n", "8",
+                       "--sigma", "1.5"])
+    assert rc == cli.EXIT_OK
+    sigma = [w for w in rec if "sigma = 1.5 below k+1" in str(w.message)]
+    assert [w.filename for w in sigma] == [cli.__file__]
+    assert "diagnostics" in capsys.readouterr().out
+
+
 def test_cli_mesh_dump(capsys, tmp_path):
     rc = cli.main(["mesh-dump", "--eps", "1e-3", "--n", "8"])
     out = capsys.readouterr().out

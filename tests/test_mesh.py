@@ -1,10 +1,13 @@
 """Shishkin mesh construction, topology and classification."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edge_layout import edge_layout
 from shishkin_hdg.mesh import (MeshAssumptionWarning, MeshConfig, Region,
                                ShishkinMesh, build_mesh, dump_mesh)
 
@@ -59,14 +62,12 @@ def test_edge_counts_and_topology():
     assert mesh.n_cells == N * N
     assert mesh.n_edges == 2 * N * (N + 1)
     assert mesh.n_interior_edges == 2 * N * (N - 1)
-    # every interior edge has two adjacent cells, boundary edges one
-    two = (mesh.edge_cells >= 0).sum(axis=1)
-    assert np.all(two[~mesh.edge_boundary] == 2)
-    assert np.all(two[mesh.edge_boundary] == 1)
-    # cell_edges is consistent with edge_cells adjacency
-    for c in range(mesh.n_cells):
-        for e in mesh.cell_edges[c]:
-            assert c in mesh.edge_cells[e]
+    # every interior edge is a side of two cells, every boundary edge of one
+    count = np.bincount(mesh.cell_edges.ravel(), minlength=mesh.n_edges)
+    assert np.array_equal(count, np.where(mesh.edge_boundary, 1, 2))
+    # the boundary edges are the ones on x = 0, x = 1, y = 0 and y = 1
+    _, line, _ = edge_layout(N, N)
+    assert np.array_equal(mesh.edge_boundary, (line == 0) | (line == N))
 
 
 def test_shared_edges_between_neighbors():
@@ -80,26 +81,29 @@ def test_shared_edges_between_neighbors():
 
 def test_edge_geometry():
     mesh = build_mesh(MeshConfig(4, 1e-3, 2.0, 1.0, 2.0))
-    # edge 0 is the vertical edge on x=0, first segment
-    assert mesh.edge_axis[0] == 0 and mesh.edge_boundary[0]
-    assert mesh.edge_line[0] == 0 and mesh.edge_seg[0] == 0
-    # nx+1 vertical and ny+1 horizontal unit lines
-    expect = (mesh.nx + 1) * 1.0 + (mesh.ny + 1) * 1.0
-    assert np.isclose(mesh.edge_length.sum(), expect, atol=1e-12)
-    assert mesh.edge_length[0] == mesh.hy[0]
+    # edge 0 is the vertical edge on x=0, first segment: the W side of cell 0
+    assert mesh.cell_edges[0, 0] == 0 and mesh.edge_boundary[0]
+    assert mesh.half_side[0, 0] == (mesh.y_nodes[1] - mesh.y_nodes[0]) / 2
+    # each cell's four sides run once around it: twice its width plus
+    # twice its height
+    perimeter = 2 * (np.diff(mesh.x_nodes)[:, None]
+                     + np.diff(mesh.y_nodes)[None, :]).ravel()
+    assert np.allclose(2 * mesh.half_side.sum(axis=1), perimeter,
+                       rtol=1e-14)
 
 
 @settings(max_examples=25)
 @given(N=st.sampled_from([4, 8, 16, 32]),
        eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p))  # log-uniform
 def test_side_lengths_are_cell_widths(N, eps):
-    # the edge of a W or E side is as long as the cell is high, the edge of
-    # an S or N side as long as it is wide, bit for bit
+    # a W or E side is as long as the cell is high, an S or N side as long
+    # as it is wide, bit for bit, from the differences of the nodes
     mesh = build_mesh(MeshConfig(N, eps, 2.0, 1.0, 2.0))
-    side = mesh.edge_length[mesh.cell_edges]
-    for s, width in ((0, mesh.cell_hy), (1, mesh.cell_hy),
-                     (2, mesh.cell_hx), (3, mesh.cell_hx)):
-        assert np.array_equal(side[:, s], width)
+    ix, iy = np.divmod(np.arange(mesh.n_cells), N)
+    high = np.diff(mesh.y_nodes)[iy] / 2.0
+    wide = np.diff(mesh.x_nodes)[ix] / 2.0
+    for s, want in ((0, high), (1, high), (2, wide), (3, wide)):
+        assert np.array_equal(mesh.half_side[:, s], want)
 
 
 def test_region_classification():
@@ -123,6 +127,9 @@ def test_dump_mesh_contents():
     assert "tau_x" in text and "x_nodes" in text
     assert text.count("\ncell ") == mesh.n_cells
     assert text.count("\nedge ") == mesh.n_edges
+    # the whole text, byte for byte
+    assert text == (Path(__file__).parent / "golden" /
+                    "dump_mesh_n4.txt").read_text()
 
 
 @settings(max_examples=32)
@@ -139,8 +146,7 @@ def test_interior_edges_numbered_by_nested_dissection():
     N = 16
     mesh = build_mesh(MeshConfig(N, 1e-6, 2.0, 1.0, 2.0))
     order = np.argsort(mesh.interior_index)[mesh.edge_boundary.sum():]
-    axis, line, seg = (a[order] for a in (mesh.edge_axis, mesh.edge_line,
-                                          mesh.edge_seg))
+    axis, line, seg = (a[order] for a in edge_layout(N, N))
     # the middle vertical line separates the two halves and comes last
     assert np.all(axis[-N:] == 0) and np.all(line[-N:] == N // 2)
     # before it, the separator of the right half: the middle horizontal

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edge_layout import edge_layout
 from shishkin_hdg import layerquad
 from shishkin_hdg.assembly import random_fields
 from shishkin_hdg.mesh import MeshConfig, build_mesh
@@ -89,9 +90,9 @@ def test_edge_projection_orthogonality_1d(mesh):
     # recompute residual moments on every edge with the same point layout
     rule = gauss_rule(n)
     V = ref_tables(k, n).V
+    layout = edge_layout(mesh.nx, mesh.ny)
     for e in range(0, mesh.n_edges, 7):
-        axis = mesh.edge_axis[e]
-        line, seg = mesh.edge_line[e], mesh.edge_seg[e]
+        axis, line, seg = (a[e] for a in layout)
         if axis == 0:
             L = mesh.hy[seg]
             ys = (mesh.y_nodes[seg] + mesh.y_nodes[seg + 1]) / 2.0 \

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from edge_layout import edge_layout
 from shishkin_hdg import layerquad
 from shishkin_hdg.refelem import (Basis1D, CellQuad, QuadRule1D, gauss_rule,
                                   ref_tables)
@@ -141,11 +142,12 @@ def test_fields_on_lines_equal_fields_at_the_points(N, eps, n, coef, data):
     assert np.array_equal(cq.on_cells(fn, range(start, stop)),
                           fn(X[start:stop], Y[start:stop]))
 
-    # edges from the mesh's edge table, each by ascending coordinate
+    # edges by the documented edge-id layout, each by ascending coordinate
     XE, YE = np.empty((mesh.n_edges, n)), np.empty((mesh.n_edges, n))
-    v, h = mesh.edge_axis == 0, mesh.edge_axis == 1
-    XE[v], YE[v] = xn[mesh.edge_line[v], None], yq[mesh.edge_seg[v]]
-    XE[h], YE[h] = xq[mesh.edge_seg[h]], yn[mesh.edge_line[h], None]
+    axis, line, seg = edge_layout(mesh.nx, mesh.ny)
+    v, h = axis == 0, axis == 1
+    XE[v], YE[v] = xn[line[v], None], yq[seg[v]]
+    XE[h], YE[h] = xq[seg[h]], yn[line[h], None]
     assert np.array_equal(cq.on_edges(fn), fn(XE, YE))
     # gathered onto the cells they are the points of the sides W, E, S, N
     sides = ((xn[ix, None], yq[iy]), (xn[ix + 1, None], yq[iy]),
