@@ -280,14 +280,14 @@ def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
     interior edge order (mesh.interior_index, nested dissection along grid
     lines), the k+1 dofs of an edge consecutively, so the matrix is ready
     to factor in the order given. The blocks are summed on the mesh's
-    edge-block pattern (mesh.edge_blocks), so no entry sums more than two
-    terms and the result depends neither on the block size nor on the order
-    the tasks finish in.
+    edge-block pattern, built here (mesh.edge_blocks()) and dropped on
+    return, so no entry sums more than two terms and the result depends
+    neither on the block size nor on the order the tasks finish in.
     Returns (A, b, IF, IC), with IF and IC the u-rows of the recovery
     operators of every cell (CondensedSystem)."""
     setup = _local_setup(mesh, spec, cfg)
     kp, nc = cfg.k + 1, mesh.n_cells
-    pattern = mesh.edge_blocks
+    pattern = mesh.edge_blocks()
     edge_row = mesh.interior_index[mesh.cell_edges]  # (ncells, 4)
     # boundary edges (block position and row -1) go to a last, discarded
     # block and rhs row

@@ -14,7 +14,7 @@ import numpy as np
 from . import assembly, norms, projections
 from .assembly import HdgConfig, assemble_and_solve
 from .linalg import SolveError
-from .mesh import MeshConfig, build_mesh
+from .mesh import build_mesh
 from .norms import StabilizationError
 from .problems import ProblemSpec, get_problem, verify_assumptions
 from .refelem import CellQuad
@@ -87,8 +87,7 @@ class StudyConfig:
 
 def cell_mesh(cfg: StudyConfig, spec: ProblemSpec, k: int, N: int):
     """The Shishkin mesh of the study cell (k, spec.epsilon, N)."""
-    return build_mesh(MeshConfig(N, spec.epsilon, cfg.sigma_for(k),
-                                 *spec.beta_lb))
+    return build_mesh(N, spec.epsilon, cfg.sigma_for(k), *spec.beta_lb)
 
 
 def solve_cell(cfg: StudyConfig, k: int, eps: float, N: int):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .mesh import ShishkinMesh
 from .problems import ProblemSpec
-from .refelem import Basis1D, gauss_rule, on_lines
+from .refelem import gauss_rule, legendre, on_lines
 
 # a tail below exp(-REACH) ~ 3e-20 is invisible at double precision
 REACH = 45.0
@@ -102,8 +102,8 @@ class LayerBatch:
         if k not in self._bases:
             kp = k + 1
             (nx, px), (ny, py) = self.tx.shape, self.ty.shape
-            vx = Basis1D(k).eval(self.tx.reshape(-1))[0].reshape(kp, nx, px)
-            vy = Basis1D(k).eval(self.ty.reshape(-1))[0].reshape(kp, ny, py)
+            vx = legendre(k, self.tx.reshape(-1))[0].reshape(kp, nx, px)
+            vy = legendre(k, self.ty.reshape(-1))[0].reshape(kp, ny, py)
             B = np.einsum("mip,njq->ijmnpq", vx, vy).reshape(
                 nx * ny, kp * kp, px * py)
             B.flags.writeable = False

@@ -7,7 +7,6 @@ import io
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -22,25 +21,6 @@ class Region(Enum):
     X_LAYER = "x_layer"
     Y_LAYER = "y_layer"
     CORNER_LAYER = "corner_layer"
-
-
-@dataclass(frozen=True)
-class MeshConfig:
-    """Inputs of the Shishkin mesh: N cells per direction (divisible by 4),
-    perturbation parameter, mesh parameter sigma and convective lower bounds."""
-
-    N: int
-    epsilon: float
-    sigma: float
-    beta1: float
-    beta2: float
-
-    def __post_init__(self):
-        if self.N < 4 or self.N % 4 != 0:
-            raise ValueError(f"N must be >= 4 and divisible by 4, got {self.N}")
-        for name in ("epsilon", "sigma", "beta1", "beta2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 # the sides of a cell in cell_edges order W, E, S, N: the axis of the
@@ -124,9 +104,8 @@ class ShishkinMesh:
     system, are numbered separately: interior_index maps an edge id to its
     place in grid-line nested-dissection order (_nested_dissection), and
     to -1 on boundary edges. The trace system is factored in that order;
-    edge_blocks, built on first use, is its block pattern in the same
-    numbering: one (k+1) x (k+1) block per pair of interior edges sharing
-    a cell.
+    edge_blocks() builds its block pattern in the same numbering: one
+    (k+1) x (k+1) block per pair of interior edges sharing a cell.
     """
 
     x_nodes: np.ndarray
@@ -199,10 +178,10 @@ class ShishkinMesh:
     def n_interior_edges(self) -> int:
         return (self.nx - 1) * self.ny + self.nx * (self.ny - 1)
 
-    @cached_property
     def edge_blocks(self) -> EdgeBlockPattern:
-        """The block pattern of the trace system, built on first use; it
-        does not depend on the polynomial degree."""
+        """The block pattern of the trace system, the same for every
+        polynomial degree. Built on each call and not kept: the mesh holds
+        only geometry and topology."""
         n = self.n_interior_edges
         ie = self.interior_index[self.cell_edges]  # (ncells, 4)
         row = np.broadcast_to(ie[:, :, None], (self.n_cells, 4, 4))
@@ -233,13 +212,22 @@ class ShishkinMesh:
         return {reg.value: float(s) for reg, s in zip(Region, sums)}
 
 
-def build_mesh(cfg: MeshConfig) -> ShishkinMesh:
-    """Build the Shishkin mesh: transition points tau = min(1/2, sigma*eps/beta * ln N),
-    N/2 uniform cells on each side of the transition in each direction."""
-    N = cfg.N
+def build_mesh(N: int, epsilon: float, sigma: float, beta1: float,
+               beta2: float) -> ShishkinMesh:
+    """Build the Shishkin mesh with N cells per direction (divisible by 4)
+    for perturbation parameter epsilon, mesh parameter sigma and convective
+    lower bounds beta1, beta2: transition points
+    tau = min(1/2, sigma*eps/beta * ln N), N/2 uniform cells on each side
+    of the transition in each direction."""
+    if N < 4 or N % 4 != 0:
+        raise ValueError(f"N must be >= 4 and divisible by 4, got {N}")
+    for name, value in (("epsilon", epsilon), ("sigma", sigma),
+                        ("beta1", beta1), ("beta2", beta2)):
+        if value <= 0:
+            raise ValueError(f"{name} must be positive")
     logN = np.log(N)
-    tau_x = min(0.5, cfg.sigma * cfg.epsilon / cfg.beta1 * logN)
-    tau_y = min(0.5, cfg.sigma * cfg.epsilon / cfg.beta2 * logN)
+    tau_x = min(0.5, sigma * epsilon / beta1 * logN)
+    tau_y = min(0.5, sigma * epsilon / beta2 * logN)
 
     def nodes(tau):
         i = np.arange(N + 1, dtype=float)
@@ -249,9 +237,9 @@ def build_mesh(cfg: MeshConfig) -> ShishkinMesh:
         out[0], out[-1] = 0.0, 1.0
         return out
 
-    if cfg.epsilon > 1.0 / N:
+    if epsilon > 1.0 / N:
         warnings.warn(
-            f"epsilon = {cfg.epsilon:g} exceeds 1/N = {1.0 / N:g}",
+            f"epsilon = {epsilon:g} exceeds 1/N = {1.0 / N:g}",
             MeshAssumptionWarning, stacklevel=2)
     return ShishkinMesh(nodes(tau_x), nodes(tau_y), tau_x, tau_y,
                         split_x=N // 2, split_y=N // 2)

@@ -43,44 +43,36 @@ def gauss_rule(n: int) -> QuadRule1D:
     return QuadRule1D(nodes, weights)
 
 
-class Basis1D:
-    """Orthonormal Legendre basis on [-1, 1], degrees 0..k.
+def legendre(k: int, points) -> tuple[np.ndarray, np.ndarray]:
+    """Value and derivative tables, each (k+1, len(points)), of the
+    orthonormal Legendre basis on [-1, 1], degrees 0..k: function m is
+    sqrt((2m+1)/2) * L_m, so the Gram matrix under any exact quadrature is
+    the identity.
 
-    Function m is sqrt((2m+1)/2) * L_m, so the Gram matrix under any exact
-    quadrature is the identity.
+    Points outside [-1, 1] are allowed (extrapolation) but logged.
     """
-
-    def __init__(self, degree: int):
-        if degree < 0:
-            raise ValueError("basis degree must be >= 0")
-        self.degree = degree
-
-    def eval(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """Value and derivative tables of shape (k+1, len(points)).
-
-        Points outside [-1, 1] are allowed (extrapolation) but logged.
-        """
-        x = np.atleast_1d(np.asarray(points, dtype=float))
-        if x.size and (x.min() < -1.0 - 1e-12 or x.max() > 1.0 + 1e-12):
-            log.debug("Basis1D evaluated outside [-1, 1] (extrapolation)")
-        k = self.degree
-        vals = np.empty((k + 1, x.size))
-        ders = np.empty((k + 1, x.size))
-        p_prev = np.ones_like(x)
-        dp_prev = np.zeros_like(x)
-        vals[0], ders[0] = p_prev, dp_prev
-        if k >= 1:
-            p_cur, dp_cur = x.copy(), np.ones_like(x)
-            vals[1], ders[1] = p_cur, dp_cur
-            for n in range(1, k):
-                # (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}
-                p_next = ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1)
-                dp_next = dp_prev + (2 * n + 1) * p_cur
-                vals[n + 1], ders[n + 1] = p_next, dp_next
-                p_prev, p_cur = p_cur, p_next
-                dp_prev, dp_cur = dp_cur, dp_next
-        scale = np.sqrt((2 * np.arange(k + 1) + 1) / 2.0)
-        return vals * scale[:, None], ders * scale[:, None]
+    if k < 0:
+        raise ValueError("basis degree must be >= 0")
+    x = np.atleast_1d(np.asarray(points, dtype=float))
+    if x.size and (x.min() < -1.0 - 1e-12 or x.max() > 1.0 + 1e-12):
+        log.debug("legendre evaluated outside [-1, 1] (extrapolation)")
+    vals = np.empty((k + 1, x.size))
+    ders = np.empty((k + 1, x.size))
+    p_prev = np.ones_like(x)
+    dp_prev = np.zeros_like(x)
+    vals[0], ders[0] = p_prev, dp_prev
+    if k >= 1:
+        p_cur, dp_cur = x.copy(), np.ones_like(x)
+        vals[1], ders[1] = p_cur, dp_cur
+        for n in range(1, k):
+            # (n+1) P_{n+1} = (2n+1) x P_n - n P_{n-1}
+            p_next = ((2 * n + 1) * x * p_cur - n * p_prev) / (n + 1)
+            dp_next = dp_prev + (2 * n + 1) * p_cur
+            vals[n + 1], ders[n + 1] = p_next, dp_next
+            p_prev, p_cur = p_cur, p_next
+            dp_prev, dp_cur = dp_cur, dp_next
+    scale = np.sqrt((2 * np.arange(k + 1) + 1) / 2.0)
+    return vals * scale[:, None], ders * scale[:, None]
 
 
 class RefTables:
@@ -95,10 +87,9 @@ class RefTables:
         self.k, self.n = k, n
         kp = k + 1
         rule = gauss_rule(n)
-        basis = Basis1D(k)
-        V, D = basis.eval(rule.nodes)
+        V, D = legendre(k, rule.nodes)
         self.V = V
-        Ep, Em = basis.eval([1.0, -1.0])[0].T
+        Ep, Em = legendre(k, [1.0, -1.0])[0].T
 
         self.B0 = np.einsum("mx,ny->mnxy", V, V).reshape(kp * kp, n * n)
         self.BX = np.einsum("mx,ny->mnxy", D, V).reshape(kp * kp, n * n)

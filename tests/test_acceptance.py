@@ -26,7 +26,7 @@ from shishkin_hdg import norms
 from shishkin_hdg.assembly import (HdgConfig, assemble_and_solve, bilinear_form,
                                    galerkin_residual, random_fields)
 from shishkin_hdg.harness import StudyConfig, solve_cell
-from shishkin_hdg.mesh import MeshConfig, build_mesh
+from shishkin_hdg.mesh import build_mesh
 from shishkin_hdg.norms import convergence_rate
 from shishkin_hdg.problems import paper_problem, polynomial_problem
 from shishkin_hdg.refelem import CellQuad
@@ -148,7 +148,7 @@ def test_criterion_5_asymptotic_rates():
 
 def test_criterion_6_galerkin_orthogonality():
     spec = paper_problem(1e-2)
-    mesh = build_mesh(MeshConfig(8, 1e-2, 2.0, 1.0, 2.0))
+    mesh = build_mesh(8, 1e-2, 2.0, 1.0, 2.0)
     worst = max(galerkin_residual(mesh, spec, HdgConfig(k)) for k in (1, 2))
     record(6, "scaled discrete-orthogonality residual below 1e-8",
            worst <= 1e-8, f"residual {worst:.3e}")
@@ -156,7 +156,7 @@ def test_criterion_6_galerkin_orthogonality():
 
 def test_criterion_7_coercivity():
     spec = paper_problem(1e-2)
-    mesh = build_mesh(MeshConfig(4, 1e-2, 2.0, 1.0, 2.0))
+    mesh = build_mesh(4, 1e-2, 2.0, 1.0, 2.0)
     rng = np.random.default_rng(0)
     worst = np.inf
     for k in (1, 2):
@@ -177,7 +177,7 @@ def test_criterion_8_polynomial_exactness():
     worst = 0.0
     for N in (4, 8):
         with pytest.warns(UserWarning):
-            mesh = build_mesh(MeshConfig(N, 1.0, 3.0, 1.0, 2.0))
+            mesh = build_mesh(N, 1.0, 3.0, 1.0, 2.0)
         cfg = HdgConfig(2)
         fields = assemble_and_solve(mesh, spec, cfg)
         cq = CellQuad(mesh, cfg.n_error)
@@ -191,7 +191,7 @@ def test_criterion_8_polynomial_exactness():
 
 def test_criterion_9_dense_oracle_equivalence():
     spec = paper_problem(1e-2)
-    mesh = build_mesh(MeshConfig(4, 1e-2, 2.0, 1.0, 2.0))
+    mesh = build_mesh(4, 1e-2, 2.0, 1.0, 2.0)
     worst = 0.0
     for k in (1, 2):
         cfg = HdgConfig(k)

@@ -22,7 +22,7 @@ from shishkin_hdg.assembly import (HdgConfig, assemble_and_solve,
                                    condense, galerkin_residual,
                                    random_fields)
 from shishkin_hdg.linalg import SolveError, SparseMatrix
-from shishkin_hdg.mesh import MeshAssumptionWarning, MeshConfig, build_mesh
+from shishkin_hdg.mesh import MeshAssumptionWarning, build_mesh
 from shishkin_hdg.norms import StabilizationError
 from shishkin_hdg import norms
 from shishkin_hdg.problems import paper_problem, polynomial_problem
@@ -55,7 +55,7 @@ def test_config_validation():
 
 def test_stabilization_check():
     spec = paper_problem(1e-2)
-    mesh = build_mesh(MeshConfig(4, 1e-2, 2.0, 1.0, 2.0))
+    mesh = build_mesh(4, 1e-2, 2.0, 1.0, 2.0)
     bn = norms.edge_normal_beta(CellQuad(mesh, 3), spec)
     assert check_stabilization(bn, 3.0) == 1.5  # max |beta.n| = beta2(x, 0)
     with pytest.raises(StabilizationError):
@@ -70,7 +70,7 @@ def _mesh(N, eps, sigma):
     allowed here (it only leaves the mesh uniform)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MeshAssumptionWarning)
-        return build_mesh(MeshConfig(N, eps, sigma, 1.0, 2.0))
+        return build_mesh(N, eps, sigma, 1.0, 2.0)
 
 
 _log_eps = st.floats(-8.0, 0.0).map(lambda p: 10.0 ** p)  # log-uniform
@@ -95,7 +95,7 @@ def test_polynomial_solution_reproduced_exactly(k, N, eps, sigma):
        eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p))  # log-uniform
 def test_dense_monolithic_equivalence(k, N, eps):
     spec = paper_problem(eps)
-    mesh = build_mesh(MeshConfig(N, eps, k + 1.0, 1.0, 2.0))
+    mesh = build_mesh(N, eps, k + 1.0, 1.0, 2.0)
     cfg = HdgConfig(k)
     a = assemble_and_solve(mesh, spec, cfg)
     b = solve_monolithic(mesh, spec, cfg)
@@ -108,21 +108,21 @@ def test_dense_monolithic_equivalence(k, N, eps):
 
 def test_monolithic_size_guard():
     spec = paper_problem(1e-2)
-    mesh = build_mesh(MeshConfig(32, 1e-2, 3.0, 1.0, 2.0))
+    mesh = build_mesh(32, 1e-2, 3.0, 1.0, 2.0)
     with pytest.raises(ValueError):
         assemble_monolithic(mesh, spec, HdgConfig(2))
 
 
 def test_galerkin_residual_small():
     spec = paper_problem(1e-2)
-    mesh = build_mesh(MeshConfig(8, 1e-2, 2.0, 1.0, 2.0))
+    mesh = build_mesh(8, 1e-2, 2.0, 1.0, 2.0)
     for k in (1, 2):
         assert galerkin_residual(mesh, spec, HdgConfig(k)) < 1e-10
 
 
 def test_flux_continuity_after_solve(monkeypatch):
     spec = paper_problem(1e-2)
-    mesh = build_mesh(MeshConfig(8, 1e-2, 2.0, 1.0, 2.0))
+    mesh = build_mesh(8, 1e-2, 2.0, 1.0, 2.0)
     cfg = HdgConfig(1)
     fields = assemble_and_solve(mesh, spec, cfg)
     cq = CellQuad(mesh, cfg.n_assembly)
@@ -164,7 +164,7 @@ def test_coercivity_equals_energy_norm_for_random_triples(k, N, eps, sigma,
 
 def test_condense_schur_identity():
     spec = paper_problem(1e-2)
-    mesh = build_mesh(MeshConfig(4, 1e-2, 2.0, 1.0, 2.0))
+    mesh = build_mesh(4, 1e-2, 2.0, 1.0, 2.0)
     blocks = build_local_systems(mesh, spec, HdgConfig(1))
     cond = condense(blocks)
     c = 3
@@ -173,13 +173,55 @@ def test_condense_schur_identity():
     assert np.allclose(cond.S[c], S_ref, atol=1e-12)
 
 
+def test_solve_leaves_the_mesh_as_built():
+    # the trace block pattern is built per assembly and not kept on the
+    # mesh, which holds only what build_mesh set
+    mesh = build_mesh(8, 1e-3, 2.0, 1.0, 2.0)
+    keys = set(vars(mesh))
+    assemble_and_solve(mesh, paper_problem(1e-3), HdgConfig(1))
+    assert set(vars(mesh)) == keys
+
+
+def test_one_malloc_arena_without_mallopt(monkeypatch):
+    # a libc that cannot be opened, or one without mallopt, leaves malloc
+    # as it is: the call returns quietly and the solve is unchanged
+    spec = paper_problem(1e-2)
+    mesh = build_mesh(4, 1e-2, 2.0, 1.0, 2.0)
+    want = assemble_and_solve(mesh, spec, HdgConfig(1))
+    was_cached = assembly._one_malloc_arena.cache_info().currsize > 0
+    opened = []
+
+    def no_libc(name):
+        opened.append(name)
+        raise OSError("no libc handle")
+
+    def libc_without_mallopt(name):
+        opened.append(name)
+        return object()
+
+    try:
+        for cdll in (no_libc, libc_without_mallopt):
+            assembly._one_malloc_arena.cache_clear()
+            with monkeypatch.context() as mp:
+                mp.setattr(assembly.ctypes, "CDLL", cdll)
+                assert assembly._one_malloc_arena() is None
+                got = assemble_and_solve(mesh, spec, HdgConfig(1))
+            for name in ("q1", "q2", "u", "trace"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert len(opened) == 2
+    finally:
+        assembly._one_malloc_arena.cache_clear()
+        if was_cached:
+            assembly._one_malloc_arena()
+
+
 def test_zero_source_gives_zero_solution():
     spec = polynomial_problem(1.0)
     zero = type(spec)(spec.name, spec.epsilon, spec.beta1, spec.beta2,
                       spec.c, spec.div_beta, lambda x, y: 0.0 * x, spec.beta_lb,
                       spec.c0, None)
     with pytest.warns(MeshAssumptionWarning):  # eps = 1 > 1/N
-        mesh = build_mesh(MeshConfig(4, 1.0, 2.0, 1.0, 2.0))
+        mesh = build_mesh(4, 1.0, 2.0, 1.0, 2.0)
     fields = assemble_and_solve(mesh, zero, HdgConfig(1))
     assert np.max(np.abs(fields.u)) < 1e-13
     assert np.max(np.abs(fields.trace)) < 1e-13
@@ -233,7 +275,7 @@ def _recover(mesh, IF, IC, k, x):
        eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p))  # log-uniform
 def test_streamed_assembly_is_bit_identical_to_the_whole_mesh(k, N, eps):
     spec = paper_problem(eps)
-    mesh = build_mesh(MeshConfig(N, eps, k + 1.0, 1.0, 2.0))
+    mesh = build_mesh(N, eps, k + 1.0, 1.0, 2.0)
     cfg = HdgConfig(k)
     blocks = build_local_systems(mesh, spec, cfg)
     whole = condense(blocks)
@@ -286,7 +328,7 @@ def test_tasks_sharing_edges_sum_at_the_same_time():
     # the trace system, first waits at a barrier for the other task's, so
     # unlocked sums would run side by side, entry by entry
     spec = paper_problem(1e-4)
-    mesh = build_mesh(MeshConfig(8, 1e-4, 2.0, 1.0, 2.0))
+    mesh = build_mesh(8, 1e-4, 2.0, 1.0, 2.0)
     cfg = HdgConfig(1)
     A_want, b_want = _coo_trace_system(
         mesh, condense(build_local_systems(mesh, spec, cfg)), 1)
@@ -325,7 +367,7 @@ def test_recovered_flux_satisfies_equation_i(k, N, eps):
     # A_qq q + A_qu u + C_q t = 0 on the flux rows of every cell, to
     # rounding relative to the largest of the three terms in that cell
     spec = paper_problem(eps)
-    mesh = build_mesh(MeshConfig(N, eps, k + 1.0, 1.0, 2.0))
+    mesh = build_mesh(N, eps, k + 1.0, 1.0, 2.0)
     cfg = HdgConfig(k)
     fields = assemble_and_solve(mesh, spec, cfg)
     blocks = build_local_systems(mesh, spec, cfg)
@@ -356,7 +398,7 @@ def test_singular_block_names_its_global_cell(monkeypatch):
     # two workers build blocks of 7 // 2 = 3 cells: cell 12 is the first
     # cell of the fifth block, submitted while the fourth is in flight
     spec = paper_problem(1e-2)
-    mesh = build_mesh(MeshConfig(4, 1e-2, 2.0, 1.0, 2.0))
+    mesh = build_mesh(4, 1e-2, 2.0, 1.0, 2.0)
     build = assembly.build_local_systems
     built_on = []
 
@@ -387,9 +429,9 @@ def test_assembly_never_holds_the_whole_mesh_local_systems():
     # copy. SuperLU's own allocations are not traced.
     k, N, eps = 2, 64, 1e-6
     spec = paper_problem(eps)
-    mesh = build_mesh(MeshConfig(N, eps, k + 1.0, 1.0, 2.0))
+    mesh = build_mesh(N, eps, k + 1.0, 1.0, 2.0)
     # the reference tables and rules are cached on first use, not per solve
-    assemble_and_solve(build_mesh(MeshConfig(8, eps, k + 1.0, 1.0, 2.0)),
+    assemble_and_solve(build_mesh(8, eps, k + 1.0, 1.0, 2.0),
                        spec, HdgConfig(k))
     tracemalloc.start()
     try:

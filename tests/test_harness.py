@@ -9,7 +9,7 @@ import pytest
 from shishkin_hdg import cli, harness, layerquad, problems
 from shishkin_hdg.harness import (DiagnosticReport, StudyConfig, run_diagnostics,
                                   run_single, run_sweep)
-from shishkin_hdg.mesh import MeshConfig, build_mesh
+from shishkin_hdg.mesh import build_mesh
 
 
 def _cfg(**kw):
@@ -158,14 +158,14 @@ def test_solve_cell_evaluates_each_layer_basis_once(monkeypatch):
         built.extend(out)
         return out
 
-    class CountedBasis(layerquad.Basis1D):
-        def eval(self, points):
-            evals.append(self.degree)
-            return super().eval(points)
+    def legendre(k, points):
+        evals.append(k)
+        return real_legendre(k, points)
 
     real_batches = layerquad.layer_batches
+    real_legendre = layerquad.legendre
     monkeypatch.setattr(layerquad, "layer_batches", layer_batches)
-    monkeypatch.setattr(layerquad, "Basis1D", CountedBasis)
+    monkeypatch.setattr(layerquad, "legendre", legendre)
     harness.solve_cell(_cfg(mode="both"), 1, 1e-6, 16)
     assert built and len(evals) == 2 * len(built)
 
@@ -380,7 +380,7 @@ def test_cli_mesh_dump(capsys, tmp_path):
     # the default sigma is the study's k + 1 for the first degree
     cli.main(["mesh-dump", "--eps", "1e-3", "--n", "8", "--k", "2"])
     tau_x = float(capsys.readouterr().out.splitlines()[1].split()[1])
-    assert tau_x == build_mesh(MeshConfig(8, 1e-3, 3.0, 1.0, 2.0)).tau_x
+    assert tau_x == build_mesh(8, 1e-3, 3.0, 1.0, 2.0).tau_x
 
 
 def test_cli_requires_subcommand():

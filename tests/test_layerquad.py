@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from shishkin_hdg import layerquad
-from shishkin_hdg.mesh import MeshAssumptionWarning, MeshConfig, build_mesh
+from shishkin_hdg.mesh import MeshAssumptionWarning, build_mesh
 from shishkin_hdg.problems import paper_problem
 from shishkin_hdg.refelem import CellQuad, gauss_rule
 
@@ -51,7 +51,7 @@ def test_composite_rule_against_scipy_reference():
 
 def test_layer_flags_mark_transition_columns():
     spec = paper_problem(1e-6)
-    mesh = build_mesh(MeshConfig(8, 1e-6, 2.0, 1.0, 2.0))
+    mesh = build_mesh(8, 1e-6, 2.0, 1.0, 2.0)
     fx, fy = layerquad.layer_flags(mesh, spec)
     # the last coarse column before the transition holds the unresolved tail
     assert fx[mesh.split_x - 1] and fy[mesh.split_y - 1]
@@ -74,7 +74,7 @@ def _setup(N, eps):
     spec = paper_problem(eps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MeshAssumptionWarning)
-        mesh = build_mesh(MeshConfig(N, eps, 2.0, *spec.beta_lb))
+        mesh = build_mesh(N, eps, 2.0, *spec.beta_lb)
     return mesh, spec
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from shishkin_hdg import linalg
 from shishkin_hdg.assembly import HdgConfig, assemble_trace_system
 from shishkin_hdg.linalg import SolveError, SolveFallbackWarning, SparseMatrix
-from shishkin_hdg.mesh import MeshConfig, build_mesh
+from shishkin_hdg.mesh import build_mesh
 from shishkin_hdg.problems import paper_problem
 
 
@@ -119,6 +119,56 @@ def test_fallback_when_given_order_misses_the_gate(monkeypatch):
     _first_given_then_colamd(calls)
 
 
+class _CountedCsc(sp.csc_matrix):
+    """CSC storage that counts its matrix-vector products."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return super().__matmul__(other)
+
+
+class _CountedSolves:
+    """A factor that counts its solves."""
+
+    def __init__(self, lu):
+        self.lu, self.solves = lu, 0
+
+    def solve(self, r):
+        self.solves += 1
+        return self.lu.solve(r)
+
+
+def test_each_residual_is_computed_once(monkeypatch):
+    # a solve that meets the gate at once takes one product; one that is
+    # refined takes one per residual, steps + 1, never a repeat for the
+    # returned norm
+    A = _laplacian_1d(40)
+    b = np.random.default_rng(3).standard_normal(40)
+    A.csc = _CountedCsc(A.csc)
+    x = A.solve(b)
+    assert A.csc.products == 1
+    # factoring a perturbed copy forces refinement; the perturbation is
+    # small enough that one step meets the gate
+    real = spla.splu
+    factors = []
+
+    def perturbed(csc, **kw):
+        shift = 1e-9 * sp.identity(csc.shape[0], format="csc")
+        factors.append(_CountedSolves(real(csc + shift, **kw)))
+        return factors[-1]
+
+    monkeypatch.setattr(linalg.spla, "splu", perturbed)
+    A.csc = _CountedCsc(A.csc)
+    y = A.solve(b)
+    [lu] = factors
+    steps = lu.solves - 1
+    assert steps >= 1 and A.csc.products == steps + 1
+    assert _meets_gate(A, y, b)
+    assert np.allclose(y, x, rtol=0, atol=1e-10 * np.abs(x).max())
+
+
 def test_solve_error_names_both_attempts():
     A = _diagonal([1.0, 0.0])
     with pytest.raises(SolveError, match="given order.*COLAMD"):
@@ -136,7 +186,7 @@ def test_other_factorization_errors_propagate(monkeypatch):
 
 def _trace_system(k, N, eps):
     spec = paper_problem(eps)
-    mesh = build_mesh(MeshConfig(N, eps, k + 1.0, 1.0, 2.0))
+    mesh = build_mesh(N, eps, k + 1.0, 1.0, 2.0)
     return assemble_trace_system(mesh, spec, HdgConfig(k))[:2]
 
 

@@ -8,17 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from edge_layout import edge_layout
-from shishkin_hdg.mesh import (MeshAssumptionWarning, MeshConfig, Region,
+from shishkin_hdg.mesh import (MeshAssumptionWarning, Region,
                                ShishkinMesh, build_mesh, dump_mesh)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        MeshConfig(6, 1e-3, 2.0, 1.0, 2.0)   # not divisible by 4
-    with pytest.raises(ValueError):
-        MeshConfig(2, 1e-3, 2.0, 1.0, 2.0)
-    with pytest.raises(ValueError):
-        MeshConfig(8, -1e-3, 2.0, 1.0, 2.0)
+    # each of the five numbers build_mesh takes, one bad value at a time
+    bad = [((6, 1e-3, 2.0, 1.0, 2.0),  # not divisible by 4
+            "N must be >= 4 and divisible by 4, got 6"),
+           ((2, 1e-3, 2.0, 1.0, 2.0),
+            "N must be >= 4 and divisible by 4, got 2"),
+           ((8, -1e-3, 2.0, 1.0, 2.0), "epsilon must be positive"),
+           ((8, 1e-3, 0.0, 1.0, 2.0), "sigma must be positive"),
+           ((8, 1e-3, 2.0, -1.0, 2.0), "beta1 must be positive"),
+           ((8, 1e-3, 2.0, 1.0, 0.0), "beta2 must be positive")]
+    for args, message in bad:
+        with pytest.raises(ValueError) as info:
+            build_mesh(*args)
+        assert str(info.value) == message
     x = np.array([0.0, 0.3, 0.6, 0.8, 1.0])
     with pytest.raises(ValueError):  # nodes must strictly increase
         ShishkinMesh(np.array([0.0, 0.5, 0.5, 1.0]), x, 0.5, 0.5, 2, 2)
@@ -26,7 +33,7 @@ def test_config_validation():
 
 def test_transition_points():
     N, eps, sigma = 16, 1e-4, 2.0
-    mesh = build_mesh(MeshConfig(N, eps, sigma, 1.0, 2.0))
+    mesh = build_mesh(N, eps, sigma, 1.0, 2.0)
     assert np.isclose(mesh.tau_x, sigma * eps * np.log(N))
     assert np.isclose(mesh.tau_y, sigma * eps / 2.0 * np.log(N))
     # transition node sits at index N/2
@@ -36,18 +43,18 @@ def test_transition_points():
 
 def test_transition_caps_at_half():
     with pytest.warns(MeshAssumptionWarning):
-        mesh = build_mesh(MeshConfig(4, 0.9, 2.0, 1.0, 2.0))
+        mesh = build_mesh(4, 0.9, 2.0, 1.0, 2.0)
     assert mesh.tau_x == 0.5 and mesh.tau_y == 0.5
 
 
 def test_epsilon_regime_warning():
     with pytest.warns(MeshAssumptionWarning):
-        build_mesh(MeshConfig(4, 0.9, 2.0, 1.0, 2.0))
+        build_mesh(4, 0.9, 2.0, 1.0, 2.0)
 
 
 def test_piecewise_uniform_spacing():
     N = 8
-    mesh = build_mesh(MeshConfig(N, 1e-3, 2.0, 1.0, 2.0))
+    mesh = build_mesh(N, 1e-3, 2.0, 1.0, 2.0)
     hc = mesh.hx[: N // 2]
     hf = mesh.hx[N // 2:]
     assert np.allclose(hc, 2.0 * (1.0 - mesh.tau_x) / N)
@@ -58,7 +65,7 @@ def test_piecewise_uniform_spacing():
 
 def test_edge_counts_and_topology():
     N = 4
-    mesh = build_mesh(MeshConfig(N, 1e-3, 2.0, 1.0, 2.0))
+    mesh = build_mesh(N, 1e-3, 2.0, 1.0, 2.0)
     assert mesh.n_cells == N * N
     assert mesh.n_edges == 2 * N * (N + 1)
     assert mesh.n_interior_edges == 2 * N * (N - 1)
@@ -71,7 +78,7 @@ def test_edge_counts_and_topology():
 
 
 def test_shared_edges_between_neighbors():
-    mesh = build_mesh(MeshConfig(4, 1e-3, 2.0, 1.0, 2.0))
+    mesh = build_mesh(4, 1e-3, 2.0, 1.0, 2.0)
     ny = mesh.ny
     # E edge of cell (0,0) is the W edge of cell (1,0)
     assert mesh.cell_edges[0, 1] == mesh.cell_edges[ny, 0]
@@ -80,7 +87,7 @@ def test_shared_edges_between_neighbors():
 
 
 def test_edge_geometry():
-    mesh = build_mesh(MeshConfig(4, 1e-3, 2.0, 1.0, 2.0))
+    mesh = build_mesh(4, 1e-3, 2.0, 1.0, 2.0)
     # edge 0 is the vertical edge on x=0, first segment: the W side of cell 0
     assert mesh.cell_edges[0, 0] == 0 and mesh.edge_boundary[0]
     assert mesh.half_side[0, 0] == (mesh.y_nodes[1] - mesh.y_nodes[0]) / 2
@@ -98,7 +105,7 @@ def test_edge_geometry():
 def test_side_lengths_are_cell_widths(N, eps):
     # a W or E side is as long as the cell is high, an S or N side as long
     # as it is wide, bit for bit, from the differences of the nodes
-    mesh = build_mesh(MeshConfig(N, eps, 2.0, 1.0, 2.0))
+    mesh = build_mesh(N, eps, 2.0, 1.0, 2.0)
     ix, iy = np.divmod(np.arange(mesh.n_cells), N)
     high = np.diff(mesh.y_nodes)[iy] / 2.0
     wide = np.diff(mesh.x_nodes)[ix] / 2.0
@@ -108,7 +115,7 @@ def test_side_lengths_are_cell_widths(N, eps):
 
 def test_region_classification():
     # 1-based cells K_ij = I_i x J_j of the N=4 mesh and their regions
-    mesh = build_mesh(MeshConfig(4, 1e-3, 2.0, 1.0, 2.0))
+    mesh = build_mesh(4, 1e-3, 2.0, 1.0, 2.0)
     regions = list(Region)
     codes = mesh.cell_region()
     for (i, j), region in (((1, 1), Region.SMOOTH), ((4, 1), Region.X_LAYER),
@@ -122,7 +129,7 @@ def test_region_classification():
 
 
 def test_dump_mesh_contents():
-    mesh = build_mesh(MeshConfig(4, 1e-3, 2.0, 1.0, 2.0))
+    mesh = build_mesh(4, 1e-3, 2.0, 1.0, 2.0)
     text = dump_mesh(mesh)
     assert "tau_x" in text and "x_nodes" in text
     assert text.count("\ncell ") == mesh.n_cells
@@ -135,7 +142,7 @@ def test_dump_mesh_contents():
 @settings(max_examples=32)
 @given(N=st.integers(1, 32).map(lambda m: 4 * m))
 def test_interior_index_is_a_bijection(N):
-    mesh = build_mesh(MeshConfig(N, 1e-6, 2.0, 1.0, 2.0))
+    mesh = build_mesh(N, 1e-6, 2.0, 1.0, 2.0)
     idx = mesh.interior_index
     assert np.array_equal(np.sort(idx[~mesh.edge_boundary]),
                           np.arange(mesh.n_interior_edges))
@@ -144,7 +151,7 @@ def test_interior_index_is_a_bijection(N):
 
 def test_interior_edges_numbered_by_nested_dissection():
     N = 16
-    mesh = build_mesh(MeshConfig(N, 1e-6, 2.0, 1.0, 2.0))
+    mesh = build_mesh(N, 1e-6, 2.0, 1.0, 2.0)
     order = np.argsort(mesh.interior_index)[mesh.edge_boundary.sum():]
     axis, line, seg = (a[order] for a in edge_layout(N, N))
     # the middle vertical line separates the two halves and comes last
@@ -164,8 +171,8 @@ def test_interior_edges_numbered_by_nested_dissection():
 @settings(max_examples=32)
 @given(N=st.integers(1, 32).map(lambda m: 4 * m))
 def test_edge_block_pattern(N):
-    mesh = build_mesh(MeshConfig(N, 1e-6, 2.0, 1.0, 2.0))
-    pat = mesh.edge_blocks
+    mesh = build_mesh(N, 1e-6, 2.0, 1.0, 2.0)
+    pat = mesh.edge_blocks()
     n = mesh.n_interior_edges
     assert len(pat.indptr) == n + 1 and pat.indptr[-1] == len(pat.indices)
     rows = np.repeat(np.arange(n), np.diff(pat.indptr))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from shishkin_hdg import norms
 from shishkin_hdg.assembly import HdgConfig, SolutionFields, assemble_and_solve, random_fields
-from shishkin_hdg.mesh import MeshAssumptionWarning, MeshConfig, build_mesh
+from shishkin_hdg.mesh import MeshAssumptionWarning, build_mesh
 from shishkin_hdg.norms import (StabilizationError, convergence_rate,
                                 dyadic_rate, energy_norm, energy_weights,
                                 error_report, exact_values, triple_sub,
@@ -23,7 +23,7 @@ from shishkin_hdg.refelem import CellQuad, gauss_rule
 @pytest.fixture(scope="module")
 def setting():
     spec = paper_problem(1e-2)
-    mesh = build_mesh(MeshConfig(8, 1e-2, 2.0, 1.0, 2.0))
+    mesh = build_mesh(8, 1e-2, 2.0, 1.0, 2.0)
     return mesh, spec
 
 
@@ -155,7 +155,7 @@ def test_error_report_parts_add_up(k, N, eps):
     spec = paper_problem(eps)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MeshAssumptionWarning)
-        mesh = build_mesh(MeshConfig(N, eps, k + 1.0, *spec.beta_lb))
+        mesh = build_mesh(N, eps, k + 1.0, *spec.beta_lb)
     cfg = HdgConfig(k)
     exact = exact_values(CellQuad(mesh, cfg.n_error), spec)
     rep = error_report(exact, spec, cfg, assemble_and_solve(mesh, spec, cfg))
@@ -172,7 +172,7 @@ def test_error_report_evaluates_no_exact_field():
     # the exact solution is evaluated once per rule, by exact_values; the
     # error measures, the layer-cell corrections included, only read it
     spec = paper_problem(1e-6)
-    mesh = build_mesh(MeshConfig(8, 1e-6, 2.0, *spec.beta_lb))
+    mesh = build_mesh(8, 1e-6, 2.0, *spec.beta_lb)
     cfg = HdgConfig(1)
     fields = assemble_and_solve(mesh, spec, cfg)
     exact = exact_values(CellQuad(mesh, cfg.n_error), spec)
@@ -206,7 +206,7 @@ def test_outward_normal_beta_obeys_the_divergence_theorem(N, n, eps):
     # every rule integrates it exactly
     spec = dataclasses.replace(paper_problem(eps), beta1=lambda x, y: x,
                                beta2=lambda x, y: y)
-    mesh = build_mesh(MeshConfig(N, eps, 2.0, 1.0, 2.0))
+    mesh = build_mesh(N, eps, 2.0, 1.0, 2.0)
     terms = (mesh.half_side[:, :, None] * gauss_rule(n).weights
              * norms.edge_normal_beta(CellQuad(mesh, n), spec))
     err = terms.sum(axis=(1, 2)) - 2.0 * mesh.cell_hx * mesh.cell_hy

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from edge_layout import edge_layout
 from shishkin_hdg import layerquad
 from shishkin_hdg.assembly import random_fields
-from shishkin_hdg.mesh import MeshConfig, build_mesh
+from shishkin_hdg.mesh import build_mesh
 from shishkin_hdg.norms import exact_values, triple_values_discrete
 from shishkin_hdg.problems import paper_problem
 from shishkin_hdg.projections import project_cells, project_edge, project_exact
@@ -17,7 +17,7 @@ from shishkin_hdg.refelem import CellQuad, gauss_rule, ref_tables
 
 @pytest.fixture(scope="module")
 def mesh():
-    return build_mesh(MeshConfig(8, 1e-2, 2.0, 1.0, 2.0))
+    return build_mesh(8, 1e-2, 2.0, 1.0, 2.0)
 
 
 def _x(x, y):
@@ -141,7 +141,7 @@ def test_edge_projection_uses_the_side_points(N, eps, n):
     # every cell side sees the values of its edge, so scattering the side
     # values onto the edges loses nothing; project_edge integrates on the
     # edge values themselves
-    mesh = build_mesh(MeshConfig(N, eps, 2.0, 1.0, 2.0))
+    mesh = build_mesh(N, eps, 2.0, 1.0, 2.0)
     cq = CellQuad(mesh, n)
     sx, sy = (cq.on_edges(f)[mesh.cell_edges] for f in (_x, _y))
     for side in (sx, sy):
@@ -164,7 +164,7 @@ def test_projection_inverts_evaluation(k, N, eps, extra):
     # evaluation and projection share one coefficient convention: projecting
     # the values of a discrete triple on a rule of n >= k+1 points gives its
     # coefficients back, on the cells and on the edges
-    mesh = build_mesh(MeshConfig(N, eps, k + 1.0, 1.0, 2.0))
+    mesh = build_mesh(N, eps, k + 1.0, 1.0, 2.0)
     fields = random_fields(mesh, k, np.random.default_rng(N + k))
     cq = CellQuad(mesh, k + 1 + extra)
     vals = triple_values_discrete(cq, fields)
@@ -187,7 +187,7 @@ def test_projection_error_decay():
     spec = paper_problem(1e-2)
     errs = []
     for N in (4, 8, 16):
-        m = build_mesh(MeshConfig(N, 1e-2, 2.0, 1.0, 2.0))
+        m = build_mesh(N, 1e-2, 2.0, 1.0, 2.0)
         errs.append(_projection_error(m, spec, 1, 6))
     assert errs[0] > errs[1] > errs[2]
     # roughly O(h^2) between the finer pair

@@ -1,9 +1,11 @@
 """Every public top-level function and class of the package, and every
 public method and property of a public class, has a caller in the program
 itself (src/ or perfbench/), not only in the tests: code that only its own
-test calls belongs in tests/ or nowhere."""
+test calls belongs in tests/ or nowhere. Every span name the benchmark's
+tracer reads names a function of the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -113,3 +115,33 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}: {name}"
                    for name in sorted(_imported_names(tree) - used)]
     assert not unused, unused
+
+
+# span names the benchmark's tracer reads that name nothing in the package
+TRACER_EXEMPT = {
+    # retired with the per-cell rule; the tracer still reads it, as 0
+    "layerquad.cell_rule": "retired; ROADMAP item 4",
+    # the tracer wraps the problem's fields under this name itself
+    "problems.eval": "a span the tracer creates itself",
+}
+
+
+def test_every_span_name_the_tracer_reads_exists():
+    # perfbench/tracer.py reads per-layer timings as calls["module.attr"]
+    # and secs["module.attr"]; a renamed function would read 0 silently
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    names = {node.slice.value for node in ast.walk(tree)
+             if isinstance(node, ast.Subscript)
+             and isinstance(node.value, ast.Name)
+             and node.value.id in ("calls", "secs")
+             and isinstance(node.slice, ast.Constant)}
+    assert "mesh.build_mesh" in names and set(TRACER_EXEMPT) <= names
+    missing = []
+    for name in sorted(names - set(TRACER_EXEMPT)):
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"shishkin_hdg.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert not missing, missing
