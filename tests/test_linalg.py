@@ -1,6 +1,10 @@
 """Sparse matrix wrapper: solves, the COLAMD fallback and failure
 reporting."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -78,11 +82,13 @@ def _patch_first_splu(monkeypatch, first):
 
 
 def _first_given_then_colamd(calls):
-    # the given order first, then SuperLU's defaults: COLAMD, partial pivots
+    # the given order first, then COLAMD and partial pivots; both in panels
+    # of two columns, so the fallback keeps the small work arrays
     assert len(calls) == 2
     assert calls[0]["permc_spec"] == "NATURAL"
     assert calls[1].get("permc_spec", "COLAMD") == "COLAMD"
     assert calls[1].get("diag_pivot_thresh", 1.0) == 1.0
+    assert [kw.get("panel_size") for kw in calls] == [2, 2]
 
 
 def test_fallback_when_given_order_factorization_fails(monkeypatch):
@@ -210,3 +216,44 @@ def test_nested_dissection_order_cuts_fill(monkeypatch):
                               lambda lu: fill.append(lu.nnz) or lu)
     A.solve(b)
     assert len(calls) == 1 and fill[0] < 0.6 * colamd
+
+
+@pytest.mark.parametrize("k, N, fill", [(1, 64, 1_169_072), (2, 32, 515_532)])
+def test_panel_size_leaves_the_fill_alone(k, N, fill):
+    # the panel bounds SuperLU's work arrays only: the factor is the one
+    # SuperLU's default panel of 20 columns gives, entry for entry
+    A, _ = _trace_system(k, N, 1e-6)
+    default_panel = {**linalg.GIVEN_ORDER, "panel_size": None}
+    assert spla.splu(A.csc, **default_panel).nnz == fill
+    assert spla.splu(A.csc, **linalg.GIVEN_ORDER).nnz == fill
+
+
+# Peak (VmHWM) minus current (VmRSS) resident size, in kB, with the
+# factor held. Not ru_maxrss: a child started from the test process
+# inherits its parent's peak through fork and exec.
+_HELD_FACTOR_PROBE = """
+import scipy.sparse.linalg as spla
+from shishkin_hdg import linalg
+from shishkin_hdg.assembly import HdgConfig, assemble_trace_system
+from shishkin_hdg.mesh import build_mesh
+from shishkin_hdg.problems import paper_problem
+A = assemble_trace_system(build_mesh(64, 1e-6, 3.0, 1.0, 2.0),
+                          paper_problem(1e-6), HdgConfig(2))[0]
+lu = spla.splu(A.csc, **linalg.GIVEN_ORDER)
+with open("/proc/self/status") as fh:
+    kb = {k: int(v.split()[0]) for k, v in
+          (line.split(":", 1) for line in fh) if k in ("VmHWM", "VmRSS")}
+print(kb["VmHWM"] - kb["VmRSS"])
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the resident sizes from /proc")
+def test_factor_work_arrays_stay_below_the_held_factor():
+    # at k=2, N=64 the process peaks with the factor held, not above it:
+    # SuperLU's default 20-column panel put its work arrays 8 MB on top
+    out = subprocess.run([sys.executable, "-c", _HELD_FACTOR_PROBE],
+                         capture_output=True, text=True, check=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH":
+                                           os.pathsep.join(sys.path)})
+    assert int(out.stdout) <= 2 * 1024
