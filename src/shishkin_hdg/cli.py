@@ -46,7 +46,6 @@ _OPTIONS = {
                    "quadrature points per direction for error norms"),
     "out": ("out_dir", str, "output directory (sweep) or file"),
     "strict": ("strict", _bool, "turn validation failures into exit code 2"),
-    "max_n": ("max_n", int, "cap on N values taken from the sweep grid"),
 }
 
 

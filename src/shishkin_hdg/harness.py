@@ -7,6 +7,7 @@ import logging
 import os
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -14,7 +15,7 @@ import numpy as np
 from . import assembly, norms, projections
 from .assembly import HdgConfig, assemble_and_solve
 from .linalg import SolveError
-from .mesh import build_mesh
+from .mesh import build_mesh, shishkin_nodes
 from .norms import StabilizationError
 from .problems import ProblemSpec, get_problem, verify_assumptions
 from .refelem import CellQuad
@@ -24,6 +25,9 @@ log = logging.getLogger(__name__)
 # the tables each error mode emits
 MODES = {"true-error": ("energy",), "supercloseness": ("supercloseness",),
          "both": ("energy", "supercloseness")}
+
+# random triples the diagnostic suite samples the coercivity ratio on
+COERCIVITY_TRIPLES = 200
 
 
 @dataclass
@@ -42,28 +46,24 @@ class StudyConfig:
     mode: str = "true-error"
     out_dir: Optional[str] = None
     strict: bool = False
-    max_n: Optional[int] = None
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {tuple(MODES)}")
-        if not self.k_list or not self.eps_list:
-            raise ValueError("the k and eps lists must not be empty")
-        for n in self.n_list:
-            if n < 4 or n % 4:
-                raise ValueError(f"N = {n} is not divisible by 4")
-        if not self.effective_n_list():
-            raise ValueError(f"the N grid {self.n_list} with max_n = "
-                             f"{self.max_n} leaves no N")
-        # an invalid degree, rule, problem or eps fails here, before any solve
-        for eps in self.eps_list:
-            get_problem(self.problem, eps)
-        for k in self.k_list:
+        if not self.k_list or not self.eps_list or not self.n_list:
+            raise ValueError("the k, eps and N lists must not be empty")
+        # an invalid degree, rule, problem, eps or mesh fails here, before
+        # any solve
+        ks, eps_list, ns = self.grid()
+        specs = [get_problem(self.problem, eps) for eps in eps_list]
+        for k in ks:
             self.hdg(k)
             if self.sigma is not None and self.sigma < k + 1:
                 warnings.warn(f"sigma = {self.sigma:g} below k+1 = {k + 1}; "
                               "layer resolution is degraded", UserWarning,
                               stacklevel=3)
+        for spec, k, n in product(specs, ks, ns):
+            shishkin_nodes(n, spec.epsilon, self.sigma_for(k), *spec.beta_lb)
 
     def derive(self, **changes) -> StudyConfig:
         """This config with some fields changed, validated again; the sigma
@@ -78,11 +78,11 @@ class StudyConfig:
     def hdg(self, k: int) -> HdgConfig:
         return HdgConfig(k, self.tau, self.quad_assembly, self.quad_error)
 
-    def effective_n_list(self) -> list:
-        ns = sorted(set(self.n_list))
-        if self.max_n is not None:
-            ns = [n for n in ns if n <= self.max_n]
-        return ns
+    def grid(self) -> tuple:
+        """The sweep grid (k values, eps values, N values): k and eps in the
+        order given and N ascending, each without repeats."""
+        return (list(dict.fromkeys(self.k_list)),
+                list(dict.fromkeys(self.eps_list)), sorted(set(self.n_list)))
 
 
 def cell_mesh(cfg: StudyConfig, spec: ProblemSpec, k: int, N: int):
@@ -183,12 +183,12 @@ def run_sweep(cfg: StudyConfig) -> SweepResult:
     """Full sweep over the configured grid. One table per (k, mode); failed
     cells are recorded and do not abort the rest. Writes CSV and markdown
     files when an output directory is configured."""
-    ns = cfg.effective_n_list()
+    ks, eps_list, ns = cfg.grid()
     tables = []
     failures = []
-    for k in cfg.k_list:
-        cells = {eps: {} for eps in cfg.eps_list}
-        for eps in cfg.eps_list:
+    for k in ks:
+        cells = {eps: {} for eps in eps_list}
+        for eps in eps_list:
             for n in ns:
                 try:
                     rep, _, _ = solve_cell(cfg, k, eps, n)
@@ -200,9 +200,9 @@ def run_sweep(cfg: StudyConfig) -> SweepResult:
                     cells[eps][n] = f"{type(exc).__name__}: {exc}"
                     failures.append((k, eps, n, str(exc)))
         for mode in MODES[cfg.mode]:
-            table = SweepTable(k, mode, ns, list(cfg.eps_list), cells,
-                               {eps: {} for eps in cfg.eps_list})
-            for eps in cfg.eps_list:
+            table = SweepTable(k, mode, ns, eps_list, cells,
+                               {eps: {} for eps in eps_list})
+            for eps in eps_list:
                 for a, b in zip(ns, ns[1:]):
                     ea, eb = table.error(eps, a), table.error(eps, b)
                     if b == 2 * a and ea and eb:
@@ -249,8 +249,7 @@ class DiagnosticReport:
         return "\n".join(lines) + "\n"
 
 
-def run_diagnostics(cfg: StudyConfig, seed: int = 0,
-                    n_triples: int = 200) -> DiagnosticReport:
+def run_diagnostics(cfg: StudyConfig, seed: int = 0) -> DiagnosticReport:
     """Diagnostic suite at one (k, eps, N): assumption validation,
     stabilization margin, discrete-orthogonality residual, flux continuity,
     coercivity sampling and quadrature robustness."""
@@ -284,21 +283,22 @@ def run_diagnostics(cfg: StudyConfig, seed: int = 0,
     entries.append(DiagnosticEntry("discrete orthogonality residual (scaled)",
                                    gres, 1e-8, gres <= 1e-8))
 
-    fres = norms.bilinear_residual(asm_cq, spec, hdg, fields, parts=("mu",))
+    fres = norms.bilinear_residual(asm_cq, spec, hdg, fields)["mu"]
     entries.append(DiagnosticEntry("flux continuity residual",
                                    fres, 1e-9, fres <= 1e-9))
 
     rng = np.random.default_rng(seed)
     wts = norms.energy_weights(CellQuad(mesh, hdg.n_error), spec, hdg.tau)
     worst = np.inf
-    for _ in range(n_triples):
+    for _ in range(COERCIVITY_TRIPLES):
         xi = assembly.random_fields(mesh, k, rng)
         b = assembly.bilinear_form(xi, mesh, spec, hdg)
         vals = norms.triple_values_discrete(wts.cq, xi)
         nrm2 = norms.energy_norm(wts, vals) ** 2
         worst = min(worst, b / nrm2)
     entries.append(DiagnosticEntry(
-        f"coercivity B(xi,xi)/|||xi|||^2 over {n_triples} random triples",
+        f"coercivity B(xi,xi)/|||xi|||^2 over {COERCIVITY_TRIPLES} random "
+        "triples",
         worst, 1.0 - 1e-10, worst >= 1.0 - 1e-10))
 
     rep2, _, _ = solve_cell(cfg2, k, eps, N)

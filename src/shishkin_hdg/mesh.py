@@ -112,8 +112,6 @@ class ShishkinMesh:
     y_nodes: np.ndarray
     tau_x: float
     tau_y: float
-    split_x: int  # cells with 0-based ix < split_x are left of the x transition
-    split_y: int
 
     # derived geometry and topology, filled in __post_init__
     hx: np.ndarray = field(init=False)
@@ -196,11 +194,11 @@ class ShishkinMesh:
         return EdgeBlockPattern(indptr, keys % n, position)
 
     def cell_region(self) -> np.ndarray:
-        """Region of every cell as an integer array (Region order)."""
-        ix = np.arange(self.nx)[:, None]
-        iy = np.arange(self.ny)[None, :]
-        in_x = ix >= self.split_x
-        in_y = iy >= self.split_y
+        """Region of every cell as an integer array (Region order): the x
+        layer holds the cells with 0-based ix >= nx // 2, the y layer those
+        with iy >= ny // 2."""
+        in_x = np.arange(self.nx)[:, None] >= self.nx // 2
+        in_y = np.arange(self.ny)[None, :] >= self.ny // 2
         code = in_x.astype(int) + 2 * in_y.astype(int)
         return np.broadcast_to(code, (self.nx, self.ny)).reshape(-1)
 
@@ -212,37 +210,47 @@ class ShishkinMesh:
         return {reg.value: float(s) for reg, s in zip(Region, sums)}
 
 
-def build_mesh(N: int, epsilon: float, sigma: float, beta1: float,
-               beta2: float) -> ShishkinMesh:
-    """Build the Shishkin mesh with N cells per direction (divisible by 4)
-    for perturbation parameter epsilon, mesh parameter sigma and convective
-    lower bounds beta1, beta2: transition points
-    tau = min(1/2, sigma*eps/beta * ln N), N/2 uniform cells on each side
-    of the transition in each direction."""
+def shishkin_nodes(N: int, epsilon: float, sigma: float, beta1: float,
+                   beta2: float) -> tuple:
+    """(x_nodes, y_nodes, tau_x, tau_y) of the Shishkin mesh with N cells
+    per direction (divisible by 4) for perturbation parameter epsilon, mesh
+    parameter sigma and convective lower bounds beta1, beta2: transition
+    points tau = min(1/2, sigma*eps/beta * ln N), N/2 uniform cells on each
+    side of the transition in each direction. Raises ValueError also when
+    the fine nodes coincide in floating point."""
     if N < 4 or N % 4 != 0:
         raise ValueError(f"N must be >= 4 and divisible by 4, got {N}")
     for name, value in (("epsilon", epsilon), ("sigma", sigma),
                         ("beta1", beta1), ("beta2", beta2)):
         if value <= 0:
             raise ValueError(f"{name} must be positive")
-    logN = np.log(N)
-    tau_x = min(0.5, sigma * epsilon / beta1 * logN)
-    tau_y = min(0.5, sigma * epsilon / beta2 * logN)
 
-    def nodes(tau):
+    def nodes(beta):
+        tau = min(0.5, sigma * epsilon / beta * np.log(N))
         i = np.arange(N + 1, dtype=float)
         coarse = 2.0 * (1.0 - tau) / N * i[: N // 2 + 1]
         fine = (1.0 - tau) + 2.0 * tau / N * (i[N // 2 + 1:] - N // 2)
         out = np.concatenate([coarse, fine])
         out[0], out[-1] = 0.0, 1.0
-        return out
+        if np.any(np.diff(out) <= 0):
+            raise ValueError(f"the fine Shishkin nodes coincide at N = {N}, "
+                             f"epsilon = {epsilon:g}, sigma = {sigma:g}")
+        return out, tau
 
+    (x_nodes, tau_x), (y_nodes, tau_y) = nodes(beta1), nodes(beta2)
+    return x_nodes, y_nodes, tau_x, tau_y
+
+
+def build_mesh(N: int, epsilon: float, sigma: float, beta1: float,
+               beta2: float) -> ShishkinMesh:
+    """Build the Shishkin mesh of shishkin_nodes(N, epsilon, sigma, beta1,
+    beta2)."""
+    nodes = shishkin_nodes(N, epsilon, sigma, beta1, beta2)
     if epsilon > 1.0 / N:
         warnings.warn(
             f"epsilon = {epsilon:g} exceeds 1/N = {1.0 / N:g}",
             MeshAssumptionWarning, stacklevel=2)
-    return ShishkinMesh(nodes(tau_x), nodes(tau_y), tau_x, tau_y,
-                        split_x=N // 2, split_y=N // 2)
+    return ShishkinMesh(*nodes)
 
 
 def dump_mesh(mesh: ShishkinMesh) -> str:

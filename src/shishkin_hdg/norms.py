@@ -50,31 +50,25 @@ def edge_normal_beta(cq: CellQuad, spec: ProblemSpec):
 class TripleValues:
     """Pointwise values of a triple (r, w, mu) on the quadrature grid.
 
-    r1, r2, w: (ncells, n*n) cell values, None when only the sides and
-    edges were evaluated. w_tr: (ncells, 4, n) side values. mu: (nedges, n)
-    edge values, single-valued per edge.
+    r1, r2, w: (ncells, n*n) cell values. w_tr: (ncells, 4, n) side values.
+    mu: (nedges, n) edge values, single-valued per edge.
     """
 
     n: int
-    r1: Optional[np.ndarray]
-    r2: Optional[np.ndarray]
-    w: Optional[np.ndarray]
+    r1: np.ndarray
+    r2: np.ndarray
+    w: np.ndarray
     w_tr: np.ndarray
     mu: np.ndarray
 
 
-def triple_values_discrete(cq: CellQuad, flds,
-                           cells: bool = True) -> TripleValues:
+def triple_values_discrete(cq: CellQuad, flds) -> TripleValues:
     """Evaluate a discrete triple given by SolutionFields-style coefficient
-    arrays (pulled-back orthonormal bases) on the rule cq; without cells,
-    r1, r2 and w are None and only the side and edge values are evaluated."""
+    arrays (pulled-back orthonormal bases) on the rule cq."""
     R = ref_tables(flds.k, cq.n)
-
-    def cell_vals(coef):
-        return np.einsum("ca,ag->cg", coef, R.B0) if cells else None
-
     return TripleValues(
-        cq.n, cell_vals(flds.q1), cell_vals(flds.q2), cell_vals(flds.u),
+        cq.n, *(np.einsum("ca,ag->cg", coef, R.B0)
+                for coef in (flds.q1, flds.q2, flds.u)),
         np.stack([np.einsum("ca,ag->cg", flds.u, tab)
                   for tab in R.side_traces], axis=1),
         np.einsum("ea,ag->eg", flds.trace, R.V))
@@ -177,15 +171,15 @@ def energy_norm(wts: EnergyWeights, vals: TripleValues) -> float:
     return float(np.sqrt(q_sq + float(react.sum()) + _jump_sq(wts, vals)))
 
 
-def bilinear_residual(cq: CellQuad, spec: ProblemSpec, cfg, fields,
-                      of_error: bool = False,
-                      parts=("r", "w", "mu")) -> float:
-    """max |B(e; test)| over all normalized discrete test functions, on the
-    rule cq, for the discrete triple e = fields or, with of_error, for the
-    error e = exact - fields of a manufactured problem.
+def bilinear_residual(cq: CellQuad, spec: ProblemSpec, cfg, fields) -> dict:
+    """|B(e; test)| for the error e = exact - fields of a manufactured
+    problem on the rule cq, maximized over each family of normalized
+    discrete test functions: {"r": ..., "w": ..., "mu": ...}.
 
     Tests are the physically orthonormal basis functions of the three spaces;
-    "r" and "w" rows run over every cell, "mu" rows over interior edges.
+    "r" and "w" rows run over every cell, "mu" rows over interior edges. The
+    exact flux and trace are single-valued on every edge, so their mu rows
+    cancel and "mu" measures the flux continuity of the fields.
     """
     k, tau = cfg.k, cfg.tau
     mesh, n = cq.mesh, cq.n
@@ -194,56 +188,45 @@ def bilinear_residual(cq: CellQuad, spec: ProblemSpec, cfg, fields,
     sqj = np.sqrt(cq.J)
     side = mesh.half_side / sqj[:, None]
     tabs = R.side_traces
-    # the mu rows read no cell values; the error's are always evaluated
-    cells = of_error or "r" in parts or "w" in parts
-    vals = triple_values_discrete(cq, fields, cells)
+    vals = triple_sub(triple_values_exact(cq, spec),
+                      triple_values_discrete(cq, fields))
     q = (fields.q1, fields.q2)
-    rn = np.stack([sign * np.einsum("ca,ag->cg", q[axis], tabs[s])
-                   for s, (axis, sign) in enumerate(SIDES)], axis=1)
-    if of_error:
-        vals = triple_sub(triple_values_exact(cq, spec), vals)
-        rn = _outward(mesh, cq.on_edges(spec.exact.q1),
-                      cq.on_edges(spec.exact.q2)) - rn
+    rn_h = np.stack([sign * np.einsum("ca,ag->cg", q[axis], tabs[s])
+                     for s, (axis, sign) in enumerate(SIDES)], axis=1)
+    rn = _outward(mesh, cq.on_edges(spec.exact.q1),
+                  cq.on_edges(spec.exact.q2)) - rn_h
     mu = vals.mu[mesh.cell_edges]  # (ncells, 4, n)
 
     # numerical flux r.n + beta.n mu + tau (w - mu) on every cell side
     flux = rn + edge_normal_beta(cq, spec) * mu + tau * (vals.w_tr - mu)
 
-    worst = 0.0
-    if "r" in parts:
-        # rows of r1 (x derivative), then of r2: the cell terms, then the
-        # trace on each side, signed with its outward normal
-        res = [(sqj / spec.epsilon)[:, None]
-               * np.einsum("cg,bg->cb", r * cq.W2, R.B0)
-               - side[:, s, None] * np.einsum("cg,bg->cb", vals.w * cq.W2, BD)
-               for r, BD, s in ((vals.r1, R.BX, 0), (vals.r2, R.BY, 2))]
-        for s, (axis, sign) in enumerate(SIDES):
-            res[axis] += sign * side[:, s, None] * \
-                np.einsum("cg,bg->cb", mu[:, s] * w1, tabs[s])
-        worst = max(worst, *(float(np.abs(r).max()) for r in res))
+    # rows of r1 (x derivative), then of r2: the cell terms, then the trace
+    # on each side, signed with its outward normal
+    res = [(sqj / spec.epsilon)[:, None]
+           * np.einsum("cg,bg->cb", r * cq.W2, R.B0)
+           - side[:, s, None] * np.einsum("cg,bg->cb", vals.w * cq.W2, BD)
+           for r, BD, s in ((vals.r1, R.BX, 0), (vals.r2, R.BY, 2))]
+    for s, (axis, sign) in enumerate(SIDES):
+        res[axis] += sign * side[:, s, None] * \
+            np.einsum("cg,bg->cb", mu[:, s] * w1, tabs[s])
 
-    if "w" in parts:
-        b1, b2 = cq.on_cells(spec.beta1), cq.on_cells(spec.beta2)
-        cr = cq.on_cells(spec.c) - cq.on_cells(spec.div_beta)
-        resw = -side[:, 0, None] * np.einsum(
-            "cg,bg->cb", (vals.r1 + b1 * vals.w) * cq.W2, R.BX)
-        resw -= side[:, 2, None] * np.einsum(
-            "cg,bg->cb", (vals.r2 + b2 * vals.w) * cq.W2, R.BY)
-        resw += sqj[:, None] * np.einsum("cg,bg->cb", cr * vals.w * cq.W2,
-                                         R.B0)
-        for s in range(4):
-            resw += side[:, s, None] * \
-                np.einsum("cg,bg->cb", flux[:, s] * w1, tabs[s])
-        worst = max(worst, float(np.abs(resw).max()))
+    b1, b2 = cq.on_cells(spec.beta1), cq.on_cells(spec.beta2)
+    cr = cq.on_cells(spec.c) - cq.on_cells(spec.div_beta)
+    resw = -side[:, 0, None] * np.einsum(
+        "cg,bg->cb", (vals.r1 + b1 * vals.w) * cq.W2, R.BX)
+    resw -= side[:, 2, None] * np.einsum(
+        "cg,bg->cb", (vals.r2 + b2 * vals.w) * cq.W2, R.BY)
+    resw += sqj[:, None] * np.einsum("cg,bg->cb", cr * vals.w * cq.W2, R.B0)
+    for s in range(4):
+        resw += side[:, s, None] * \
+            np.einsum("cg,bg->cb", flux[:, s] * w1, tabs[s])
 
-    if "mu" in parts:
-        resm = np.zeros((mesh.n_edges, k + 1))
-        np.add.at(resm, mesh.cell_edges, np.sqrt(mesh.half_side)[:, :, None]
-                  * np.einsum("csg,eg->cse", flux * w1, R.V))
-        interior = resm[~mesh.edge_boundary]
-        if interior.size:
-            worst = max(worst, float(np.abs(interior).max()))
-    return worst
+    resm = np.zeros((mesh.n_edges, k + 1))
+    np.add.at(resm, mesh.cell_edges, np.sqrt(mesh.half_side)[:, :, None]
+              * np.einsum("csg,eg->cse", flux * w1, R.V))
+    return {"r": max(float(np.abs(r).max()) for r in res),
+            "w": float(np.abs(resw).max()),
+            "mu": float(np.abs(resm[~mesh.edge_boundary]).max())}
 
 
 def load_vector_scale(cq: CellQuad, spec: ProblemSpec) -> float:

@@ -132,7 +132,7 @@ def paper_problem(epsilon: float) -> ProblemSpec:
     return _problem("paper-sec5", eps, u, u_x, u_y, lap)
 
 
-def polynomial_problem(epsilon: float = 1.0) -> ProblemSpec:
+def polynomial_problem(epsilon: float) -> ProblemSpec:
     """Diagnostic problem with the paper's coefficients and the global
     polynomial solution u = x(1-x) y(1-y) (in Q^2, vanishing on the boundary)."""
     eps = float(epsilon)

@@ -31,17 +31,21 @@ def test_study_config_validation():
     assert rec[0].filename == __file__
     assert _cfg().sigma_for(2) == 3.0
     assert _cfg(sigma=4.0).sigma_for(1) == 4.0
-    assert _cfg(n_list=[16, 4, 8, 8], max_n=8).effective_n_list() == [4, 8]
-    with pytest.raises(ValueError, match="leaves no N"):
-        _cfg(n_list=[8, 16], max_n=4)
-    # an empty k or eps list would give no tables or empty ones
-    for empty in (dict(k_list=[]), dict(eps_list=[])):
+    # repeats are dropped: k and eps keep their first place, N is sorted
+    assert _cfg(k_list=[2, 1, 2], eps_list=[1e-2, 1e-3, 1e-2],
+                n_list=[16, 4, 8, 8]).grid() == ([2, 1], [1e-2, 1e-3],
+                                                 [4, 8, 16])
+    # an empty k, eps or N list would give no tables or empty ones
+    for empty in (dict(k_list=[]), dict(eps_list=[]), dict(n_list=[])):
         with pytest.raises(ValueError, match="must not be empty"):
             _cfg(**empty)
-    # a bad degree, eps, problem or rule late in a list fails before any
-    # solve: k = 29 needs a 33-point error rule
+    # a bad degree, eps, problem, rule or mesh late in a list fails before
+    # any solve: k = 29 needs a 33-point error rule, and at eps = 1e-17 the
+    # fine mesh nodes coincide
     for bad, msg in ((dict(k_list=[1, 0]), "k must be >= 1"),
                      (dict(eps_list=[1e-2, 2.0]), "epsilon must lie"),
+                     (dict(eps_list=[1e-2, 1e-17]), "nodes coincide"),
+                     (dict(n_list=[4, 6]), "divisible by 4, got 6"),
                      (dict(k_list=[1, 29]), "quadrature above 30"),
                      (dict(problem="nope"), "unknown problem")):
         with pytest.raises(ValueError, match=msg):
@@ -177,11 +181,11 @@ def test_skips_rates_for_non_doubling_pairs():
 
 def test_diagnostics_pass_at_moderate_epsilon(monkeypatch):
     cfg = _cfg(n_list=[8])
-    rep = run_diagnostics(cfg, n_triples=50)
+    rep = run_diagnostics(cfg)
     assert isinstance(rep, DiagnosticReport)
     assert rep.passed, rep.render()
     text = rep.render()
-    assert "coercivity" in text and "diagnostics passed" in text
+    assert "over 200 random triples" in text and "diagnostics passed" in text
     with pytest.raises(ValueError):
         run_diagnostics(_cfg(n_list=[4, 8]))
 
@@ -245,7 +249,6 @@ _OPTION_SAMPLES = {
     "quad_error": ("7", ["--quad-error", "7"]),
     "out": ("tables", ["--out", "tables"]),
     "strict": ("Yes", ["--strict"]),
-    "max_n": ("64", ["--max-n", "64"]),
 }
 
 
@@ -288,16 +291,11 @@ def test_cli_invalid_value_exit_code(capsys, tmp_path, monkeypatch):
                        "--quad-error", q, "--mode", "true-error"])
         assert rc == cli.EXIT_SOLVER
         assert "error quadrature below k+1" in capsys.readouterr().err
-    # a cap that leaves no N is an error, not empty tables
-    rc = cli.main(["sweep", "--k", "1", "--eps", "1e-6", "--n", "8",
-                   "--n", "16", "--max-n", "4"])
-    assert rc == cli.EXIT_SOLVER
-    captured = capsys.readouterr()
-    assert "leaves no N" in captured.err and not captured.out
-    # so is a config-file line that leaves the k or the eps list empty
-    for line in ("k =", "eps ="):
+    # a config-file line that leaves the k, eps or N list empty is an
+    # error, not empty tables
+    for text in ("k =\nn = 8 16\n", "eps =\nn = 8 16\n", "n =\n"):
         conf = tmp_path / "empty.conf"
-        conf.write_text(f"{line}\nn = 8 16\n")
+        conf.write_text(text)
         rc = cli.main(["sweep", "--config", str(conf)])
         assert rc == cli.EXIT_SOLVER
         captured = capsys.readouterr()
@@ -314,6 +312,43 @@ def test_cli_invalid_value_exit_code(capsys, tmp_path, monkeypatch):
     captured = capsys.readouterr()
     assert "k must be >= 1" in captured.err and not captured.out
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_sweep_checks_every_mesh_before_solving(capsys, tmp_path,
+                                                    monkeypatch):
+    def no_solve(*args):
+        raise AssertionError("a cell was solved")
+
+    # at eps = 1e-17 the fine nodes of the N = 4 mesh coincide; the first
+    # eps is fine, and its cells are not solved either
+    monkeypatch.setattr(harness, "solve_cell", no_solve)
+    out = tmp_path / "out"
+    rc = cli.main(["sweep", "--k", "1", "--eps", "1e-6", "--eps", "1e-17",
+                   "--n", "4", "--n", "8", "--out", str(out)])
+    assert rc == cli.EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert "epsilon = 1e-17" in captured.err and not captured.out
+    assert not out.exists()
+
+
+def test_cli_sweep_solves_repeated_k_and_eps_once(capsys, tmp_path,
+                                                  monkeypatch):
+    calls = Counter()
+    real_solve = harness.solve_cell
+
+    def counted_solve(cfg, k, eps, n):
+        calls[k, eps, n] += 1
+        return real_solve(cfg, k, eps, n)
+
+    monkeypatch.setattr(harness, "solve_cell", counted_solve)
+    out = tmp_path / "out"
+    rc = cli.main(["sweep", "--k", "1", "--k", "1", "--eps", "1e-6",
+                   "--eps", "1e-6", "--n", "4", "--n", "8", "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    assert calls == {(1, 1e-6, 4): 1, (1, 1e-6, 8): 1}
+    csv = (out / "table_k1_energy.csv").read_text().splitlines()
+    assert [row.split(",")[3] for row in csv[1:]] == ["4", "8"]
+    assert (out / "table_k1_energy.md").read_text().count("eps=1e-06") == 1
 
 
 def test_cli_solve_solver_failure_exit_code(capsys):

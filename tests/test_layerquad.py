@@ -54,10 +54,11 @@ def test_layer_flags_mark_transition_columns():
     mesh = build_mesh(8, 1e-6, 2.0, 1.0, 2.0)
     fx, fy = layerquad.layer_flags(mesh, spec)
     # the last coarse column before the transition holds the unresolved tail
-    assert fx[mesh.split_x - 1] and fy[mesh.split_y - 1]
+    split = mesh.N // 2  # the first fine column and row
+    assert fx[split - 1] and fy[split - 1]
     # fine cells resolve the layer scale and are not flagged
-    assert not fx[mesh.split_x:].any()
-    assert not fy[mesh.split_y:].any()
+    assert not fx[split:].any()
+    assert not fy[split:].any()
     # far-from-layer coarse columns see only underflow
     assert not fx[0] and not fy[0]
 

@@ -28,7 +28,14 @@ def test_config_validation():
         assert str(info.value) == message
     x = np.array([0.0, 0.3, 0.6, 0.8, 1.0])
     with pytest.raises(ValueError):  # nodes must strictly increase
-        ShishkinMesh(np.array([0.0, 0.5, 0.5, 1.0]), x, 0.5, 0.5, 2, 2)
+        ShishkinMesh(np.array([0.0, 0.5, 0.5, 1.0]), x, 0.5, 0.5)
+    # fine nodes that coincide in floating point name the mesh parameters;
+    # with sigma = 3 and N = 4 they first do at eps = 1e-17
+    build_mesh(4, 1e-16, 3.0, 1.0, 2.0)
+    with pytest.raises(ValueError) as info:
+        build_mesh(4, 1e-17, 3.0, 1.0, 2.0)
+    assert str(info.value) == ("the fine Shishkin nodes coincide at N = 4, "
+                               "epsilon = 1e-17, sigma = 3")
 
 
 def test_transition_points():
