@@ -79,12 +79,11 @@ class SolutionFields:
                               self.u - other.u, self.trace - other.trace)
 
 
-# cells whose dense local systems exist at once in the streamed assembly:
-# WORKERS threads each build, condense and sum blocks of CELL_BLOCK // WORKERS
-# consecutive cells, and a block is freed when its task ends
-CELL_BLOCK = 1024
-# the CPUs this process may use, at most 4, so a block is never below 256
-# cells and the block count of a mesh does not grow with the host
+# consecutive cells one pool task builds, condenses and sums, whatever the
+# host; the task's dense local systems are freed when it ends
+BLOCK_CELLS = 256
+# the CPUs this process may use, at most 4, so no more than 1,024 cells'
+# dense systems exist at once
 WORKERS = min(4, len(os.sched_getaffinity(0))
               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
@@ -269,29 +268,64 @@ def condense(blocks: LocalBlocks) -> CondensedSystem:
     return CondensedSystem(S, r, IF[:, iu], IC[:, iu])
 
 
+def _csc_layout(mesh: ShishkinMesh, kp: int) -> tuple:
+    """(first, step, indices, indptr), all int32: the CSC arrays of the
+    trace system, one (kp, kp) block per ordered pair of interior edges
+    sharing a cell, and where each cell's Schur complement goes in them.
+    Block column J holds its cnt[J] blocks by increasing row from block
+    bptr[J] on; entry (i, j) of its block of rank r sits at kp^2 bptr[J] +
+    kp r + i + j kp cnt[J], so that of cell c's (side a, side b) block at
+    first[c, a, b] + i + j step[c, a, b] (first = nnz, step = 0: the kp
+    entries after the last, for a side on the boundary)."""
+    n, nc = mesh.n_interior_edges, mesh.n_cells
+    ie = mesh.interior_index[mesh.cell_edges]  # (ncells, 4)
+    row, col = np.broadcast_arrays(ie[:, :, None], ie[:, None, :])
+    inner = (row >= 0) & (col >= 0)
+    # sorted keys col * n + row: block columns in order, rows sorted in each
+    keys, slot = np.unique(col[inner] * n + row[inner], return_inverse=True)
+    bptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+    cnt = np.diff(bptr)
+    J, I = (keys // n).astype(np.int32), (keys % n).astype(np.int32)
+    del keys
+    step = kp * cnt[J]  # entry (i, j) of each block at start + i + j step
+    start = kp * (kp * bptr[J] + np.arange(len(J), dtype=np.int32) - bptr[J])
+    nnz, i = kp * kp * len(J), np.arange(kp, dtype=np.int32)
+    indices = np.empty(nnz, dtype=np.int32)
+    indices[_entries(start, step, kp)] = kp * I + i[:, None, None]
+    indptr = np.append(kp * kp * bptr[:-1, None] + (kp * cnt)[:, None] * i,
+                       np.int32(nnz))
+    first = np.full((nc, 4, 4), nnz, dtype=np.int32)
+    cell_step = np.zeros_like(first)
+    first[inner], cell_step[inner] = start[slot], step[slot]
+    return first, cell_step, indices, indptr
+
+
+def _entries(first: np.ndarray, step: np.ndarray, kp: int) -> np.ndarray:
+    """(kp, kp, *first.shape): first + i + j step of block entry (i, j)."""
+    i = np.arange(kp, dtype=np.int32).reshape((kp,) + (1,) * first.ndim)
+    return first + i[:, None] + i * step
+
+
 def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
                           cfg: HdgConfig) -> tuple[SparseMatrix, np.ndarray,
                                                    np.ndarray, np.ndarray]:
-    """Build and condense the local systems in blocks of CELL_BLOCK //
-    WORKERS consecutive cells, one task per block on WORKERS threads, so the
-    dense local systems of the whole mesh never exist at once; each task
-    sums its block's Schur blocks into the global interior-trace system of
-    dimension n_interior_edges * (k+1). Unknowns are numbered in the mesh's
-    interior edge order (mesh.interior_index, nested dissection along grid
-    lines), the k+1 dofs of an edge consecutively, so the matrix is ready
-    to factor in the order given. The blocks are summed on the mesh's
-    edge-block pattern, built here (mesh.edge_blocks()) and dropped on
-    return, so no entry sums more than two terms and the result depends
-    neither on the block size nor on the order the tasks finish in.
+    """Build and condense the local systems in blocks of BLOCK_CELLS
+    consecutive cells, one task per block on WORKERS threads, so the dense
+    local systems of the whole mesh never exist at once; each task sums its
+    Schur blocks straight into the CSC arrays (_csc_layout) of the global
+    interior-trace system, whose unknowns are the k+1 dofs of each interior
+    edge in mesh.interior_index order (nested dissection along grid lines),
+    the order SuperLU factors in. No entry sums more than two terms, so the
+    result depends neither on the block size nor on the task order.
     Returns (A, b, IF, IC), with IF and IC the u-rows of the recovery
     operators of every cell (CondensedSystem)."""
-    setup = _local_setup(mesh, spec, cfg)
     kp, nc = cfg.k + 1, mesh.n_cells
-    pattern = mesh.edge_blocks()
+    # the layout first, so its sort is freed before the accumulators exist
+    first, step, indices, indptr = _csc_layout(mesh, kp)
+    setup = _local_setup(mesh, spec, cfg)
     edge_row = mesh.interior_index[mesh.cell_edges]  # (ncells, 4)
-    # boundary edges (block position and row -1) go to a last, discarded
-    # block and rhs row
-    data = np.zeros((len(pattern.indices) + 1, kp, kp))
+    # boundary edges (row -1, first = nnz) go to a discarded tail
+    data = np.zeros(indptr[-1] + kp)
     rows = np.zeros((mesh.n_interior_edges + 1, kp))
     IF, IC = np.empty((nc, kp * kp)), np.empty((nc, kp * kp, 4 * kp))
     lock = threading.Lock()  # neighbouring blocks share edges
@@ -300,19 +334,20 @@ def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
         part = condense(build_local_systems(mesh, spec, cfg, cells, setup))
         sel = slice(cells.start, cells.stop)
         IF[sel], IC[sel] = part.IF, part.IC
+        # S as (row i, column j, cell, side a, side b), as _entries orders;
+        # the long axes last make both faster
+        S = part.S.reshape(-1, 4, kp, 4, kp).transpose(2, 4, 0, 1, 3).ravel()
+        at = _entries(first[sel], step[sel], kp).ravel()
         with lock:
-            # the (side i, side j) block of each cell: (cells, 4, 4, k+1, k+1)
-            np.add.at(data, pattern.position[sel],
-                      part.S.reshape(-1, 4, kp, 4, kp).swapaxes(2, 3))
+            np.add.at(data, at, S)
             np.add.at(rows, edge_row[sel], part.rhs.reshape(-1, 4, kp))
 
-    size = max(1, CELL_BLOCK // WORKERS)
     _one_malloc_arena()
     with ThreadPoolExecutor(WORKERS) as pool:
         # map cancels the queued blocks when one raises
-        list(pool.map(condense_block, (range(s, min(s + size, nc))
-                                       for s in range(0, nc, size))))
-    A = SparseMatrix.from_blocks(data[:-1], pattern.indices, pattern.indptr)
+        list(pool.map(condense_block, (range(s, min(s + BLOCK_CELLS, nc))
+                                       for s in range(0, nc, BLOCK_CELLS))))
+    A = SparseMatrix.from_csc(data[:-kp], indices, indptr)
     return A, rows[:-1].ravel(), IF, IC
 
 

@@ -12,8 +12,8 @@ import argparse
 import logging
 import sys
 
-from .harness import (MODES, StudyConfig, cell_mesh, run_diagnostics,
-                      run_single, run_sweep)
+from .harness import (MODES, StudyConfig, cell_mesh, one_cell,
+                      run_diagnostics, run_single, run_sweep)
 from .linalg import SolveError
 from .mesh import dump_mesh
 from .norms import StabilizationError
@@ -142,15 +142,15 @@ def cmd_sweep(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = study_config(args)
-    report = run_diagnostics(cfg.derive(n_list=cfg.n_list[:1]))
+    report = run_diagnostics(cfg)
     sys.stdout.write(report.render())
     return EXIT_VALIDATION if cfg.strict and not report.passed else EXIT_OK
 
 
 def cmd_mesh_dump(args) -> int:
     cfg = study_config(args)
-    spec = get_problem(cfg.problem, cfg.eps_list[0])
-    text = dump_mesh(cell_mesh(cfg, spec, cfg.k_list[0], cfg.n_list[0]))
+    k, eps, n = one_cell(cfg, "mesh-dump")
+    text = dump_mesh(cell_mesh(cfg, get_problem(cfg.problem, eps), k, n))
     if cfg.out_dir:
         with open(cfg.out_dir, "w") as fh:
             fh.write(text)

@@ -106,13 +106,17 @@ def solve_cell(cfg: StudyConfig, k: int, eps: float, N: int):
     return report, fields, mesh
 
 
+def one_cell(cfg: StudyConfig, what: str) -> tuple:
+    """The only (k, epsilon, N) of cfg.grid(), or ValueError naming what."""
+    ks, eps_list, ns = cfg.grid()
+    if len(ks) != 1 or len(eps_list) != 1 or len(ns) != 1:
+        raise ValueError(f"{what} needs exactly one k, one epsilon, one N")
+    return ks[0], eps_list[0], ns[0]
+
+
 def run_single(cfg: StudyConfig) -> norms.ErrorReport:
     """Single (k, epsilon, N) solve; the config must pin down one cell."""
-    if len(cfg.k_list) != 1 or len(cfg.eps_list) != 1 or len(cfg.n_list) != 1:
-        raise ValueError("run_single needs exactly one k, one epsilon, one N")
-    report, _, _ = solve_cell(cfg, cfg.k_list[0], cfg.eps_list[0],
-                              cfg.n_list[0])
-    return report
+    return solve_cell(cfg, *one_cell(cfg, "run_single"))[0]
 
 
 @dataclass
@@ -253,9 +257,7 @@ def run_diagnostics(cfg: StudyConfig, seed: int = 0) -> DiagnosticReport:
     """Diagnostic suite at one (k, eps, N): assumption validation,
     stabilization margin, discrete-orthogonality residual, flux continuity,
     coercivity sampling and quadrature robustness."""
-    if len(cfg.k_list) != 1 or len(cfg.eps_list) != 1 or len(cfg.n_list) != 1:
-        raise ValueError("diagnostics need exactly one k, one epsilon, one N")
-    k, eps, N = cfg.k_list[0], cfg.eps_list[0], cfg.n_list[0]
+    k, eps, N = one_cell(cfg, "diagnose")
     spec = get_problem(cfg.problem, eps)
     hdg = cfg.hdg(k)
     entries = []

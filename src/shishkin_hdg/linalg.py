@@ -59,13 +59,11 @@ class SparseMatrix:
         self.n = matrix.shape[0]
 
     @classmethod
-    def from_blocks(cls, data: np.ndarray, indices: np.ndarray,
-                    indptr: np.ndarray) -> "SparseMatrix":
-        """Square matrix from block-CSR arrays: the (b, b) blocks `data`,
-        their block columns `indices` and the block-row pointers `indptr`.
-        Converted entry by entry, explicit zeros kept."""
-        n = (len(indptr) - 1) * data.shape[1]
-        return cls(sp.bsr_matrix((data, indices, indptr), shape=(n, n)))
+    def from_csc(cls, data: np.ndarray, indices: np.ndarray,
+                 indptr: np.ndarray) -> "SparseMatrix":
+        """Square matrix from its CSC arrays, kept without a copy."""
+        n = len(indptr) - 1
+        return cls(sp.csc_matrix((data, indices, indptr), shape=(n, n)))
 
     @property
     def nnz(self) -> int:

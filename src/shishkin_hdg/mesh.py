@@ -69,24 +69,6 @@ def _nested_dissection(nx: int, ny: int) -> np.ndarray:
     return np.repeat(first - offset, length) + np.arange(length.sum())
 
 
-@dataclass(frozen=True)
-class EdgeBlockPattern:
-    """Block-CSR pattern of the condensed trace system: block row and column
-    e are the interior edge numbered e by interior_index, and row e holds a
-    block for every interior edge that shares a cell with edge e, columns
-    in increasing order.
-
-    position[c, i, j] is the block into which the (side i, side j) block of
-    cell c's Schur complement is summed (sides W, E, S, N), -1 when either
-    side is a boundary edge. A diagonal block gets two contributions, one
-    from each cell of its edge; an off-diagonal block gets one, because two
-    distinct edges share at most one cell."""
-
-    indptr: np.ndarray    # (n_interior_edges + 1,)
-    indices: np.ndarray   # (n_blocks,) block column of each block
-    position: np.ndarray  # (ncells, 4, 4)
-
-
 @dataclass
 class ShishkinMesh:
     """Piecewise-uniform tensor mesh with cell and oriented-edge topology.
@@ -103,9 +85,8 @@ class ShishkinMesh:
     The interior edges, whose traces are the unknowns of the condensed
     system, are numbered separately: interior_index maps an edge id to its
     place in grid-line nested-dissection order (_nested_dissection), and
-    to -1 on boundary edges. The trace system is factored in that order;
-    edge_blocks() builds its block pattern in the same numbering: one
-    (k+1) x (k+1) block per pair of interior edges sharing a cell.
+    to -1 on boundary edges. The trace system is numbered and factored in
+    that order.
     """
 
     x_nodes: np.ndarray
@@ -175,23 +156,6 @@ class ShishkinMesh:
     @property
     def n_interior_edges(self) -> int:
         return (self.nx - 1) * self.ny + self.nx * (self.ny - 1)
-
-    def edge_blocks(self) -> EdgeBlockPattern:
-        """The block pattern of the trace system, the same for every
-        polynomial degree. Built on each call and not kept: the mesh holds
-        only geometry and topology."""
-        n = self.n_interior_edges
-        ie = self.interior_index[self.cell_edges]  # (ncells, 4)
-        row = np.broadcast_to(ie[:, :, None], (self.n_cells, 4, 4))
-        col = np.broadcast_to(ie[:, None, :], (self.n_cells, 4, 4))
-        inner = (row >= 0) & (col >= 0)
-        # sorted keys row * n + col: CSR order with sorted columns
-        keys, slot = np.unique(row[inner] * n + col[inner],
-                               return_inverse=True)
-        position = np.full((self.n_cells, 4, 4), -1, dtype=np.int64)
-        position[inner] = slot
-        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
-        return EdgeBlockPattern(indptr, keys % n, position)
 
     def cell_region(self) -> np.ndarray:
         """Region of every cell as an integer array (Region order): the x

@@ -280,6 +280,39 @@ def _recover(mesh, IF, IC, k, x):
     return np.split(v, 3, axis=1) + [trace]
 
 
+@settings(max_examples=30)
+@given(k=st.integers(1, 3), N=st.integers(1, 16).map(lambda m: 4 * m))
+def test_csc_layout_places_every_cell_entry(k, N):
+    # the entries of the cells' (side, side) blocks, summed at first + i +
+    # j step, give the CSC arrays scipy builds from coordinate triplets
+    mesh = build_mesh(N, 1e-6, 2.0, 1.0, 2.0)
+    kp = k + 1
+    first, step, indices, indptr = assembly._csc_layout(mesh, kp)
+    nnz = indptr[-1]
+    assert all(a.dtype == np.int32 for a in (first, step, indices, indptr))
+    # a pair with a boundary edge goes to the discarded tail
+    boundary = mesh.edge_boundary[mesh.cell_edges]
+    outside = boundary[:, :, None] | boundary[:, None, :]
+    assert np.all(first[outside] == nnz) and not step[outside].any()
+    # distinct values per cell entry, so a misplaced one shows
+    rng = np.random.default_rng(N * 4 + k)
+    S = rng.standard_normal((mesh.n_cells, 4 * kp, 4 * kp))
+    i = np.arange(kp)
+    at = first[:, :, None, :, None] + i[:, None, None] \
+        + step[:, :, None, :, None] * i
+    data = np.zeros(nnz + kp)
+    np.add.at(data, at, S.reshape(at.shape))
+    A, _ = _coo_trace_system(mesh, assembly.CondensedSystem(
+        S, np.zeros((mesh.n_cells, 4 * kp)), None, None), k)
+    A = A.tocsc()
+    assert np.array_equal(indptr, A.indptr)
+    assert np.array_equal(indices, A.indices)
+    assert np.array_equal(data[:-kp], A.data)
+    # rows strictly increase within each column
+    column = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+    assert np.all(np.diff(indices)[np.diff(column) == 0] > 0)
+
+
 @settings(max_examples=20)
 @given(k=st.integers(1, 3), N=st.sampled_from([4, 8, 12, 16, 20, 32]),
        eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p))  # log-uniform
@@ -300,7 +333,7 @@ def test_streamed_assembly_is_bit_identical_to_the_whole_mesh(k, N, eps):
     # tasks contend for the lock on the shared sums, and threads switch
     # often, so a lost update would show
     interval = sys.getswitchinterval()
-    for cell_block, workers in ((7, 1), (7, 2), (20, 4)):
+    for block_cells, workers in ((7, 1), (3, 2), (5, 4)):
         systems = []  # the trace system the solve below assembles
 
         def record(*args):
@@ -308,7 +341,7 @@ def test_streamed_assembly_is_bit_identical_to_the_whole_mesh(k, N, eps):
             return systems[-1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(assembly, "CELL_BLOCK", cell_block)
+            mp.setattr(assembly, "BLOCK_CELLS", block_cells)
             mp.setattr(assembly, "WORKERS", workers)
             mp.setattr(assembly, "assemble_trace_system", record)
             sys.setswitchinterval(1e-5)
@@ -358,7 +391,7 @@ def test_tasks_sharing_edges_sum_at_the_same_time():
                                    rhs=part.rhs.view(Meeting))
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(assembly, "CELL_BLOCK", 64)
+        mp.setattr(assembly, "BLOCK_CELLS", 32)
         mp.setattr(assembly, "WORKERS", 2)
         mp.setattr(assembly, "condense", condense_to_meet)
         A, b, _, _ = assemble_trace_system(mesh, spec, cfg)
@@ -392,9 +425,10 @@ def test_recovered_flux_satisfies_equation_i(k, N, eps):
 
 
 def test_blocks_are_never_below_256_cells():
-    # at most 4 workers, whatever the host, so a mesh's block count (and
-    # the local-system build count) does not grow with the CPU count
-    assert assembly.CELL_BLOCK // assembly.WORKERS >= 256
+    # a block is 256 cells whatever the host, so a mesh's block count (and
+    # the local-system build count) does not depend on the CPU count; at
+    # most 4 workers, so at most 1,024 cells' dense systems exist at once
+    assert assembly.BLOCK_CELLS == 256
     probe = ("import os; os.sched_getaffinity = lambda pid: set(range(64)); "
              "from shishkin_hdg import assembly; print(assembly.WORKERS)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
@@ -405,8 +439,8 @@ def test_blocks_are_never_below_256_cells():
 
 
 def test_singular_block_names_its_global_cell(monkeypatch):
-    # two workers build blocks of 7 // 2 = 3 cells: cell 12 is the first
-    # cell of the fifth block, submitted while the fourth is in flight
+    # two workers build blocks of 3 cells: cell 12 is the first cell of the
+    # fifth block, submitted while the fourth is in flight
     spec = paper_problem(1e-2)
     mesh = build_mesh(4, 1e-2, 2.0, 1.0, 2.0)
     build = assembly.build_local_systems
@@ -419,7 +453,7 @@ def test_singular_block_names_its_global_cell(monkeypatch):
             blocks.A[blocks.cells.index(12)] = 0.0
         return blocks
 
-    monkeypatch.setattr(assembly, "CELL_BLOCK", 7)
+    monkeypatch.setattr(assembly, "BLOCK_CELLS", 3)
     monkeypatch.setattr(assembly, "WORKERS", 2)
     monkeypatch.setattr(assembly, "build_local_systems", singular_cell_12)
     before = set(threading.enumerate())
@@ -431,22 +465,25 @@ def test_singular_block_names_its_global_cell(monkeypatch):
 
 def test_assembly_never_holds_the_whole_mesh_local_systems():
     # the whole mesh's dense local systems A, C, G and D never exist at
-    # once, and only the u-rows of the recovery operators are kept: the
-    # traced peak stays below 30 MB. Here A, C, G and D are 49.8 MB; the
-    # whole-mesh assembly peaked at 100.7 MB, keeping every row of IF and
-    # IC at 37.1 MB, the u-rows alone at 29.4-30.6 MB while each block
-    # concatenated F and C into a copy, and at 26.8-27.2 MB without the
-    # copy. SuperLU's own allocations are not traced.
+    # once, only the u-rows of the recovery operators are kept, and the
+    # Schur blocks are summed straight into the CSC arrays: on two workers
+    # (two 256-cell blocks in flight) the traced peak stays below 23 MB.
+    # Here A, C, G and D are 49.8 MB; the whole-mesh assembly peaked at
+    # 100.7 MB, and the block-CSR sum with its conversion to CSC, in
+    # 512-cell blocks, at 27.2-27.7 MB. SuperLU's own allocations are not
+    # traced.
     k, N, eps = 2, 64, 1e-6
     spec = paper_problem(eps)
     mesh = build_mesh(N, eps, k + 1.0, 1.0, 2.0)
     # the reference tables and rules are cached on first use, not per solve
     assemble_and_solve(build_mesh(8, eps, k + 1.0, 1.0, 2.0),
                        spec, HdgConfig(k))
-    tracemalloc.start()
-    try:
-        assemble_and_solve(mesh, spec, HdgConfig(k))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 30e6, peak
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(assembly, "WORKERS", 2)
+        tracemalloc.start()
+        try:
+            assemble_and_solve(mesh, spec, HdgConfig(k))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 23e6, peak

@@ -351,6 +351,32 @@ def test_cli_sweep_solves_repeated_k_and_eps_once(capsys, tmp_path,
     assert (out / "table_k1_energy.md").read_text().count("eps=1e-06") == 1
 
 
+def test_cli_solve_counts_a_repeated_k_and_eps_once(capsys):
+    rc = cli.main(["solve", "--k", "1", "--k", "1", "--eps", "1e-2",
+                   "--eps", "1e-2", "--n", "8"])
+    repeated = capsys.readouterr()
+    assert rc == cli.EXIT_OK and not repeated.err
+    assert cli.main(["solve", "--k", "1", "--eps", "1e-2", "--n", "8"]) == 0
+    assert repeated.out == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["diagnose", "mesh-dump"])
+@pytest.mark.parametrize("extra", [["--n", "4"], ["--eps", "1e-3"],
+                                   ["--k", "2"]])
+def test_cli_single_cell_commands_reject_a_second_value(command, extra,
+                                                        capsys):
+    # a second N, eps or k is an error, as for solve, not dropped unseen;
+    # a repeat of the same value is one value
+    rc = cli.main([command, "--k", "1", "--eps", "1e-2", "--n", "8", *extra])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_SOLVER and not captured.out
+    assert captured.err == (f"error: {command} needs exactly one k, one "
+                            "epsilon, one N\n")
+    rc = cli.main([command, "--k", "1", "--eps", "1e-2", "--n", "8",
+                   "--n", "8"])
+    assert rc == cli.EXIT_OK and capsys.readouterr().out
+
+
 def test_cli_solve_solver_failure_exit_code(capsys):
     # tau = 0.5 violates tau - |beta.n|/2 > 0 (max |beta.n|/2 = 1.5)
     rc = cli.main(["solve", "--k", "1", "--eps", "1e-2", "--n", "4",

@@ -173,32 +173,3 @@ def test_interior_edges_numbered_by_nested_dissection():
         ((axis == 1) & (seg < N // 2))
     half = mesh.n_interior_edges // 2 - N // 2
     assert np.all(inside_left[:half]) and not np.any(inside_left[half:])
-
-
-@settings(max_examples=32)
-@given(N=st.integers(1, 32).map(lambda m: 4 * m))
-def test_edge_block_pattern(N):
-    mesh = build_mesh(N, 1e-6, 2.0, 1.0, 2.0)
-    pat = mesh.edge_blocks()
-    n = mesh.n_interior_edges
-    assert len(pat.indptr) == n + 1 and pat.indptr[-1] == len(pat.indices)
-    rows = np.repeat(np.arange(n), np.diff(pat.indptr))
-    # each row's columns strictly increase, so no block appears twice
-    assert np.all(np.diff(pat.indices)[np.diff(rows) == 0] > 0)
-    # a cell's side pair maps to -1 exactly when either edge is on the
-    # boundary, and otherwise to the block of its two interior edges
-    boundary = mesh.edge_boundary[mesh.cell_edges]
-    outside = boundary[:, :, None] | boundary[:, None, :]
-    assert np.array_equal(pat.position < 0, outside)
-    ie = mesh.interior_index[mesh.cell_edges]
-    shape = pat.position.shape
-    pos = pat.position[~outside]
-    assert np.array_equal(rows[pos],
-                          np.broadcast_to(ie[:, :, None], shape)[~outside])
-    assert np.array_equal(pat.indices[pos],
-                          np.broadcast_to(ie[:, None, :], shape)[~outside])
-    # a diagonal block sums its edge's two cells, any other block one cell;
-    # with the above, the blocks are exactly the pairs of interior edges
-    # that share a cell, each once
-    count = np.bincount(pos, minlength=len(pat.indices))
-    assert np.array_equal(count, np.where(rows == pat.indices, 2, 1))

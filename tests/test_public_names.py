@@ -2,7 +2,7 @@
 public method and property of a public class, has a caller in the program
 itself (src/ or perfbench/), not only in the tests: code that only its own
 test calls belongs in tests/ or nowhere. Every span name the benchmark's
-tracer reads names a function of the package."""
+tracer reads names a function of the package. Only linalg imports scipy."""
 
 import ast
 import importlib
@@ -115,6 +115,24 @@ def test_every_imported_name_is_used():
         unused += [f"{path.name}: {name}"
                    for name in sorted(_imported_names(tree) - used)]
     assert not unused, unused
+
+
+def test_only_linalg_imports_scipy():
+    # an import of scipy.sparse in assembly once raised the set-up time by
+    # 26 ms, so no module but linalg imports scipy, at the top or inside a
+    # function
+    importers = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                importers.append(path.name)
+    assert set(importers) == {"linalg.py"}, importers
 
 
 # span names the benchmark's tracer reads that name nothing in the package
