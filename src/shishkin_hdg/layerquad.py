@@ -32,6 +32,7 @@ def composite_layer_rule(width: float, scale: float, n: int):
     Returns (points, weights) with sum(weights) = width; an interval
     within one decay length gets the plain rule.
     """
+    # a scale <= 0 never ends the panel loop below: doubling it stays <= 0
     if width <= 0 or scale <= 0:
         raise ValueError("width and scale must be positive")
     dist = [min(scale, width)]  # panel ends, measured from the right end

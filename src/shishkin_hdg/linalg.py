@@ -15,8 +15,7 @@ Both attempts factor in panels of two columns. The panel size bounds
 SuperLU's work arrays, which hold (16w + 36) bytes per unknown for a panel
 of w columns (dLUWorkInit) and are live until L+U is full size. At k=2,
 N=128 (97,536 unknowns) that is 33 MB under SuperLU's default of 20
-columns and 6 MB under two, so the large-solve benchmark's peak RSS fell
-from about 273 to 243 MB. The fill and the factor time do not move.
+columns and 6 MB under two. The fill and the factor time do not move.
 """
 
 from __future__ import annotations
@@ -52,18 +51,12 @@ class SparseMatrix:
     """Square sparse matrix with the gated direct solve. It keeps one copy,
     in the CSC storage SuperLU factors, which also serves the residuals."""
 
-    def __init__(self, matrix: sp.spmatrix):
-        if matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"matrix must be square, got {matrix.shape}")
-        self.csc = sp.csc_matrix(matrix)
-        self.n = matrix.shape[0]
-
-    @classmethod
-    def from_csc(cls, data: np.ndarray, indices: np.ndarray,
-                 indptr: np.ndarray) -> "SparseMatrix":
-        """Square matrix from its CSC arrays, kept without a copy."""
-        n = len(indptr) - 1
-        return cls(sp.csc_matrix((data, indices, indptr), shape=(n, n)))
+    def __init__(self, data: np.ndarray, indices: np.ndarray,
+                 indptr: np.ndarray):
+        """The square matrix of the CSC arrays, kept without a copy."""
+        self.n = len(indptr) - 1
+        self.csc = sp.csc_matrix((data, indices, indptr),
+                                 shape=(self.n, self.n))
 
     @property
     def nnz(self) -> int:

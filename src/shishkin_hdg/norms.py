@@ -54,7 +54,6 @@ class TripleValues:
     mu: (nedges, n) edge values, single-valued per edge.
     """
 
-    n: int
     r1: np.ndarray
     r2: np.ndarray
     w: np.ndarray
@@ -67,8 +66,8 @@ def triple_values_discrete(cq: CellQuad, flds) -> TripleValues:
     arrays (pulled-back orthonormal bases) on the rule cq."""
     R = ref_tables(flds.k, cq.n)
     return TripleValues(
-        cq.n, *(np.einsum("ca,ag->cg", coef, R.B0)
-                for coef in (flds.q1, flds.q2, flds.u)),
+        *(np.einsum("ca,ag->cg", coef, R.B0)
+          for coef in (flds.q1, flds.q2, flds.u)),
         np.stack([np.einsum("ca,ag->cg", flds.u, tab)
                   for tab in R.side_traces], axis=1),
         np.einsum("ea,ag->eg", flds.trace, R.V))
@@ -78,11 +77,9 @@ def triple_values_exact(cq: CellQuad, spec: ProblemSpec) -> TripleValues:
     """Evaluate the exact triple (q, u, u|_edges) of a manufactured problem
     on the rule cq. u is continuous, so its edge values serve as mu and,
     gathered onto the cell sides, as w_tr."""
-    if spec.exact is None:
-        raise ValueError("problem has no exact solution attached")
     ex = spec.exact
     mu = cq.on_edges(ex.u)
-    return TripleValues(cq.n, cq.on_cells(ex.q1), cq.on_cells(ex.q2),
+    return TripleValues(cq.on_cells(ex.q1), cq.on_cells(ex.q2),
                         cq.on_cells(ex.u), mu[cq.mesh.cell_edges], mu)
 
 
@@ -100,7 +97,7 @@ class ExactValues:
 
 def exact_values(cq: CellQuad, spec: ProblemSpec) -> ExactValues:
     """Evaluate the exact triple of a manufactured problem on the rule cq."""
-    vals = triple_values_exact(cq, spec)  # raises if there is no exact u
+    vals = triple_values_exact(cq, spec)
     ex = spec.exact
     return ExactValues(cq, vals, [
         (b, (b.on_cells(ex.q1), b.on_cells(ex.q2), b.on_cells(ex.u)))
@@ -108,9 +105,7 @@ def exact_values(cq: CellQuad, spec: ProblemSpec) -> ExactValues:
 
 
 def triple_sub(a: TripleValues, b: TripleValues) -> TripleValues:
-    if a.n != b.n:
-        raise ValueError("quadrature mismatch between triples")
-    return TripleValues(a.n, a.r1 - b.r1, a.r2 - b.r2, a.w - b.w,
+    return TripleValues(a.r1 - b.r1, a.r2 - b.r2, a.w - b.w,
                         a.w_tr - b.w_tr, a.mu - b.mu)
 
 

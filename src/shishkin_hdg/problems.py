@@ -4,7 +4,7 @@ the well-posedness assumptions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -41,7 +41,7 @@ class ProblemSpec:
     f: Field
     beta_lb: tuple[float, float]
     c0: float
-    exact: Optional[ExactSolution] = None
+    exact: ExactSolution
 
 
 # The coefficients every problem shares: beta = (2 - x, 3 - y^3), c = 1.
@@ -64,7 +64,10 @@ def _div_beta(x, y):
 def _problem(name: str, eps: float, u: Field, u_x: Field, u_y: Field,
              lap: Field) -> ProblemSpec:
     """The problem with the shared coefficients whose exact solution is u;
-    f is generated from u through the differential operator."""
+    f is generated from u through the differential operator. Every
+    registered problem is built here, so this checks eps for all of them."""
+    if not 0 < eps <= 1:
+        raise ValueError("epsilon must lie in (0, 1]")
 
     def f(x, y):
         return (-eps * lap(x, y) + _beta1(x, y) * u_x(x, y)
@@ -83,8 +86,6 @@ def paper_problem(epsilon: float) -> ProblemSpec:
     The derivatives of u are hand-derived in closed form (cross-checked
     against finite differences in the test suite).
     """
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must lie in (0, 1]")
     eps = float(epsilon)
 
     def e1(x):

@@ -24,8 +24,6 @@ def project_cells(cq: CellQuad, values, k: int, batches) -> list:
     batches holds (LayerBatch, values at its points) pairs: the cells of a
     batch are integrated with its refined composite rule instead (sub-cell
     exponential tails)."""
-    if cq.n < k + 1:
-        raise ValueError("projection quadrature below k+1 points")
     R = ref_tables(k, cq.n)
     coefs = [np.einsum("cg,bg->cb", v * cq.W2, R.B0) for v in values]
     for b, bvals in batches:
@@ -39,8 +37,6 @@ def project_edge(cq: CellQuad, edge_values, k: int) -> np.ndarray:
     """Per-edge L2 projection onto P^k of a function given by its values at
     the edge points of cq, (nedges, n) (CellQuad.on_edges); shape
     (nedges, k+1)."""
-    if cq.n < k + 1:
-        raise ValueError("projection quadrature below k+1 points")
     return np.einsum("eg,ag->ea", edge_values * gauss_rule(cq.n).weights,
                      ref_tables(k, cq.n).V)
 

@@ -4,7 +4,6 @@ tensor rule of a mesh's cells and edges, evaluated on its 1D point lines."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -12,8 +11,6 @@ from typing import Optional
 import numpy as np
 
 from .mesh import SIDES
-
-log = logging.getLogger(__name__)
 
 MAX_GAUSS_POINTS = 30
 
@@ -34,6 +31,7 @@ class QuadRule1D:
 def gauss_rule(n: int) -> QuadRule1D:
     """The n-point rule, computed once per n and shared by every caller,
     so its arrays are read-only."""
+    # leggauss(n) builds and diagonalizes an n x n matrix, so n is capped
     if not 1 <= n <= MAX_GAUSS_POINTS:
         raise ValueError(f"Gauss rule with {n} points outside supported range "
                          f"[1, {MAX_GAUSS_POINTS}]")
@@ -47,15 +45,9 @@ def legendre(k: int, points) -> tuple[np.ndarray, np.ndarray]:
     """Value and derivative tables, each (k+1, len(points)), of the
     orthonormal Legendre basis on [-1, 1], degrees 0..k: function m is
     sqrt((2m+1)/2) * L_m, so the Gram matrix under any exact quadrature is
-    the identity.
-
-    Points outside [-1, 1] are allowed (extrapolation) but logged.
+    the identity. Points outside [-1, 1] extrapolate.
     """
-    if k < 0:
-        raise ValueError("basis degree must be >= 0")
     x = np.atleast_1d(np.asarray(points, dtype=float))
-    if x.size and (x.min() < -1.0 - 1e-12 or x.max() > 1.0 + 1e-12):
-        log.debug("legendre evaluated outside [-1, 1] (extrapolation)")
     vals = np.empty((k + 1, x.size))
     ders = np.empty((k + 1, x.size))
     p_prev = np.ones_like(x)
@@ -84,7 +76,6 @@ class RefTables:
     """
 
     def __init__(self, k: int, n: int):
-        self.k, self.n = k, n
         kp = k + 1
         rule = gauss_rule(n)
         V, D = legendre(k, rule.nodes)

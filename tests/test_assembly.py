@@ -14,6 +14,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csc_arrays import csc_arrays
 from dense_oracle import assemble_monolithic, solve_monolithic
 from shishkin_hdg import assembly
 from shishkin_hdg.assembly import (HdgConfig, assemble_and_solve,
@@ -326,7 +327,7 @@ def test_streamed_assembly_is_bit_identical_to_the_whole_mesh(k, N, eps):
     iu = slice(2 * (k + 1) ** 2, None)
     A_coo, b_coo = _coo_trace_system(mesh, whole, k)
     ref = _recover(mesh, IF_full, IC_full, k,
-                   SparseMatrix(A_coo).solve(b_coo))
+                   SparseMatrix(*csc_arrays(A_coo)).solve(b_coo))
     A_csc = A_coo.tocsc()
     # blocks of 7, 3 and 5 cells straddle mesh columns and mostly leave a
     # partial last one; at 4 workers, more than a small host's CPUs, four

@@ -12,7 +12,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shishkin_hdg import linalg
+from csc_arrays import csc_arrays
+from shishkin_hdg import assembly, linalg
 from shishkin_hdg.assembly import HdgConfig, assemble_trace_system
 from shishkin_hdg.linalg import SolveError, SolveFallbackWarning, SparseMatrix
 from shishkin_hdg.mesh import build_mesh
@@ -20,15 +21,15 @@ from shishkin_hdg.problems import paper_problem
 
 
 def _laplacian_1d(n):
-    return SparseMatrix(sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1],
-                                 shape=(n, n), format="csr"))
+    return SparseMatrix(*csc_arrays(sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1],
+                                             shape=(n, n), format="csr")))
 
 
 def _diagonal(values):
     """Diagonal matrix that keeps its zero entries stored."""
     i = np.arange(len(values))
-    return SparseMatrix(sp.csr_matrix((values, (i, i)),
-                                      shape=(len(i), len(i))))
+    return SparseMatrix(*csc_arrays(sp.csr_matrix((values, (i, i)),
+                                                  shape=(len(i), len(i)))))
 
 
 def test_solve_matches_dense():
@@ -45,7 +46,7 @@ def test_solve_matches_dense():
 def test_zero_rhs_and_empty_matrix():
     A = _laplacian_1d(4)
     assert np.allclose(A.solve(np.zeros(4)), 0.0)
-    E = SparseMatrix(sp.csr_matrix((0, 0)))
+    E = SparseMatrix(*csc_arrays(sp.csr_matrix((0, 0))))
     assert E.solve(np.zeros(0)).size == 0
 
 
@@ -58,8 +59,19 @@ def test_singular_matrix_raises():
 def test_validation_errors():
     with pytest.raises(ValueError):
         _diagonal([1.0, 1.0]).solve(np.zeros(3))
-    with pytest.raises(ValueError, match="square"):
-        SparseMatrix(sp.csr_matrix((2, 3)))
+
+
+def test_matrix_keeps_the_assembly_arrays_without_a_copy():
+    # the trace system is held once: the matrix wraps the arrays the
+    # assembly sums into, not a copy of them
+    mesh = build_mesh(16, 1e-6, 2.0, 1.0, 2.0)
+    _, _, indices, indptr = assembly._csc_layout(mesh, 2)  # k = 1
+    data = np.zeros(indptr[-1])
+    A = SparseMatrix(data, indices, indptr)
+    assert A.n == len(indptr) - 1 and A.nnz == len(data)
+    for name, arr in (("data", data), ("indices", indices),
+                      ("indptr", indptr)):
+        assert np.shares_memory(getattr(A.csc, name), arr), name
 
 
 def _meets_gate(A, x, b):

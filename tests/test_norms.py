@@ -14,7 +14,7 @@ from shishkin_hdg.mesh import MeshAssumptionWarning, build_mesh
 from shishkin_hdg.norms import (StabilizationError, convergence_rate,
                                 dyadic_rate, energy_norm, energy_weights,
                                 error_report, exact_values, triple_sub,
-                                triple_values_discrete, triple_values_exact)
+                                triple_values_discrete)
 from shishkin_hdg.problems import paper_problem, polynomial_problem
 from shishkin_hdg.projections import project_exact
 from shishkin_hdg.refelem import CellQuad, gauss_rule
@@ -230,22 +230,3 @@ def test_rate_input_validation():
             convergence_rate(bad[0], bad[1], 8)
         with pytest.raises(ValueError):
             dyadic_rate(bad[0], bad[1])
-
-
-def test_triple_sub_quadrature_mismatch(setting):
-    mesh, spec = setting
-    a = triple_values_exact(CellQuad(mesh, 4), spec)
-    b = triple_values_exact(CellQuad(mesh, 5), spec)
-    with pytest.raises(ValueError):
-        triple_sub(a, b)
-
-
-def test_exact_triple_requires_exact_solution(setting):
-    mesh, spec = setting
-    bare = type(spec)(spec.name, spec.epsilon, spec.beta1, spec.beta2,
-                      spec.c, spec.div_beta, spec.f, spec.beta_lb, spec.c0,
-                      None)
-    with pytest.raises(ValueError):
-        triple_values_exact(CellQuad(mesh, 4), bare)
-    with pytest.raises(ValueError):
-        exact_values(CellQuad(mesh, 4), bare)

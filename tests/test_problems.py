@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from shishkin_hdg.problems import (get_problem, paper_problem,
+from shishkin_hdg import cli, harness
+from shishkin_hdg.problems import (PROBLEMS, get_problem, paper_problem,
                                    polynomial_problem, verify_assumptions)
 
 
@@ -101,3 +102,28 @@ def test_registry():
         get_problem("nope", 1e-3)
     with pytest.raises(ValueError):
         paper_problem(0.0)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-3, 2.0])
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_every_problem_rejects_eps_outside_0_1(name, eps, monkeypatch,
+                                               capsys):
+    # the paper's range eps in (0, 1] holds for every registered problem:
+    # the registry, a study config and the CLI all reject it before a solve
+    msg = "epsilon must lie in (0, 1]"
+    with pytest.raises(ValueError) as exc:
+        get_problem(name, eps)
+    assert str(exc.value) == msg
+
+    def no_solve(*args):
+        raise AssertionError("a cell was solved")
+
+    monkeypatch.setattr(harness, "assemble_and_solve", no_solve)
+    with pytest.raises(ValueError) as exc:
+        harness.StudyConfig(problem=name, eps_list=[eps])
+    assert str(exc.value) == msg
+    rc = cli.main(["solve", "--problem", name, "--k", "1", f"--eps={eps}",
+                   "--n", "8"])
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_SOLVER and not captured.out
+    assert msg in captured.err

@@ -192,11 +192,3 @@ def test_projection_error_decay():
     assert errs[0] > errs[1] > errs[2]
     # roughly O(h^2) between the finer pair
     assert errs[1] / errs[2] > 2.5
-
-
-def test_quadrature_validation(mesh):
-    cq = CellQuad(mesh, 2)
-    with pytest.raises(ValueError):
-        project_cells(cq, [cq.on_cells(_x)], 2, ())
-    with pytest.raises(ValueError):
-        project_edge(cq, cq.on_edges(_x), 2)

@@ -70,11 +70,6 @@ def test_basis_derivative_matches_finite_difference():
     assert np.allclose(D, (Vp - Vm) / (2 * h), atol=1e-7)
 
 
-def test_basis_degree_validation():
-    with pytest.raises(ValueError, match="basis degree must be >= 0"):
-        legendre(-1, [0.0])
-
-
 def test_ref_tables_shapes_and_mass():
     k, n = 2, 4
     R = ref_tables(k, n)
