@@ -82,9 +82,9 @@ class SolutionFields:
 # consecutive cells one pool task builds, condenses and sums, whatever the
 # host; the task's dense local systems are freed when it ends
 BLOCK_CELLS = 256
-# the CPUs this process may use, at most 4, so no more than 1,024 cells'
-# dense systems exist at once
-WORKERS = min(4, len(os.sched_getaffinity(0))
+# the CPUs this process may use, at most 2, so no more than 512 cells'
+# dense systems exist at once on any host
+WORKERS = min(2, len(os.sched_getaffinity(0))
               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
@@ -104,18 +104,6 @@ class LocalBlocks:
     def C(self) -> np.ndarray:
         """(nc, ni, nt) interior equations x traces."""
         return self.FC[:, :, 1:]
-
-
-@dataclass
-class CondensedSystem:
-    """Per-cell Schur complements, right-hand sides and the u-rows of the
-    recovery operators of one block of cells, nb = (k+1)^2; the flux is
-    recovered from equation (i) instead (_recover_flux)."""
-
-    S: np.ndarray      # (nc, nt, nt)
-    rhs: np.ndarray    # (nc, nt)
-    IF: np.ndarray     # (nc, nb) = u-rows of A^{-1} F
-    IC: np.ndarray     # (nc, nb, nt) = u-rows of A^{-1} C
 
 
 @dataclass
@@ -174,9 +162,9 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
     the part shared by all blocks (_local_setup), computed here when not
     given.
     """
-    k = cfg.k
-    kp, nb = k + 1, (k + 1) ** 2
-    ni, nt = 3 * nb, 4 * kp
+    kp, tau = cfg.k + 1, cfg.tau
+    nb, nt = kp * kp, 4 * kp
+    ni = 3 * nb
     if cells is None:
         cells = range(mesh.n_cells)
     if setup is None:
@@ -184,14 +172,12 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
     R = setup.R
     sel = slice(cells.start, cells.stop)
     nc = len(cells)
-    eps = spec.epsilon
-    tau = cfg.tau
     cq = setup.cq
     J, W2 = cq.J[sel], cq.W2  # W2: reference weights, (n^2,)
     side_weight = setup.side_weight[:, sel]
 
-    iq1, iq2, iu = slice(0, nb), slice(nb, 2 * nb), slice(2 * nb, 3 * nb)
-    iq = (iq1, iq2)  # the flux rows of each normal axis
+    iq = (slice(0, nb), slice(nb, 2 * nb))  # the flux rows of each axis
+    iu = slice(2 * nb, 3 * nb)
     sides = [slice(s * kp, (s + 1) * kp) for s in range(4)]  # W, E, S, N
 
     b1, b2 = cq.on_cells(spec.beta1, cells), cq.on_cells(spec.beta2, cells)
@@ -208,19 +194,19 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
     G = np.zeros((nc, nt, ni))
     D = np.zeros((nc, nt, nt))
 
-    eye = np.eye(nb)
-    A[:, iq1, iq1] = (J / eps)[:, None, None] * eye
-    A[:, iq2, iq2] = (J / eps)[:, None, None] * eye
-    A[:, iq1, iu] = -halfy[:, None, None] * R.KX
-    A[:, iq2, iu] = -halfx[:, None, None] * R.KY
-    A[:, iu, iq1] = halfy[:, None, None] * (-R.KX + R.EVp - R.EVm)
-    A[:, iu, iq2] = halfx[:, None, None] * (-R.KY + R.EHp - R.EHm)
+    d = np.arange(2 * nb)  # the flux-flux block is (J/eps) I
+    A[:, d, d] = (J / spec.epsilon)[:, None]
+    A[:, iq[0], iu] = -halfy[:, None, None] * R.KX
+    A[:, iq[1], iu] = -halfx[:, None, None] * R.KY
+    A[:, iu, iq[0]] = halfy[:, None, None] * R.UQ[0]
+    A[:, iu, iq[1]] = halfx[:, None, None] * R.UQ[1]
 
-    conv_x = np.einsum("cg,bg,ag->cba", W2 * b1, R.BX, R.B0)
-    conv_y = np.einsum("cg,bg,ag->cba", W2 * b2, R.BY, R.B0)
-    react = np.einsum("cg,bg,ag->cba", W2 * cr, R.B0, R.B0)
-    stab = (halfy[:, None, None] * (R.EVp + R.EVm)
-            + halfx[:, None, None] * (R.EHp + R.EHm))
+    # [:, None]: one vector-matrix product per cell; the rows of a single
+    # GEMM would round differently with the block's size
+    conv_x, conv_y, react = (((W2 * v)[:, None] @ P).reshape(nc, nb, nb)
+                             for v, P in zip((b1, b2, cr), R.VOL))
+    stab = (halfy[:, None, None] * R.STAB[0]
+            + halfx[:, None, None] * R.STAB[1])
     A[:, iu, iu] = (-halfy[:, None, None] * conv_x
                     - halfx[:, None, None] * conv_y
                     + J[:, None, None] * react + tau * stab)
@@ -232,7 +218,7 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
         C[:, iq[axis], sides[s]] = sign * h * L
         # traces entering equation (ii): <(beta.n - tau) u_hat, w>, and the
         # edge mass of (beta.n - tau) for the flux rows (iii)
-        em = np.einsum("cg,ng,eg->cne", side_weight[s], R.V, R.V)
+        em = (side_weight[s][:, None] @ R.EDGE).reshape(nc, kp, kp)
         C[:, iu, sides[s]] = h * (L @ em)
         D[:, sides[s], sides[s]] = h * em
         # flux rows: <q.n, mu> and <tau u, mu>
@@ -247,9 +233,10 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
     return LocalBlocks(cells, A, FC, G, D)
 
 
-def condense(blocks: LocalBlocks) -> CondensedSystem:
-    """Schur complement onto the traces: S = D - G A^{-1} C, with the u-rows
-    of the recovery operators A^{-1} F and A^{-1} C."""
+def condense(blocks: LocalBlocks) -> tuple:
+    """(S, rhs, IF, IC): the Schur complement S = D - G A^{-1} C onto the
+    traces, rhs = -G A^{-1} F, and the u-rows IF and IC of the recovery
+    operators A^{-1} F and A^{-1} C (the flux: _recover_flux)."""
     try:
         sol = np.linalg.solve(blocks.A, blocks.FC)
     except np.linalg.LinAlgError:
@@ -265,7 +252,7 @@ def condense(blocks: LocalBlocks) -> CondensedSystem:
     S = blocks.D - blocks.G @ IC
     r = -np.einsum("cij,cj->ci", blocks.G, IF)
     iu = slice(2 * blocks.A.shape[1] // 3, None)
-    return CondensedSystem(S, r, IF[:, iu], IC[:, iu])
+    return S, r, IF[:, iu], IC[:, iu]
 
 
 def _csc_layout(mesh: ShishkinMesh, kp: int) -> tuple:
@@ -318,7 +305,7 @@ def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
     the order SuperLU factors in. No entry sums more than two terms, so the
     result depends neither on the block size nor on the task order.
     Returns (A, b, IF, IC), with IF and IC the u-rows of the recovery
-    operators of every cell (CondensedSystem)."""
+    operators of every cell (condense)."""
     kp, nc = cfg.k + 1, mesh.n_cells
     # the layout first, so its sort is freed before the accumulators exist
     first, step, indices, indptr = _csc_layout(mesh, kp)
@@ -331,16 +318,16 @@ def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
     lock = threading.Lock()  # neighbouring blocks share edges
 
     def condense_block(cells: range) -> None:
-        part = condense(build_local_systems(mesh, spec, cfg, cells, setup))
         sel = slice(cells.start, cells.stop)
-        IF[sel], IC[sel] = part.IF, part.IC
+        S, rhs, IF[sel], IC[sel] = condense(
+            build_local_systems(mesh, spec, cfg, cells, setup))
         # S as (row i, column j, cell, side a, side b), as _entries orders;
         # the long axes last make both faster
-        S = part.S.reshape(-1, 4, kp, 4, kp).transpose(2, 4, 0, 1, 3).ravel()
+        S = S.reshape(-1, 4, kp, 4, kp).transpose(2, 4, 0, 1, 3).ravel()
         at = _entries(first[sel], step[sel], kp).ravel()
         with lock:
             np.add.at(data, at, S)
-            np.add.at(rows, edge_row[sel], part.rhs.reshape(-1, 4, kp))
+            np.add.at(rows, edge_row[sel], rhs.reshape(-1, 4, kp))
 
     _one_malloc_arena()
     with ThreadPoolExecutor(WORKERS) as pool:

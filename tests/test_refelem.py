@@ -76,19 +76,37 @@ def test_ref_tables_shapes_and_mass():
     nb = (k + 1) ** 2
     assert R.B0.shape == (nb, n * n)
     assert R.KX.shape == (nb, nb)
-    # exact rule: 1D mass is the identity
-    assert np.allclose(R.M1, np.eye(k + 1), atol=1e-13)
     # 2D mass of the tensor basis under the tensor rule
     gram = np.einsum("g,ag,bg->ab", R.W2, R.B0, R.B0)
     assert np.allclose(gram, np.eye(nb), atol=1e-13)
 
 
 def test_ref_tables_stiffness_identity():
-    # integration by parts on [-1,1]^2: KX + KX^T = boundary coupling
+    # integration by parts on [-1,1]^2: KX + KX^T is the boundary coupling,
+    # so the u-q block -KX + <q.n, w> of equation (ii) is KX^T
     k, n = 2, 5
     R = ref_tables(k, n)
-    assert np.allclose(R.KX + R.KX.T, R.EVp - R.EVm, atol=1e-13)
-    assert np.allclose(R.KY + R.KY.T, R.EHp - R.EHm, atol=1e-13)
+    assert np.allclose(R.UQ[0], R.KX.T, atol=1e-13)
+    assert np.allclose(R.UQ[1], R.KY.T, atol=1e-13)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_product_tables_give_the_weighted_products(k):
+    # a field at the points times VOL[i] (EDGE) is the three-operand
+    # product of the field with the basis tables, to rounding
+    rng = np.random.default_rng(k)
+    kp, nb = k + 1, (k + 1) ** 2
+    for n in range(k + 1, k + 5):
+        R = ref_tables(k, n)
+        f = rng.standard_normal((20, n * n))
+        for P, T in zip((R.BX, R.BY, R.B0), R.VOL):
+            want = np.einsum("cg,bg,ag->cba", f, P, R.B0)
+            got = (f @ T).reshape(20, nb, nb)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        f = rng.standard_normal((20, n))
+        want = np.einsum("cg,ng,eg->cne", f, R.V, R.V)
+        got = (f @ R.EDGE).reshape(20, kp, kp)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def test_cell_quad_covers_mesh():
@@ -170,8 +188,9 @@ def test_cached_ref_tables_are_read_only(k, n):
     # one cached instance is shared by every solve in the process
     R = ref_tables(k, n)
     arrays = [a for a in vars(R).values() if isinstance(a, np.ndarray)]
-    assert len(arrays) >= 12
-    for arr in arrays + list(R.L) + list(R.side_traces):
+    assert len(arrays) == 8
+    tuples = (R.UQ, R.STAB, R.VOL, R.L, R.side_traces)
+    for arr in arrays + [a for t in tuples for a in t]:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0

@@ -22,7 +22,8 @@ import workloads  # noqa: E402
 PASSES = [("table-sweep", {"k": list(workloads.SWEEP_K), "eps": list(pair),
                            "n": list(workloads.SWEEP_N)})
           for pair in workloads.EPS_PAIRS]
-PASSES.append(("large-solve", {"k": [2], "eps": [1e-5], "n": [128]}))
+PASSES += [("large-solve", {"k": [2], "eps": [eps], "n": [128]})
+           for eps in workloads.EPS_CHOICES]
 
 
 @pytest.mark.parametrize("workload, inp", PASSES,
