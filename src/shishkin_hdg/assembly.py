@@ -26,7 +26,7 @@ from .linalg import SolveError, SparseMatrix
 from .mesh import SIDES, ShishkinMesh
 from .problems import ProblemSpec
 from .refelem import (MAX_GAUSS_POINTS, CellQuad, RefTables, gauss_rule,
-                      ref_tables)
+                      legendre, ref_tables)
 from . import norms
 from .norms import StabilizationError, edge_normal_beta
 
@@ -109,31 +109,57 @@ class LocalBlocks:
 @dataclass
 class _LocalSetup:
     """What the local systems of all cell blocks share, computed once per
-    assembly: the reference tables and the assembly rule, the edge-mass
-    weights (beta.n - tau) * Gauss weight at the side points, and the
-    u-rows of the load of the layer-refined cells."""
+    assembly: the reference tables and the assembly rule, the reference
+    operands of the local system, the edge-mass weights (beta.n - tau) *
+    Gauss weight at the side points, and the u-rows of the load of the
+    layer-refined cells."""
 
     R: RefTables
     cq: CellQuad
+    # per axis, the u-q block of equation (ii), -(q, grad w) + <q.n, w>,
+    # and the stabilization <u, w> over the axis's two sides
+    UQ: tuple
+    STAB: tuple
+    # operands of the weighted products: a field f at the points, (cells,
+    # n^2), times VOL[i] is sum_g f_g P[b,g] B0[a,g] at column b*nb + a
+    # for P = BX, BY, B0; a side field, (cells, n), times EDGE is sum_g f_g
+    # V[m,g] V[e,g] at column m*kp + e
+    VOL: tuple
+    EDGE: np.ndarray
     side_weight: np.ndarray  # (4, ncells, n), side-major
     layer_load: list  # (cell ids, (cells, (k+1)^2) load) per layer batch
 
 
 def _local_setup(mesh: ShishkinMesh, spec: ProblemSpec,
                  cfg: HdgConfig) -> _LocalSetup:
-    n = cfg.n_assembly
+    k, n = cfg.k, cfg.n_assembly
+    kp, nb = k + 1, (k + 1) ** 2
     cq = CellQuad(mesh, n)
     bn = edge_normal_beta(cq, spec)  # for the check and the side terms
     check_stabilization(bn, cfg.tau)
     # f carries layer tails of height ~N^-sigma varying on the sub-cell
     # scale eps/beta into the coarse cells at the transition; integrate
     # those cells with the refined composite rule instead
-    load = [(b.cells, np.einsum("cbg,cg->cb", b.basis(cfg.k),
-                                b.W * b.on_cells(spec.f)))
-            for b in layerquad.layer_batches(mesh, spec, n)]
-    side_weight = (bn - cfg.tau) * gauss_rule(n).weights
-    return _LocalSetup(ref_tables(cfg.k, n), cq,
-                       np.ascontiguousarray(side_weight.swapaxes(0, 1)), load)
+    load = [(b.cells, np.einsum("cbg,cg->cb", b.B, b.W * b.on_cells(spec.f)))
+            for b in layerquad.layer_batches(mesh, spec, n, k)]
+    rule, R = gauss_rule(n), ref_tables(k, n)
+    V = R.V
+    Ep, Em = legendre(k, [1.0, -1.0])[0].T
+    # 1D mass (identity for exact rules; kept as a quadrature sum)
+    M1 = (V * rule.weights) @ V.T
+    # the basis paired with itself on x = +-1 (EV) and y = +-1 (EH)
+    EVp = np.kron(np.outer(Ep, Ep), M1)
+    EVm = np.kron(np.outer(Em, Em), M1)
+    EHp = np.kron(M1, np.outer(Ep, Ep))
+    EHm = np.kron(M1, np.outer(Em, Em))
+    side_weight = (bn - cfg.tau) * rule.weights
+    return _LocalSetup(
+        R, cq, (-R.KX + EVp - EVm, -R.KY + EHp - EHm),
+        (EVp + EVm, EHp + EHm),
+        tuple((P.T[:, :, None] * R.B0.T[:, None]).reshape(n * n, nb * nb)
+              for P in (R.BX, R.BY, R.B0)),
+        (V.T[:, :, None] * V.T[:, None]).reshape(n, kp * kp),
+        np.ascontiguousarray(side_weight.swapaxes(0, 1)), load)
 
 
 def check_stabilization(bn: np.ndarray, tau: float) -> float:
@@ -198,15 +224,15 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
     A[:, d, d] = (J / spec.epsilon)[:, None]
     A[:, iq[0], iu] = -halfy[:, None, None] * R.KX
     A[:, iq[1], iu] = -halfx[:, None, None] * R.KY
-    A[:, iu, iq[0]] = halfy[:, None, None] * R.UQ[0]
-    A[:, iu, iq[1]] = halfx[:, None, None] * R.UQ[1]
+    A[:, iu, iq[0]] = halfy[:, None, None] * setup.UQ[0]
+    A[:, iu, iq[1]] = halfx[:, None, None] * setup.UQ[1]
 
     # [:, None]: one vector-matrix product per cell; the rows of a single
     # GEMM would round differently with the block's size
     conv_x, conv_y, react = (((W2 * v)[:, None] @ P).reshape(nc, nb, nb)
-                             for v, P in zip((b1, b2, cr), R.VOL))
-    stab = (halfy[:, None, None] * R.STAB[0]
-            + halfx[:, None, None] * R.STAB[1])
+                             for v, P in zip((b1, b2, cr), setup.VOL))
+    stab = (halfy[:, None, None] * setup.STAB[0]
+            + halfx[:, None, None] * setup.STAB[1])
     A[:, iu, iu] = (-halfy[:, None, None] * conv_x
                     - halfx[:, None, None] * conv_y
                     + J[:, None, None] * react + tau * stab)
@@ -218,7 +244,7 @@ def build_local_systems(mesh: ShishkinMesh, spec: ProblemSpec,
         C[:, iq[axis], sides[s]] = sign * h * L
         # traces entering equation (ii): <(beta.n - tau) u_hat, w>, and the
         # edge mass of (beta.n - tau) for the flux rows (iii)
-        em = (side_weight[s][:, None] @ R.EDGE).reshape(nc, kp, kp)
+        em = (side_weight[s][:, None] @ setup.EDGE).reshape(nc, kp, kp)
         C[:, iu, sides[s]] = h * (L @ em)
         D[:, sides[s], sides[s]] = h * em
         # flux rows: <q.n, mu> and <tau u, mu>

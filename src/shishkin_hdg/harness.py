@@ -28,6 +28,9 @@ MODES = {"true-error": ("energy",), "supercloseness": ("supercloseness",),
 
 # random triples the diagnostic suite samples the coercivity ratio on
 COERCIVITY_TRIPLES = 200
+# an energy error below this is rounding level (an exact solve), so the
+# quadrature-robustness check divides by no less
+ERROR_FLOOR = 1e-12
 
 
 @dataclass
@@ -98,7 +101,7 @@ def solve_cell(cfg: StudyConfig, k: int, eps: float, N: int):
     mesh = cell_mesh(cfg, spec, k, N)
     fields = assemble_and_solve(mesh, spec, hdg)
     # the exact solution on the error rule, for projection and every measure
-    exact = norms.exact_values(CellQuad(mesh, hdg.n_error), spec)
+    exact = norms.exact_values(CellQuad(mesh, hdg.n_error), spec, k)
     projected = None
     if "supercloseness" in MODES[cfg.mode]:
         projected = projections.project_exact(exact, k)
@@ -157,7 +160,7 @@ class SweepTable:
     def to_markdown(self) -> str:
         head = ["N"]
         for eps in self.eps_values:
-            head += [f"e ({self.mode}, eps={eps:.0e})", "p"]
+            head += [f"e ({self.mode}, eps={eps:g})", "p"]
         rows = [head]
         for n in self.n_values:
             row = [str(n)]
@@ -304,7 +307,8 @@ def run_diagnostics(cfg: StudyConfig, seed: int = 0) -> DiagnosticReport:
         worst, 1.0 - 1e-10, worst >= 1.0 - 1e-10))
 
     rep2, _, _ = solve_cell(cfg2, k, eps, N)
-    delta = abs(rep2.energy_error - report.energy_error) / report.energy_error
+    delta = abs(rep2.energy_error - report.energy_error) / max(
+        report.energy_error, ERROR_FLOOR)
     entries.append(DiagnosticEntry(
         "quadrature robustness (+2 points, relative change)",
         delta, 1e-3, delta < 1e-3))

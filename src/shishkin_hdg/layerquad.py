@@ -11,7 +11,7 @@ layer side; all other cells keep the plain tensor rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,9 +72,11 @@ class LayerBatch:
 
     Batch cell i*nrows + j lies in the i-th column and the j-th row; its
     points are ordered g = gx*npy + gy. Holds the flat mesh ids of the
-    cells, the per-column / per-row 1D point sets (xq, yq) in physical and
-    (tx, ty) in reference coordinates, the weights W of shape (cells,
-    points) and the Jacobians J = hx*hy/4.
+    cells, the per-column / per-row 1D point sets (xq, yq), the weights W
+    of shape (cells, points), the Jacobians J = hx*hy/4 and the tensor
+    basis B of degree k at each cell's points, (cells, (k+1)^2, points):
+    the pulled-back orthonormal basis that every coefficient of the program
+    is given in (assembly), so coefficients contract with it directly.
     """
 
     cells: np.ndarray
@@ -82,34 +84,11 @@ class LayerBatch:
     yq: np.ndarray  # (nrows, npy)
     W: np.ndarray
     J: np.ndarray
-    tx: np.ndarray  # (ncols, npx)
-    ty: np.ndarray  # (nrows, npy)
-    _bases: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    B: np.ndarray
 
     def on_cells(self, fn) -> np.ndarray:
         """fn at the points of every batch cell, (cells, points)."""
         return on_lines(fn, self.xq, self.yq)
-
-    def basis(self, k: int) -> np.ndarray:
-        """Tensor basis values at each cell's points, (cells, (k+1)^2,
-        points): the pulled-back orthonormal basis that every coefficient
-        of the program is given in (assembly), so coefficients contract
-        with it directly.
-
-        Evaluated once per k and shared, read-only, by every reader of the
-        batch (the projection and the error corrections read the same
-        batches)."""
-        if k not in self._bases:
-            kp = k + 1
-            (nx, px), (ny, py) = self.tx.shape, self.ty.shape
-            vx = legendre(k, self.tx.reshape(-1))[0].reshape(kp, nx, px)
-            vy = legendre(k, self.ty.reshape(-1))[0].reshape(kp, ny, py)
-            B = np.einsum("mip,njq->ijmnpq", vx, vy).reshape(
-                nx * ny, kp * kp, px * py)
-            B.flags.writeable = False
-            self._bases[k] = B
-        return self._bases[k]
 
 
 def _line_rules(nodes, idx, rule, scale):
@@ -129,9 +108,10 @@ def _line_rules(nodes, idx, rule, scale):
     return pts, wts, 2.0 * (pts - x0) / (x1 - x0) - 1.0
 
 
-def layer_batches(mesh: ShishkinMesh, spec: ProblemSpec, n: int,
+def layer_batches(mesh: ShishkinMesh, spec: ProblemSpec, n: int, k: int,
                   composite: bool = True) -> list:
-    """The cells needing layer-refined integration, as dense LayerBatches.
+    """The cells needing layer-refined integration, as dense LayerBatches
+    with the basis of degree k.
 
     A cell is refined when its column or row is flagged; flagged columns
     and rows are grouped by exact width, so each group shares one composite
@@ -141,7 +121,7 @@ def layer_batches(mesh: ShishkinMesh, spec: ProblemSpec, n: int,
     in both directions.
     """
     fx, fy = layer_flags(mesh, spec)
-    rule = gauss_rule(n)
+    rule, kp = gauss_rule(n), k + 1
 
     def groups(flags, nodes, h, scale):
         """(line indices, 1D rules) of the unflagged lines, then of the
@@ -163,7 +143,12 @@ def layer_batches(mesh: ShishkinMesh, spec: ProblemSpec, n: int,
                 continue
             W = wx[:, None, :, None] * wy[None, :, None, :]
             J = mesh.hx[ix][:, None] * mesh.hy[iy][None, :] / 4.0
+            # the basis at the reference coordinates of the points
+            vx, vy = (legendre(k, t.reshape(-1))[0].reshape(kp, *t.shape)
+                      for t in (tx, ty))
+            nc = len(ix) * len(iy)
+            B = np.einsum("mip,njq->ijmnpq", vx, vy).reshape(nc, kp * kp, -1)
             batches.append(LayerBatch(
                 (ix[:, None] * mesh.ny + iy[None, :]).reshape(-1), px, py,
-                W.reshape(len(ix) * len(iy), -1), J.reshape(-1), tx, ty))
+                W.reshape(nc, -1), J.reshape(-1), B))
     return batches

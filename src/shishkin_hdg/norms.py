@@ -86,22 +86,24 @@ def triple_values_exact(cq: CellQuad, spec: ProblemSpec) -> TripleValues:
 @dataclass
 class ExactValues:
     """The exact triple evaluated once on the rule cq: on its cells, sides
-    and edges (vals), and on the composite layer batches of the same n as
-    (LayerBatch, (q1, q2, u)) pairs. The projection of the exact solution
-    and the error measures all read these values."""
+    and edges (vals), and on the composite layer batches of the same n,
+    with the basis of the solve's degree, as (LayerBatch, (q1, q2, u))
+    pairs. The projection of the exact solution and the error measures all
+    read these values."""
 
     cq: CellQuad
     vals: TripleValues
     batches: list
 
 
-def exact_values(cq: CellQuad, spec: ProblemSpec) -> ExactValues:
-    """Evaluate the exact triple of a manufactured problem on the rule cq."""
+def exact_values(cq: CellQuad, spec: ProblemSpec, k: int) -> ExactValues:
+    """Evaluate the exact triple of a manufactured problem on the rule cq,
+    for a solve of degree k."""
     vals = triple_values_exact(cq, spec)
     ex = spec.exact
     return ExactValues(cq, vals, [
         (b, (b.on_cells(ex.q1), b.on_cells(ex.q2), b.on_cells(ex.u)))
-        for b in layerquad.layer_batches(cq.mesh, spec, cq.n)])
+        for b in layerquad.layer_batches(cq.mesh, spec, cq.n, k)])
 
 
 def triple_sub(a: TripleValues, b: TripleValues) -> TripleValues:
@@ -248,12 +250,11 @@ def refined_error_corrections(exact: ExactValues, spec: ProblemSpec,
                  for b, vals in exact.batches]
     plain = [(b, (ev.r1[b.cells], ev.r2[b.cells], ev.w[b.cells]),
               wts.reaction[b.cells]) for b in layerquad.layer_batches(
-                  exact.cq.mesh, spec, exact.cq.n, composite=False)]
+                  exact.cq.mesh, spec, exact.cq.n, k, composite=False)]
     flux, react, l2u = cells
     for batches, sign in ((composite, 1.0), (plain, -1.0)):
         for b, exact_b, cw in batches:
-            B = b.basis(k)
-            q1t, q2t, ut = (v - np.einsum("ca,cag->cg", coef[b.cells], B)
+            q1t, q2t, ut = (v - np.einsum("ca,cag->cg", coef[b.cells], b.B)
                             for v, coef in zip(exact_b, (fields.q1, fields.q2,
                                                          fields.u)))
             flux[b.cells] += sign * np.einsum("cg,cg->c", b.W, q1t**2 + q2t**2)

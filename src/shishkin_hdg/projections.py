@@ -27,9 +27,8 @@ def project_cells(cq: CellQuad, values, k: int, batches) -> list:
     R = ref_tables(k, cq.n)
     coefs = [np.einsum("cg,bg->cb", v * cq.W2, R.B0) for v in values]
     for b, bvals in batches:
-        B = b.basis(k)
         for coef, v in zip(coefs, bvals):
-            coef[b.cells] = np.einsum("cbg,cg->cb", B, b.W * v) / b.J[:, None]
+            coef[b.cells] = np.einsum("cbg,cg->cb", b.B, b.W * v) / b.J[:, None]
     return coefs
 
 

@@ -69,7 +69,8 @@ def legendre(k: int, points) -> tuple[np.ndarray, np.ndarray]:
 
 class RefTables:
     """Precomputed basis/quadrature tables for degree k with n points per
-    direction.
+    direction, the ones several modules read (the assembly builds its
+    local-system operands from them).
 
     Tensor basis index a = m*(k+1) + n pairs phi_a(x,y) = p_m(x) p_n(y).
     Quadrature point index g = gx*n + gy.
@@ -85,29 +86,11 @@ class RefTables:
         self.B0 = np.einsum("mx,ny->mnxy", V, V).reshape(nb, n * n)
         self.BX = np.einsum("mx,ny->mnxy", D, V).reshape(nb, n * n)
         self.BY = np.einsum("mx,ny->mnxy", V, D).reshape(nb, n * n)
-        self.W2 = np.outer(rule.weights, rule.weights).reshape(-1)
+        W2 = np.outer(rule.weights, rule.weights).reshape(-1)
 
         # volume derivative couplings (reference): KX[b,a] = sum W dphi_b/dx phi_a
-        self.KX = np.einsum("g,bg,ag->ba", self.W2, self.BX, self.B0)
-        self.KY = np.einsum("g,bg,ag->ba", self.W2, self.BY, self.B0)
-        # 1D mass (identity for exact rules; kept as a quadrature sum)
-        M1 = (V * rule.weights) @ V.T
-        # the basis paired with itself on x = +-1 (EV) and y = +-1 (EH)
-        EVp = np.kron(np.outer(Ep, Ep), M1)
-        EVm = np.kron(np.outer(Em, Em), M1)
-        EHp = np.kron(M1, np.outer(Ep, Ep))
-        EHm = np.kron(M1, np.outer(Em, Em))
-        # per axis, the u-q block of equation (ii), -(q, grad w) + <q.n, w>,
-        # and the stabilization <u, w> over the axis's two sides
-        self.UQ = (-self.KX + EVp - EVm, -self.KY + EHp - EHm)
-        self.STAB = (EVp + EVm, EHp + EHm)
-        # operands of the weighted products: a field f at the points,
-        # (cells, n^2), times VOL[i] is sum_g f_g P[b,g] B0[a,g] at column
-        # b*nb + a for P = BX, BY, B0; a side field, (cells, n), times
-        # EDGE is sum_g f_g V[m,g] V[e,g] at column m*kp + e
-        self.VOL = tuple((P.T[:, :, None] * self.B0.T[:, None]).reshape(
-            n * n, nb * nb) for P in (self.BX, self.BY, self.B0))
-        self.EDGE = (V.T[:, :, None] * V.T[:, None]).reshape(n, kp * kp)
+        self.KX = np.einsum("g,bg,ag->ba", W2, self.BX, self.B0)
+        self.KY = np.einsum("g,bg,ag->ba", W2, self.BY, self.B0)
         # per side (SIDES order W, E, S, N): the cell trace in the edge
         # basis, (nb, kp), and the tensor basis at the side's Gauss points
         eye, end = np.eye(kp), {-1.0: Em[:, None], 1.0: Ep[:, None]}

@@ -417,6 +417,25 @@ def test_cli_diagnose(capsys):
     assert "diagnostics passed" in out
 
 
+@pytest.mark.parametrize("k, eps, n", [(2, "1e-3", "8"), (3, "1e-2", "4")])
+def test_cli_diagnose_passes_on_an_exact_solve(capsys, k, eps, n):
+    # poly-q2 lies in the discrete space, so both energy errors are
+    # rounding noise (3e-16 and 2e-16 at k=2); the robustness entry must
+    # not read their relative change as a quadrature effect
+    rc = cli.main(["diagnose", "--problem", "poly-q2", "--k", str(k),
+                   "--eps", eps, "--n", n])
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_OK, out
+    assert out.count("pass  ") == 6 and "diagnostics passed" in out
+
+
+def test_markdown_headers_tell_close_epsilons_apart(capsys):
+    rc = cli.main(["sweep", "--eps", "1.5e-6", "--eps", "2e-6", "--n", "4"])
+    assert rc == cli.EXIT_OK
+    head = capsys.readouterr().out.splitlines()[1]
+    assert "eps=1.5e-06" in head and head.count("eps=2e-06") == 1
+
+
 def test_cli_diagnose_warns_once_about_sigma(capsys):
     # the configs diagnose derives from the command's do not warn again
     with pytest.warns(UserWarning) as rec:

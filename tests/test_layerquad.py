@@ -87,7 +87,7 @@ def test_layer_batches_cover_exactly_the_flagged_cells(N, eps, n):
     flagged = (fx[:, None] | fy[None, :]).reshape(-1)
     for composite in (True, False):
         cells = np.concatenate(
-            [b.cells for b in layerquad.layer_batches(mesh, spec, n,
+            [b.cells for b in layerquad.layer_batches(mesh, spec, n, 1,
                                                       composite)]
             or [np.zeros(0, dtype=int)])
         # no cell twice, every flagged cell once, nothing else
@@ -101,7 +101,7 @@ def test_layer_batch_weights_sum_to_cell_area(N, eps, n):
     mesh, spec = _setup(N, eps)
     area = np.outer(mesh.hx, mesh.hy).reshape(-1)
     for composite in (True, False):
-        for b in layerquad.layer_batches(mesh, spec, n, composite):
+        for b in layerquad.layer_batches(mesh, spec, n, 1, composite):
             ncols, nrows = len(b.xq), len(b.yq)
             assert ncols * nrows == len(b.cells)
             assert b.W.shape == (len(b.cells), b.xq.shape[1] * b.yq.shape[1])
@@ -122,7 +122,7 @@ def test_plain_batches_carry_the_cell_rule_points(N, eps, n):
     # the cell rule, so their point lines must be the rule's bit for bit
     mesh, spec = _setup(N, eps)
     cq = CellQuad(mesh, n)
-    for b in layerquad.layer_batches(mesh, spec, n, composite=False):
+    for b in layerquad.layer_batches(mesh, spec, n, 1, composite=False):
         ix, iy = np.divmod(b.cells.reshape(len(b.xq), len(b.yq)), mesh.ny)
         # batch cell i*nrows + j lies in the i-th column and the j-th row
         assert (ix == ix[:, :1]).all() and (iy == iy[:1]).all()
@@ -138,9 +138,9 @@ def test_layer_batch_basis_gram_is_jacobian_identity(N, eps, n, k):
     mesh, spec = _setup(N, eps)
     nb = (k + 1) ** 2
     for composite in (True, False):
-        for b in layerquad.layer_batches(mesh, spec, n, composite):
-            B = b.basis(k)
-            gram = np.einsum("cag,cg,cbg->cab", B, b.W, B) / b.J[:, None, None]
+        for b in layerquad.layer_batches(mesh, spec, n, k, composite):
+            gram = np.einsum("cag,cg,cbg->cab", b.B, b.W, b.B) \
+                / b.J[:, None, None]
             err = np.abs(gram - np.eye(nb)).max(axis=(1, 2))
             # The basis is evaluated at the pulled-back coordinates
             # 2(p - x0)/h - 1 of the rounded points p near x = 1, so they

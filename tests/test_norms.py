@@ -93,7 +93,7 @@ def test_constant_one_reaction_weight(setting):
     # ||q|| = eps ||grad u|| = eps sqrt(2 * 1/3 * 1/30) = eps / sqrt(45)
     spec = polynomial_problem(1e-2)
     cfg = HdgConfig(1)
-    exact = exact_values(CellQuad(mesh, cfg.n_error), spec)
+    exact = exact_values(CellQuad(mesh, cfg.n_error), spec, cfg.k)
     assert exact.batches  # the layer cells are corrected too
     rep = error_report(exact, spec, cfg, _zero_fields(mesh, 1))
     assert np.isclose(rep.l2_error_u, 1.0 / 30.0, rtol=1e-12, atol=0.0)
@@ -107,7 +107,7 @@ def test_region_breakdown_sums_to_cell_parts(setting):
     mesh, spec = setting
     rng = np.random.default_rng(4)
     cfg = HdgConfig(1)
-    exact = exact_values(CellQuad(mesh, cfg.n_error), spec)
+    exact = exact_values(CellQuad(mesh, cfg.n_error), spec, cfg.k)
     rep = error_report(exact, spec, cfg, random_fields(mesh, 1, rng))
     cell_total = rep.q_part_sq + rep.reaction_part_sq
     assert np.isclose(sum(rep.region_cell_sq.values()), cell_total,
@@ -128,7 +128,7 @@ def test_error_report_consistency(setting):
     cfg = HdgConfig(1)
     fields = assemble_and_solve(mesh, spec, cfg)
     cq = CellQuad(mesh, cfg.n_error)
-    exact = exact_values(cq, spec)
+    exact = exact_values(cq, spec, cfg.k)
     proj = project_exact(exact, 1)
     rep = error_report(exact, spec, cfg, fields, projected=proj)
     assert rep.N == 8 and rep.k == 1 and rep.epsilon == 1e-2
@@ -157,7 +157,7 @@ def test_error_report_parts_add_up(k, N, eps):
         warnings.simplefilter("ignore", MeshAssumptionWarning)
         mesh = build_mesh(N, eps, k + 1.0, *spec.beta_lb)
     cfg = HdgConfig(k)
-    exact = exact_values(CellQuad(mesh, cfg.n_error), spec)
+    exact = exact_values(CellQuad(mesh, cfg.n_error), spec, cfg.k)
     rep = error_report(exact, spec, cfg, assemble_and_solve(mesh, spec, cfg))
     cell_sq = rep.q_part_sq + rep.reaction_part_sq
     assert np.isclose(rep.energy_error**2, cell_sq + rep.jump_part_sq,
@@ -175,7 +175,7 @@ def test_error_report_evaluates_no_exact_field():
     mesh = build_mesh(8, 1e-6, 2.0, *spec.beta_lb)
     cfg = HdgConfig(1)
     fields = assemble_and_solve(mesh, spec, cfg)
-    exact = exact_values(CellQuad(mesh, cfg.n_error), spec)
+    exact = exact_values(CellQuad(mesh, cfg.n_error), spec, cfg.k)
     proj = project_exact(exact, 1)
     assert exact.batches
 
@@ -192,7 +192,7 @@ def test_supercloseness_zero_for_identical_fields(setting):
     mesh, spec = setting
     cfg = HdgConfig(1)
     fields = assemble_and_solve(mesh, spec, cfg)
-    exact = exact_values(CellQuad(mesh, cfg.n_error), spec)
+    exact = exact_values(CellQuad(mesh, cfg.n_error), spec, cfg.k)
     rep = error_report(exact, spec, cfg, fields, projected=fields)
     assert rep.supercloseness_error == 0.0
 

@@ -1,9 +1,10 @@
 """Every public top-level function and class of the package, and every
 public method and property of a public class, has a caller in the program
 itself (src/ or perfbench/), not only in the tests: code that only its own
-test calls belongs in tests/ or nowhere. Every span name the benchmark's
-tracer reads names a function of the package. Only linalg imports scipy.
-Every function that raises states why the check belongs there."""
+test calls belongs in tests/ or nowhere. Every stored field is read there
+too. Every span name the benchmark's tracer reads names a function of the
+package. Only linalg imports scipy. Every function that raises states why
+the check belongs there."""
 
 import ast
 import importlib
@@ -86,6 +87,48 @@ def test_every_public_method_has_a_caller_outside_tests():
                             for q, tree in trees.items()):
                     unused.append(f"{path.name}: {cls.name}.{node.name}")
     assert not unused, unused
+
+
+def _stored_names(cls) -> list:
+    """The fields of a dataclass and the self.x an __init__ or
+    __post_init__ stores."""
+    dataclass = any((d.func if isinstance(d, ast.Call) else d).id
+                    == "dataclass" for d in cls.decorator_list)
+    names = []
+    for node in cls.body:
+        if dataclass and isinstance(node, ast.AnnAssign):
+            names.append(node.target.id)
+        elif isinstance(node, ast.FunctionDef) \
+                and node.name in ("__init__", "__post_init__"):
+            names += [t.attr for t in ast.walk(node)
+                      if isinstance(t, ast.Attribute)
+                      and isinstance(t.ctx, ast.Store)
+                      and isinstance(t.value, ast.Name)
+                      and t.value.id == "self"]
+    return names
+
+
+def test_every_stored_attribute_is_read():
+    # a field no code reads is carried, and kept in step, for nothing; a
+    # name taken as a string (the tracer replaces the problem's fields by
+    # name) counts as read
+    loaded = set()
+    for tree in _callers().values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                loaded.add(node.value)
+    unread = []
+    for path in PACKAGE.glob("*.py"):
+        for cls in ast.parse(path.read_text()).body:
+            if isinstance(cls, ast.ClassDef):
+                unread += [f"{path.name}: {cls.name}.{name}"
+                           for name in _stored_names(cls)
+                           if name not in loaded]
+    assert not unread, unread
 
 
 def _imported_names(tree) -> set:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from edge_layout import edge_layout
 from shishkin_hdg import layerquad
+from shishkin_hdg.assembly import HdgConfig, _local_setup
 from shishkin_hdg.refelem import (CellQuad, QuadRule1D, gauss_rule, legendre,
                                   ref_tables)
 from shishkin_hdg.mesh import MeshAssumptionWarning, build_mesh
@@ -77,17 +78,27 @@ def test_ref_tables_shapes_and_mass():
     assert R.B0.shape == (nb, n * n)
     assert R.KX.shape == (nb, nb)
     # 2D mass of the tensor basis under the tensor rule
-    gram = np.einsum("g,ag,bg->ab", R.W2, R.B0, R.B0)
+    w = gauss_rule(n).weights
+    gram = np.einsum("g,ag,bg->ab", np.outer(w, w).reshape(-1), R.B0, R.B0)
     assert np.allclose(gram, np.eye(nb), atol=1e-13)
+
+
+def _setup(k, n):
+    """The local-system operands of the assembly at degree k with n
+    points; they depend on the degree and the rule only."""
+    spec = paper_problem(1e-2)
+    mesh = build_mesh(4, 1e-2, 2.0, *spec.beta_lb)
+    return _local_setup(mesh, spec, HdgConfig(k, quad_assembly=n))
 
 
 def test_ref_tables_stiffness_identity():
     # integration by parts on [-1,1]^2: KX + KX^T is the boundary coupling,
     # so the u-q block -KX + <q.n, w> of equation (ii) is KX^T
     k, n = 2, 5
-    R = ref_tables(k, n)
-    assert np.allclose(R.UQ[0], R.KX.T, atol=1e-13)
-    assert np.allclose(R.UQ[1], R.KY.T, atol=1e-13)
+    setup = _setup(k, n)
+    R = setup.R
+    assert np.allclose(setup.UQ[0], R.KX.T, atol=1e-13)
+    assert np.allclose(setup.UQ[1], R.KY.T, atol=1e-13)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -97,15 +108,16 @@ def test_product_tables_give_the_weighted_products(k):
     rng = np.random.default_rng(k)
     kp, nb = k + 1, (k + 1) ** 2
     for n in range(k + 1, k + 5):
-        R = ref_tables(k, n)
+        setup = _setup(k, n)
+        R = setup.R
         f = rng.standard_normal((20, n * n))
-        for P, T in zip((R.BX, R.BY, R.B0), R.VOL):
+        for P, T in zip((R.BX, R.BY, R.B0), setup.VOL):
             want = np.einsum("cg,bg,ag->cba", f, P, R.B0)
             got = (f @ T).reshape(20, nb, nb)
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
         f = rng.standard_normal((20, n))
         want = np.einsum("cg,ng,eg->cne", f, R.V, R.V)
-        got = (f @ R.EDGE).reshape(20, kp, kp)
+        got = (f @ setup.EDGE).reshape(20, kp, kp)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
@@ -172,7 +184,7 @@ def test_fields_on_lines_equal_fields_at_the_points(N, eps, n, coef, data):
 
     # batch cell i*nrows + j on the points xq[i] x yq[j], g = gx*npy + gy
     for composite in (True, False):
-        for bt in layerquad.layer_batches(mesh, spec, n, composite):
+        for bt in layerquad.layer_batches(mesh, spec, n, 1, composite):
             i, j = np.divmod(np.arange(len(bt.cells)), len(bt.yq))
             px, py = bt.xq.shape[1], bt.yq.shape[1]
             gx, gy = np.divmod(np.arange(px * py), py)
@@ -188,9 +200,17 @@ def test_cached_ref_tables_are_read_only(k, n):
     # one cached instance is shared by every solve in the process
     R = ref_tables(k, n)
     arrays = [a for a in vars(R).values() if isinstance(a, np.ndarray)]
-    assert len(arrays) == 8
-    tuples = (R.UQ, R.STAB, R.VOL, R.L, R.side_traces)
+    assert len(arrays) == 6
+    tuples = (R.L, R.side_traces)
     for arr in arrays + [a for t in tuples for a in t]:
         assert not arr.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             arr[...] = 0.0
+
+
+@pytest.mark.parametrize("k, n", [(1, 2), (2, 6), (3, 7)])
+def test_ref_tables_hold_only_what_several_modules_read(k, n):
+    # the local-system operands are built by the assembly that reads them,
+    # at its own rule, not cached for the error rules too
+    assert set(vars(ref_tables(k, n))) == {"V", "B0", "BX", "BY", "KX", "KY",
+                                           "L", "side_traces"}
