@@ -2,7 +2,7 @@
 convection-diffusion problems, plus a convergence-study harness."""
 
 from .mesh import Region, ShishkinMesh, build_mesh
-from .problems import ExactSolution, ProblemSpec, paper_problem, verify_assumptions
+from .problems import ExactSolution, ProblemSpec, paper_problem
 from .assembly import HdgConfig, SolutionFields, assemble_and_solve
 from .norms import ErrorReport, convergence_rate, dyadic_rate
 from .harness import StudyConfig, run_single, run_sweep
@@ -14,7 +14,6 @@ __all__ = [
     "ExactSolution",
     "ProblemSpec",
     "paper_problem",
-    "verify_assumptions",
     "HdgConfig",
     "SolutionFields",
     "assemble_and_solve",

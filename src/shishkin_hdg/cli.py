@@ -2,8 +2,9 @@
 
 Subcommands: solve (single run), sweep (convergence tables), diagnose
 (diagnostic suite), mesh-dump. A plain key=value config file can preload any
-flag; explicit flags win. Exit codes: 0 success, 1 solver or assembly
-failure, 2 validation failure under --strict.
+flag; explicit flags win. solve, diagnose and mesh-dump print their report,
+or write it to the --out file. Exit codes: 0 success, 1 invalid input or
+solver or assembly failure, 2 a diagnostic check that FAILs.
 """
 
 from __future__ import annotations
@@ -17,17 +18,9 @@ from .harness import (MODES, StudyConfig, cell_mesh, one_cell,
 from .linalg import SolveError
 from .mesh import dump_mesh
 from .norms import StabilizationError
-from .problems import get_problem, verify_assumptions
+from .problems import get_problem
 
 EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION = 0, 1, 2
-
-
-def _bool(text: str) -> bool:
-    if text.lower() in ("1", "true", "yes", "on"):
-        return True
-    if text.lower() in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"{text!r} is not 1/true/yes/on or 0/false/no/off")
 
 
 # config key (the flag without "--", "-" read as "_") -> (StudyConfig field,
@@ -44,8 +37,7 @@ _OPTIONS = {
                       "quadrature points per direction for assembly"),
     "quad_error": ("quad_error", int,
                    "quadrature points per direction for error norms"),
-    "out": ("out_dir", str, "output directory (sweep) or file"),
-    "strict": ("strict", _bool, "turn validation failures into exit code 2"),
+    "out": ("out_dir", str, "table directory (sweep) or file for the report"),
 }
 
 
@@ -78,9 +70,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="key=value config file (flags override)")
     for key, (field, typ, help_) in _OPTIONS.items():
         kw = dict(type=typ, metavar=key.upper())
-        if typ is _bool:
-            kw = dict(action="store_true", default=None)
-        elif isinstance(typ, list):
+        if isinstance(typ, list):
             kw.update(type=typ[0], action="append")
         elif key == "mode":
             kw.update(choices=MODES, metavar=None)
@@ -97,18 +87,17 @@ def study_config(args) -> StudyConfig:
     return StudyConfig(**fields)
 
 
-def _strict_assumption_gate(cfg: StudyConfig) -> bool:
-    rep = verify_assumptions(get_problem(cfg.problem, cfg.eps_list[0]))
-    if not rep.passed:
-        for msg in rep.failures():
-            print(f"assumption check failed: {msg}", file=sys.stderr)
-    return rep.passed
+def _emit(cfg: StudyConfig, text: str) -> None:
+    """Write a single-cell command's report to the --out file, else stdout."""
+    if cfg.out_dir:
+        with open(cfg.out_dir, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def cmd_solve(args) -> int:
     cfg = study_config(args)
-    if cfg.strict and not _strict_assumption_gate(cfg):
-        return EXIT_VALIDATION
     report = run_single(cfg)
     pairs = [("problem", cfg.problem), ("N", report.N), ("k", report.k),
              ("epsilon", f"{report.epsilon:.6e}"),
@@ -121,15 +110,12 @@ def cmd_solve(args) -> int:
                       f"{report.supercloseness_error:.12e}"))
     for reg, val in sorted(report.region_cell_sq.items()):
         pairs.append((f"region_{reg}_cell_sq", f"{val:.12e}"))
-    for key, val in pairs:
-        print(f"{key} = {val}")
+    _emit(cfg, "".join(f"{key} = {val}\n" for key, val in pairs))
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
     cfg = study_config(args)
-    if cfg.strict and not _strict_assumption_gate(cfg):
-        return EXIT_VALIDATION
     result = run_sweep(cfg)
     for table in result.tables:
         print(f"# k = {table.k}, {table.mode} error")
@@ -143,19 +129,14 @@ def cmd_sweep(args) -> int:
 def cmd_diagnose(args) -> int:
     cfg = study_config(args)
     report = run_diagnostics(cfg)
-    sys.stdout.write(report.render())
-    return EXIT_VALIDATION if cfg.strict and not report.passed else EXIT_OK
+    _emit(cfg, report.render())
+    return EXIT_OK if report.passed else EXIT_VALIDATION
 
 
 def cmd_mesh_dump(args) -> int:
     cfg = study_config(args)
     k, eps, n = one_cell(cfg, "mesh-dump")
-    text = dump_mesh(cell_mesh(cfg, get_problem(cfg.problem, eps), k, n))
-    if cfg.out_dir:
-        with open(cfg.out_dir, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(cfg, dump_mesh(cell_mesh(cfg, get_problem(cfg.problem, eps), k, n)))
     return EXIT_OK
 
 

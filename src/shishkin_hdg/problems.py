@@ -1,5 +1,8 @@
-"""Problem instances: coefficients, data, exact solutions and validation of
-the well-posedness assumptions."""
+"""Problem instances: coefficients, data and exact solutions. Each problem
+declares the bounds of the paper's well-posedness assumptions (beta >=
+beta_lb componentwise, c - div(beta)/2 >= c0). diagnose reports how far
+its problem keeps them; the tests check them on every registered problem
+and on randomly drawn admissible ones."""
 
 from __future__ import annotations
 
@@ -166,35 +169,3 @@ def get_problem(name: str, epsilon: float) -> ProblemSpec:
         raise ValueError(f"unknown problem {name!r}; available: "
                          f"{sorted(PROBLEMS)}") from None
 
-
-@dataclass(frozen=True)
-class AssumptionReport:
-    passed: bool
-    min_beta1_margin: float   # min over samples of beta1(x,y) - beta_lb[0]
-    min_beta2_margin: float
-    min_coercivity_margin: float  # min of c - div(beta)/2 - c0
-
-    def failures(self) -> list[str]:
-        out = []
-        if self.min_beta1_margin < -1e-12:
-            out.append(f"beta1 drops {-self.min_beta1_margin:.3e} below its "
-                       "declared lower bound")
-        if self.min_beta2_margin < -1e-12:
-            out.append(f"beta2 drops {-self.min_beta2_margin:.3e} below its "
-                       "declared lower bound")
-        if self.min_coercivity_margin < -1e-12:
-            out.append("c - div(beta)/2 drops below c0 by "
-                       f"{-self.min_coercivity_margin:.3e}")
-        return out
-
-
-def verify_assumptions(spec: ProblemSpec) -> AssumptionReport:
-    """Check beta >= beta_lb componentwise and c - div(beta)/2 >= c0 on a
-    101 x 101 sample grid (closed domain)."""
-    s = np.linspace(0.0, 1.0, 101)
-    X, Y = np.meshgrid(s, s, indexing="ij")
-    m1 = float(np.min(spec.beta1(X, Y) - spec.beta_lb[0]))
-    m2 = float(np.min(spec.beta2(X, Y) - spec.beta_lb[1]))
-    mc = float(np.min(spec.c(X, Y) - 0.5 * spec.div_beta(X, Y) - spec.c0))
-    passed = min(m1, m2, mc) >= -1e-12
-    return AssumptionReport(passed, m1, m2, mc)

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admissible import admissible_problems, drawn_mesh
 from csc_arrays import csc_arrays
 from dense_oracle import assemble_monolithic, solve_monolithic
 from shishkin_hdg import assembly
@@ -65,38 +65,36 @@ def test_stabilization_check():
         build_local_systems(mesh, spec, HdgConfig(1, 0.1))
 
 
-def _mesh(N, eps, sigma):
-    """The Shishkin mesh of the paper's convection bounds; eps > 1/N is
-    allowed here (it only leaves the mesh uniform)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MeshAssumptionWarning)
-        return build_mesh(N, eps, sigma, 1.0, 2.0)
-
-
-_log_eps = st.floats(-8.0, 0.0).map(lambda p: 10.0 ** p)  # log-uniform
-
-
 @pytest.mark.parametrize("k", [2, 3])
 @settings(max_examples=6)
-@given(N=st.sampled_from([4, 8, 12, 16]), eps=_log_eps,
+@given(data=st.data(), N=st.sampled_from([4, 8, 16]),
        sigma=st.floats(0.5, 4.0))
-def test_polynomial_solution_reproduced_exactly(k, N, eps, sigma):
-    # u = x(1-x)y(1-y) lies in Q^2, so for k >= 2 the discrete solution
-    # must reproduce it to rounding on any mesh
-    spec = polynomial_problem(eps)
-    mesh = _mesh(N, eps, sigma)
-    cfg = HdgConfig(k)
+def test_polynomial_solution_reproduced_exactly(k, data, N, sigma):
+    # a drawn admissible problem's u lies in Q^k, so for k >= 2 the
+    # discrete solution must reproduce it to rounding on any mesh
+    spec, tau = data.draw(admissible_problems(k), label="problem")
+    mesh = drawn_mesh(spec, N, sigma)
+    cfg = HdgConfig(k, tau)
     fields = assemble_and_solve(mesh, spec, cfg)
-    assert _energy_error(mesh, spec, cfg, fields) < 1e-9
+    cq = CellQuad(mesh, cfg.n_error)
+    size = norms.energy_norm(norms.energy_weights(cq, spec, tau),
+                             norms.triple_values_exact(cq, spec))
+    assert _energy_error(mesh, spec, cfg, fields) <= 1e-9 * size
 
 
-@settings(max_examples=10)
-@given(k=st.integers(1, 3), N=st.sampled_from([4, 8]),
-       eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p))  # log-uniform
-def test_dense_monolithic_equivalence(k, N, eps):
-    spec = paper_problem(eps)
-    mesh = build_mesh(N, eps, k + 1.0, 1.0, 2.0)
-    cfg = HdgConfig(k)
+# the paper's problem, whose layers make the local systems ill-conditioned,
+# with the default tau = 3 > max |beta.n|/2 = 3/2
+_paper_problems = st.floats(-8.0, -2.0).map(  # eps log-uniform
+    lambda p: (paper_problem(10.0 ** p), 3.0))
+
+
+@settings(max_examples=16)
+@given(k=st.integers(1, 3), N=st.sampled_from([4, 8]), data=st.data())
+def test_dense_monolithic_equivalence(k, N, data):
+    spec, tau = data.draw(st.one_of(_paper_problems, admissible_problems(k)),
+                          label="problem")
+    mesh = drawn_mesh(spec, N, k + 1.0)
+    cfg = HdgConfig(k, tau)
     a = assemble_and_solve(mesh, spec, cfg)
     b = solve_monolithic(mesh, spec, cfg)
     scale = max(np.abs(a.u).max(), 1.0)
@@ -154,14 +152,16 @@ def test_flux_continuity_after_solve():
 
 
 @settings(max_examples=10)
-@given(k=st.integers(1, 3), N=st.sampled_from([4, 8, 12, 16]), eps=_log_eps,
-       sigma=st.floats(0.5, 4.0), seed=st.integers(0, 2**32 - 1))
-def test_coercivity_equals_energy_norm_for_random_triples(k, N, eps, sigma,
-                                                          seed):
-    # B(xi, xi) = |||xi|||^2 holds exactly for this scheme, on any mesh
-    spec = paper_problem(eps)
-    mesh = _mesh(N, eps, sigma)
-    cfg = HdgConfig(k)
+@given(k=st.integers(1, 3), N=st.sampled_from([4, 8, 12, 16]),
+       sigma=st.floats(0.5, 4.0), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_coercivity_equals_energy_norm_for_random_triples(k, N, sigma, seed,
+                                                          data):
+    # B(xi, xi) = |||xi|||^2 holds exactly for this scheme, on any mesh and
+    # for any admissible coefficients
+    spec, tau = data.draw(admissible_problems(k), label="problem")
+    mesh = drawn_mesh(spec, N, sigma)
+    cfg = HdgConfig(k, tau)
     rng = np.random.default_rng(seed)
     wts = norms.energy_weights(CellQuad(mesh, cfg.n_error), spec, cfg.tau)
     for _ in range(3):

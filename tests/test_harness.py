@@ -226,9 +226,8 @@ def test_cli_config_file_errors(capsys, tmp_path):
     assert cli.main(["solve", "--config", str(tmp_path / "missing.conf")]) \
         == cli.EXIT_SOLVER
     capsys.readouterr()
-    # a misspelt boolean is an error, not false; a value that fails to
-    # convert names its line and key
-    for line, msg in (("strict = ture", "strict: 'ture' is not"),
+    # a value that fails to convert names its line and key
+    for line, msg in (("tau = abc", "tau: could not convert string to float"),
                       ("k = 1.5", "k: invalid literal for int()")):
         bad.write_text(f"eps = 1e-2\nn = 4\n{line}\n")
         assert cli.main(["solve", "--config", str(bad)]) == cli.EXIT_SOLVER
@@ -248,12 +247,13 @@ _OPTION_SAMPLES = {
     "quad_assembly": ("6", ["--quad-assembly", "6"]),
     "quad_error": ("7", ["--quad-error", "7"]),
     "out": ("tables", ["--out", "tables"]),
-    "strict": ("Yes", ["--strict"]),
 }
 
 
 @pytest.mark.parametrize("key", sorted(cli._OPTIONS))
 def test_cli_config_file_and_flags_agree(key, tmp_path):
+    # a removed option leaves no sample behind, and a new one needs one
+    assert set(_OPTION_SAMPLES) == set(cli._OPTIONS)
     text, flags = _OPTION_SAMPLES[key]
     conf = tmp_path / "one.conf"
     conf.write_text(f"{key.replace('_', '-')} = {text}\n")
@@ -387,27 +387,33 @@ def test_cli_solve_solver_failure_exit_code(capsys):
 
 
 def test_cli_diagnose_strict_failure_exit_code(capsys):
-    # the known orthogonality FAIL at this eps fails the suite under --strict
-    rc = cli.main(["diagnose", "--k", "1", "--eps", "1e-6", "--n", "8",
-                   "--strict"])
+    # the known orthogonality FAIL at this eps fails the suite
+    rc = cli.main(["diagnose", "--k", "1", "--eps", "1e-6", "--n", "8"])
     assert rc == cli.EXIT_VALIDATION
-    assert "orthogonality" in capsys.readouterr().out
+    assert "FAIL  discrete orthogonality" in capsys.readouterr().out
 
 
-def test_cli_strict_assumption_gate(capsys, monkeypatch):
-    # declared bounds above the coefficients fail every assumption check
+def test_diagnose_names_each_violated_bound(capsys, monkeypatch):
+    # declared bounds above the coefficients fail the assumption entry,
+    # whose detail names each bound and how far the problem drops below it
     monkeypatch.setitem(
         problems.PROBLEMS, "overclaimed",
         lambda eps: dataclasses.replace(problems.paper_problem(eps),
                                         beta_lb=(5.0, 5.0), c0=5.0))
-    for cmd in ("solve", "sweep"):
-        rc = cli.main([cmd, "--problem", "overclaimed", "--k", "1", "--eps",
-                       "1e-2", "--n", "4", "--strict"])
-        assert rc == cli.EXIT_VALIDATION
-        captured = capsys.readouterr()
-        assert not captured.out
-        for what in ("beta1 drops", "beta2 drops", "c - div(beta)/2 drops"):
-            assert f"assumption check failed: {what}" in captured.err
+    entry = run_diagnostics(_cfg(problem="overclaimed", n_list=[4])).entries[0]
+    assert entry.name.startswith("assumption margins") and not entry.passed
+    # beta1 = 2 - x drops 4 below 5 at x = 1, beta2 = 3 - y^3 drops 3 at
+    # y = 1, and c - div(beta)/2 = 3/2 + (3/2) y^2 drops 3.5 at y = 0
+    assert entry.value == pytest.approx(-4.0)
+    assert entry.detail == ("beta1 drops 4.000e+00 below its declared bound; "
+                            "beta2 drops 3.000e+00 below its declared bound; "
+                            "c - div(beta)/2 drops 3.500e+00 below its "
+                            "declared bound")
+    rc = cli.main(["diagnose", "--problem", "overclaimed", "--k", "1",
+                   "--eps", "1e-2", "--n", "4"])
+    out = capsys.readouterr().out
+    assert rc == cli.EXIT_VALIDATION
+    assert out.startswith("FAIL  assumption margins") and entry.detail in out
 
 
 def test_cli_diagnose(capsys):
@@ -447,20 +453,27 @@ def test_cli_diagnose_warns_once_about_sigma(capsys):
     assert "diagnostics" in capsys.readouterr().out
 
 
-def test_cli_mesh_dump(capsys, tmp_path):
+def test_cli_mesh_dump(capsys):
     rc = cli.main(["mesh-dump", "--eps", "1e-3", "--n", "8"])
     out = capsys.readouterr().out
     assert rc == cli.EXIT_OK
     assert "N = 8" in out or "8" in out.splitlines()[0]
-    target = tmp_path / "mesh.txt"
-    rc = cli.main(["mesh-dump", "--eps", "1e-3", "--n", "8",
-                   "--out", str(target)])
-    assert rc == cli.EXIT_OK
-    assert target.read_text() == out
     # the default sigma is the study's k + 1 for the first degree
     cli.main(["mesh-dump", "--eps", "1e-3", "--n", "8", "--k", "2"])
     tau_x = float(capsys.readouterr().out.splitlines()[1].split()[1])
     assert tau_x == build_mesh(8, 1e-3, 3.0, 1.0, 2.0).tau_x
+
+
+@pytest.mark.parametrize("command", ["solve", "diagnose", "mesh-dump"])
+def test_cli_out_writes_the_printed_report(command, capsys, tmp_path):
+    # --out takes the place of stdout, with the same text
+    args = [command, "--k", "1", "--eps", "1e-2", "--n", "4"]
+    assert cli.main(args) == cli.EXIT_OK
+    printed = capsys.readouterr().out
+    target = tmp_path / "report.txt"
+    assert cli.main(args + ["--out", str(target)]) == cli.EXIT_OK
+    assert not capsys.readouterr().out
+    assert target.read_text() == printed
 
 
 def test_cli_requires_subcommand():

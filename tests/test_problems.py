@@ -1,11 +1,17 @@
-"""Problem data: manufactured solutions, derivatives, assumptions."""
+"""Problem data: manufactured solutions, derivatives, and the declared
+bounds of the well-posedness assumptions."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from admissible import admissible_problems, declared_bound_margins
 from shishkin_hdg import cli, harness
 from shishkin_hdg.problems import (PROBLEMS, get_problem, paper_problem,
-                                   polynomial_problem, verify_assumptions)
+                                   polynomial_problem)
 
 
 def pde_residual(spec, x, y):
@@ -75,24 +81,31 @@ def test_coefficient_values():
     assert spec.c0 == 1.5
 
 
-def test_assumptions_pass_for_paper_problem():
-    rep = verify_assumptions(paper_problem(1e-4))
-    assert rep.passed
-    assert rep.failures() == []
-    # c - div(beta)/2 = 3/2 + (3/2) y^2 has margin 0 over c0 at y=0
-    assert abs(rep.min_coercivity_margin) < 1e-12
-    assert rep.min_beta1_margin >= 0.0
-    assert rep.min_beta2_margin >= 0.0
+@pytest.mark.parametrize("name", sorted(PROBLEMS))
+def test_registered_problems_keep_their_declared_bounds(name):
+    margins = declared_bound_margins(get_problem(name, 1e-4))
+    assert min(margins.values()) >= -1e-12, margins
+    # beta = (2 - x, 3 - y^3) attains (1, 2) at x = y = 1, and
+    # c - div(beta)/2 = 3/2 + (3/2) y^2 attains c0 at y = 0
+    assert max(map(abs, margins.values())) < 1e-12, margins
+
+
+@settings(max_examples=25)
+@given(k=st.integers(1, 3), data=st.data())
+def test_drawn_problems_keep_their_declared_bounds(k, data):
+    spec, _ = data.draw(admissible_problems(k), label="problem")
+    margins = declared_bound_margins(spec)
+    assert min(margins.values()) >= -1e-12, margins
+    # and attains each bound, up to the spacing of the sample grid
+    assert max(margins.values()) < 1e-3, margins
 
 
 def test_assumptions_fail_for_misdeclared_bound():
-    spec = paper_problem(1e-4)
-    bad = type(spec)(spec.name, spec.epsilon, spec.beta1, spec.beta2, spec.c,
-                     spec.div_beta, spec.f, beta_lb=(3.0, 2.0), c0=spec.c0,
-                     exact=spec.exact)
-    rep = verify_assumptions(bad)
-    assert not rep.passed
-    assert any("beta1" in msg for msg in rep.failures())
+    # the helper catches a bound that the coefficients do not keep
+    bad = dataclasses.replace(paper_problem(1e-4), beta_lb=(3.0, 2.0))
+    margins = declared_bound_margins(bad)
+    assert margins["beta1"] == pytest.approx(-2.0)
+    assert margins["beta2"] >= 0.0 and margins["c - div(beta)/2"] >= -1e-12
 
 
 def test_registry():

@@ -216,7 +216,6 @@ RAISE_SITES = {
     "assembly.HdgConfig.__post_init__": "owns the degree, tau and rule sizes",
     "assembly.check_stabilization": "owns tau > |beta.n|/2 at the sides",
     "assembly.condense": "names the cell of a singular local system",
-    "cli._bool": "parses a boolean flag or config value",
     "cli.parse_config_file": "owns the config file's syntax and keys",
     "harness.StudyConfig.__post_init__": "owns the mode and non-empty lists",
     "harness.one_cell": "single-cell commands take one k, eps and N",
