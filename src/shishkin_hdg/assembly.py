@@ -1,6 +1,6 @@
 """HDG assembly for the three-field formulation: per-cell local systems,
-condensed block by block straight into the edge-trace system, global trace
-solve and recovery.
+condensed one block of cells at a time straight into the edge-trace system,
+global trace solve and recovery.
 
 Every coefficient, here and in the projection and norm modules, is in the
 pulled-back orthonormal bases: on a cell the reference Legendre tensor basis
@@ -11,11 +11,6 @@ and SolutionFields holds them as they come.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,8 +39,9 @@ class HdgConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("polynomial degree k must be >= 1")
-        if self.tau <= 0:
-            raise ValueError("stabilization constant tau must be positive")
+        if not 0 < self.tau < np.inf:  # NaN and inf fail too
+            raise ValueError("stabilization constant tau must be finite and "
+                             "positive")
         if self.n_assembly < self.k + 1:
             raise ValueError("assembly quadrature below k+1 points")
         if self.n_error < self.k + 1:
@@ -79,13 +75,9 @@ class SolutionFields:
                               self.u - other.u, self.trace - other.trace)
 
 
-# consecutive cells one pool task builds, condenses and sums, whatever the
-# host; the task's dense local systems are freed when it ends
+# consecutive cells built, condensed and summed at a time; a block's dense
+# local systems are freed before the next block is built
 BLOCK_CELLS = 256
-# the CPUs this process may use, at most 2, so no more than 512 cells'
-# dense systems exist at once on any host
-WORKERS = min(2, len(os.sched_getaffinity(0))
-              if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 
 @dataclass
@@ -164,9 +156,9 @@ def _local_setup(mesh: ShishkinMesh, spec: ProblemSpec,
 
 def check_stabilization(bn: np.ndarray, tau: float) -> float:
     """Margin min(tau - |beta.n|/2) over sampled side values bn of beta.n
-    (norms.edge_normal_beta); raises if <= 0."""
+    (norms.edge_normal_beta); raises unless > 0."""
     margin = float(tau - 0.5 * np.max(np.abs(bn)))
-    if margin <= 0:
+    if not margin > 0:  # a NaN beta.n fails too
         raise StabilizationError(
             f"tau = {tau:g} violates tau - beta.n/2 > 0 "
             f"(max |beta.n|/2 = {0.5 * np.max(np.abs(bn)):g})")
@@ -323,15 +315,15 @@ def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
                           cfg: HdgConfig) -> tuple[SparseMatrix, np.ndarray,
                                                    np.ndarray, np.ndarray]:
     """Build and condense the local systems in blocks of BLOCK_CELLS
-    consecutive cells, one task per block on WORKERS threads, so the dense
-    local systems of the whole mesh never exist at once; each task sums its
-    Schur blocks straight into the CSC arrays (_csc_layout) of the global
-    interior-trace system, whose unknowns are the k+1 dofs of each interior
-    edge in mesh.interior_index order (nested dissection along grid lines),
-    the order SuperLU factors in. No entry sums more than two terms, so the
-    result depends neither on the block size nor on the task order.
-    Returns (A, b, IF, IC), with IF and IC the u-rows of the recovery
-    operators of every cell (condense)."""
+    consecutive cells, one block at a time, so the dense local systems of
+    the whole mesh never exist at once; each block's Schur blocks are summed
+    straight into the CSC arrays (_csc_layout) of the global interior-trace
+    system, whose unknowns are the k+1 dofs of each interior edge in
+    mesh.interior_index order (nested dissection along grid lines), the
+    order SuperLU factors in. No entry sums more than two terms, so the
+    result does not depend on the block size. Returns (A, b, IF, IC), with
+    IF and IC the u-rows of the recovery operators of every cell
+    (condense)."""
     kp, nc = cfg.k + 1, mesh.n_cells
     # the layout first, so its sort is freed before the accumulators exist
     first, step, indices, indptr = _csc_layout(mesh, kp)
@@ -341,9 +333,8 @@ def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
     data = np.zeros(indptr[-1] + kp)
     rows = np.zeros((mesh.n_interior_edges + 1, kp))
     IF, IC = np.empty((nc, kp * kp)), np.empty((nc, kp * kp, 4 * kp))
-    lock = threading.Lock()  # neighbouring blocks share edges
-
-    def condense_block(cells: range) -> None:
+    for start in range(0, nc, BLOCK_CELLS):
+        cells = range(start, min(start + BLOCK_CELLS, nc))
         sel = slice(cells.start, cells.stop)
         S, rhs, IF[sel], IC[sel] = condense(
             build_local_systems(mesh, spec, cfg, cells, setup))
@@ -351,29 +342,10 @@ def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
         # the long axes last make both faster
         S = S.reshape(-1, 4, kp, 4, kp).transpose(2, 4, 0, 1, 3).ravel()
         at = _entries(first[sel], step[sel], kp).ravel()
-        with lock:
-            np.add.at(data, at, S)
-            np.add.at(rows, edge_row[sel], rhs.reshape(-1, 4, kp))
-
-    _one_malloc_arena()
-    with ThreadPoolExecutor(WORKERS) as pool:
-        # map cancels the queued blocks when one raises
-        list(pool.map(condense_block, (range(s, min(s + BLOCK_CELLS, nc))
-                                       for s in range(0, nc, BLOCK_CELLS))))
+        np.add.at(data, at, S)
+        np.add.at(rows, edge_row[sel], rhs.reshape(-1, 4, kp))
     A = SparseMatrix(data[:-kp], indices, indptr)
     return A, rows[:-1].ravel(), IF, IC
-
-
-@functools.cache
-def _one_malloc_arena() -> None:
-    """Limit glibc malloc to one arena for the whole process (mallopt
-    M_ARENA_MAX = -8), where libc has mallopt. With an arena per thread,
-    the memory each pool thread freed stayed resident in its own arena."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):  # no libc handle or mallopt
-        return
-    mallopt(-8, 1)
 
 
 def assemble_and_solve(mesh: ShishkinMesh, spec: ProblemSpec,

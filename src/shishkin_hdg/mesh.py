@@ -180,13 +180,14 @@ def shishkin_nodes(N: int, epsilon: float, sigma: float, beta1: float,
     per direction (divisible by 4) for perturbation parameter epsilon, mesh
     parameter sigma and convective lower bounds beta1, beta2: transition
     points tau = min(1/2, sigma*eps/beta * ln N), N/2 uniform cells on each
-    side of the transition in each direction. Raises ValueError also when
-    the fine nodes coincide in floating point."""
+    side of the transition in each direction. Raises ValueError for an
+    input that is not finite and positive, and when the fine nodes coincide
+    in floating point."""
     if N < 4 or N % 4 != 0:
         raise ValueError(f"N must be >= 4 and divisible by 4, got {N}")
     for name, value in (("epsilon", epsilon), ("sigma", sigma),
                         ("beta1", beta1), ("beta2", beta2)):
-        if value <= 0:
+        if not 0 < value < np.inf:  # NaN and inf fail too
             raise ValueError(f"{name} must be positive")
 
     def nodes(beta):

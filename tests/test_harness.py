@@ -312,6 +312,18 @@ def test_cli_invalid_value_exit_code(capsys, tmp_path, monkeypatch):
     captured = capsys.readouterr()
     assert "k must be >= 1" in captured.err and not captured.out
     assert not (tmp_path / "out").exists()
+    # a NaN sigma or a NaN or infinite tau is rejected before any solve
+    for cmd, flags, message in (
+            ("sweep", ["--sigma", "nan"], "sigma must be positive"),
+            ("solve", ["--sigma", "nan"], "sigma must be positive"),
+            ("solve", ["--tau", "nan"], "tau must be finite and positive"),
+            ("solve", ["--tau", "inf"], "tau must be finite and positive"),
+            ("sweep", ["--tau", "nan", "--n", "4", "--n", "8"],
+             "tau must be finite and positive")):
+        rc = cli.main([cmd, "--k", "1", "--eps", "1e-6", "--n", "8", *flags])
+        assert rc == cli.EXIT_SOLVER
+        captured = capsys.readouterr()
+        assert message in captured.err and not captured.out
 
 
 def test_cli_sweep_checks_every_mesh_before_solving(capsys, tmp_path,

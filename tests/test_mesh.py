@@ -14,6 +14,7 @@ from shishkin_hdg.mesh import (MeshAssumptionWarning, Region,
 
 def test_config_validation():
     # each of the five numbers build_mesh takes, one bad value at a time
+    nan, inf = float("nan"), float("inf")
     bad = [((6, 1e-3, 2.0, 1.0, 2.0),  # not divisible by 4
             "N must be >= 4 and divisible by 4, got 6"),
            ((2, 1e-3, 2.0, 1.0, 2.0),
@@ -21,7 +22,14 @@ def test_config_validation():
            ((8, -1e-3, 2.0, 1.0, 2.0), "epsilon must be positive"),
            ((8, 1e-3, 0.0, 1.0, 2.0), "sigma must be positive"),
            ((8, 1e-3, 2.0, -1.0, 2.0), "beta1 must be positive"),
-           ((8, 1e-3, 2.0, 1.0, 0.0), "beta2 must be positive")]
+           ((8, 1e-3, 2.0, 1.0, 0.0), "beta2 must be positive"),
+           # NaN and inf are not positive numbers either
+           ((8, nan, 2.0, 1.0, 2.0), "epsilon must be positive"),
+           ((8, inf, 2.0, 1.0, 2.0), "epsilon must be positive"),
+           ((8, 1e-3, nan, 1.0, 2.0), "sigma must be positive"),
+           ((8, 1e-3, inf, 1.0, 2.0), "sigma must be positive"),
+           ((8, 1e-3, 2.0, nan, 2.0), "beta1 must be positive"),
+           ((8, 1e-3, 2.0, 1.0, inf), "beta2 must be positive")]
     for args, message in bad:
         with pytest.raises(ValueError) as info:
             build_mesh(*args)
