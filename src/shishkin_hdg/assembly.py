@@ -1,6 +1,8 @@
 """HDG assembly for the three-field formulation: per-cell local systems,
-condensed one block of cells at a time straight into the edge-trace system,
-global trace solve and recovery.
+condensed one block of cells at a time onto each cell's edge traces, the
+trace solve up and down the mesh's box tree (linalg.solve_box_tree) and
+recovery. The global trace system in CSC storage (assemble_trace_system)
+is built only when that solve falls back to SuperLU.
 
 Every coefficient, here and in the projection and norm modules, is in the
 pulled-back orthonormal bases: on a cell the reference Legendre tensor basis
@@ -17,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import layerquad
-from .linalg import SolveError, SparseMatrix
+from .linalg import SolveError, SparseMatrix, solve_box_tree
 from .mesh import SIDES, ShishkinMesh
 from .problems import ProblemSpec
 from .refelem import (MAX_GAUSS_POINTS, CellQuad, RefTables, gauss_rule,
@@ -311,33 +313,41 @@ def _entries(first: np.ndarray, step: np.ndarray, kp: int) -> np.ndarray:
     return first + i[:, None] + i * step
 
 
+def _condensed_blocks(mesh: ShishkinMesh, spec: ProblemSpec, cfg: HdgConfig,
+                      IF: np.ndarray, IC: np.ndarray):
+    """(cell slice, S, rhs) of each block of BLOCK_CELLS consecutive cells,
+    built and condensed one at a time, so the dense local systems of the
+    whole mesh never exist at once; the u-rows of the recovery operators
+    (condense) go to IF and IC."""
+    setup = _local_setup(mesh, spec, cfg)
+    for start in range(0, mesh.n_cells, BLOCK_CELLS):
+        cells = range(start, min(start + BLOCK_CELLS, mesh.n_cells))
+        sel = slice(cells.start, cells.stop)
+        S, rhs, IF[sel], IC[sel] = condense(
+            build_local_systems(mesh, spec, cfg, cells, setup))
+        yield sel, S, rhs
+
+
 def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
                           cfg: HdgConfig) -> tuple[SparseMatrix, np.ndarray,
                                                    np.ndarray, np.ndarray]:
-    """Build and condense the local systems in blocks of BLOCK_CELLS
-    consecutive cells, one block at a time, so the dense local systems of
-    the whole mesh never exist at once; each block's Schur blocks are summed
-    straight into the CSC arrays (_csc_layout) of the global interior-trace
-    system, whose unknowns are the k+1 dofs of each interior edge in
-    mesh.interior_index order (nested dissection along grid lines), the
-    order SuperLU factors in. No entry sums more than two terms, so the
-    result does not depend on the block size. Returns (A, b, IF, IC), with
-    IF and IC the u-rows of the recovery operators of every cell
-    (condense)."""
+    """The global interior-trace system for SuperLU, the fallback of
+    assemble_and_solve. Each block's Schur blocks (_condensed_blocks) are
+    summed straight into its CSC arrays (_csc_layout), whose unknowns are
+    the k+1 dofs of each interior edge in mesh.interior_index order
+    (nested dissection along grid lines), the order SuperLU factors in. No
+    entry sums more than two terms, so the result does not depend on the
+    block size. Returns (A, b, IF, IC), with IF and IC the u-rows of the
+    recovery operators of every cell (condense)."""
     kp, nc = cfg.k + 1, mesh.n_cells
     # the layout first, so its sort is freed before the accumulators exist
     first, step, indices, indptr = _csc_layout(mesh, kp)
-    setup = _local_setup(mesh, spec, cfg)
     edge_row = mesh.interior_index[mesh.cell_edges]  # (ncells, 4)
     # boundary edges (row -1, first = nnz) go to a discarded tail
     data = np.zeros(indptr[-1] + kp)
     rows = np.zeros((mesh.n_interior_edges + 1, kp))
     IF, IC = np.empty((nc, kp * kp)), np.empty((nc, kp * kp, 4 * kp))
-    for start in range(0, nc, BLOCK_CELLS):
-        cells = range(start, min(start + BLOCK_CELLS, nc))
-        sel = slice(cells.start, cells.stop)
-        S, rhs, IF[sel], IC[sel] = condense(
-            build_local_systems(mesh, spec, cfg, cells, setup))
+    for sel, S, rhs in _condensed_blocks(mesh, spec, cfg, IF, IC):
         # S as (row i, column j, cell, side a, side b), as _entries orders;
         # the long axes last make both faster
         S = S.reshape(-1, 4, kp, 4, kp).transpose(2, 4, 0, 1, 3).ravel()
@@ -350,16 +360,23 @@ def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
 
 def assemble_and_solve(mesh: ShishkinMesh, spec: ProblemSpec,
                        cfg: HdgConfig) -> SolutionFields:
-    """Full pipeline: local systems and their condensation in blocks of
-    cells, global trace solve with homogeneous boundary traces, recovery of
-    u from the stored operators and of the flux from equation (i)."""
-    A, b, IF, IC = assemble_trace_system(mesh, spec, cfg)
-    kp = cfg.k + 1
-    # boundary edges (index -1) read the zero row appended last
-    trace = np.vstack([A.solve(b).reshape(-1, kp),
-                       np.zeros((1, kp))])[mesh.interior_index]
+    """Full pipeline: local systems condensed in blocks of cells, the trace
+    solve on the box tree (falling back to SuperLU) with homogeneous
+    boundary traces, recovery of u and of the flux from equation (i)."""
+    kp, nc = cfg.k + 1, mesh.n_cells
+    Sr = np.empty((nc, 4 * kp, 4 * kp + 1))  # [S | rhs] of every cell
+    IF, IC = np.empty((nc, kp * kp)), np.empty((nc, kp * kp, 4 * kp))
+    for sel, S, rhs in _condensed_blocks(mesh, spec, cfg, IF, IC):
+        Sr[sel, :, :-1], Sr[sel, :, -1] = S, rhs
+    trace = solve_box_tree(mesh, Sr)
+    if trace is None:  # solve_box_tree warned why
+        del Sr
+        A, b, _, _ = assemble_trace_system(mesh, spec, cfg)
+        # boundary edges (index -1) read the zero row appended last
+        trace = np.vstack([A.solve(b).reshape(-1, kp),
+                           np.zeros((1, kp))])[mesh.interior_index]
     t_local = trace[mesh.cell_edges]  # (ncells, 4, k+1)
-    u = IF - np.einsum("cij,cj->ci", IC, t_local.reshape(mesh.n_cells, -1))
+    u = IF - np.einsum("cij,cj->ci", IC, t_local.reshape(nc, -1))
     q1, q2 = _recover_flux(mesh, spec, cfg, u, t_local)
     return SolutionFields(cfg.k, q1, q2, u, trace)
 

@@ -1,17 +1,23 @@
-"""Sparse storage and linear solution for the condensed trace system.
+"""Solution of the condensed trace system.
 
-Backed by scipy CSC storage and SuperLU with iterative refinement. The
-matrix is factored in the order it is given: the trace system arrives with
-its unknowns numbered by nested dissection along the mesh's grid lines
-(mesh.ShishkinMesh.interior_index), so SuperLU adds no column permutation
-of its own, keeps the pattern symmetric and pivots on the diagonal unless
-it is below a tenth of its column's largest entry (GIVEN_ORDER). If that
-factorization fails or misses the residual gate, the matrix is factored
-once more with COLAMD and partial pivoting, and a SolveFallbackWarning
-says why. The dense monolithic oracle the condensed solve is checked
-against lives in the test suite (`tests/dense_oracle.py`).
+solve_box_tree condenses on up the mesh's box tree (mesh.box_plan): the
+cells' Schur complements are merged pairwise from single cells to the
+whole grid, each merge eliminating the traces on the line between its two
+halves with batched dense solves, and the traces come back down by
+substitution. The domain-boundary traces are 0 and in no box.
 
-Both attempts factor in panels of two columns. The panel size bounds
+If a separator block is singular or the residual gate is missed, a
+SolveFallbackWarning says why, and the caller assembles the global system
+in CSC storage for SuperLU with iterative refinement (SparseMatrix). Its
+unknowns are numbered by nested dissection along the mesh's grid lines
+(mesh.ShishkinMesh.interior_index), so SuperLU factors in the given order,
+keeps the pattern symmetric and pivots on the diagonal unless it is below
+a tenth of its column's largest entry (GIVEN_ORDER). If that fails or
+misses the gate, it factors once more with COLAMD and partial pivoting,
+under another SolveFallbackWarning. The dense monolithic oracle of both
+solves lives in `tests/dense_oracle.py`.
+
+Both SuperLU attempts factor in panels of two columns. The panel size bounds
 SuperLU's work arrays, which hold (16w + 36) bytes per unknown for a panel
 of w columns (dLUWorkInit) and are live until L+U is full size. At k=2,
 N=128 (97,536 unknowns) that is 33 MB under SuperLU's default of 20
@@ -21,13 +27,19 @@ columns and 6 MB under two. The fill and the factor time do not move.
 from __future__ import annotations
 
 import warnings
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .mesh import ShishkinMesh, box_plan
+
 # relative residual (2-norm) every solve must reach
 RESIDUAL_TOL = 1e-12
+# the box merges of a level are built and reduced about this many bytes
+# of merge matrix at a time
+MERGE_BYTES = 2 << 20
 # SuperLU options of both attempts: panels of two columns, not SuperLU's
 # default 20, to keep its work arrays small (see the docstring)
 _SHARED = dict(panel_size=2)
@@ -39,8 +51,9 @@ _COLAMD = dict(_SHARED, permc_spec="COLAMD", diag_pivot_thresh=1.0)
 
 
 class SolveFallbackWarning(RuntimeWarning):
-    """The factorization in the given order failed or missed the residual
-    gate, so the solve was repeated with COLAMD and partial pivoting."""
+    """A solve failed or missed the residual gate and is being repeated by
+    the next method: the box tree by SuperLU in the given order, that by
+    COLAMD and partial pivoting."""
 
 
 class SolveError(RuntimeError):
@@ -112,3 +125,88 @@ class SparseMatrix:
             if res <= tol or step == 2:
                 return x, res
             x = x + lu.solve(r)
+
+
+def solve_box_tree(mesh: ShishkinMesh, Sr: np.ndarray) -> Optional[np.ndarray]:
+    """Traces (n_edges, k+1), 0 on the domain boundary, of the system
+    summed from each cell's Schur complement and right-hand side on its
+    sides W, E, S, N, Sr = [S | rhs] (ncells, 4(k+1), 4(k+1) + 1), with no
+    global matrix. The residual, sum over cells of rhs_c - S_c t_c on the
+    interior edges, must reach RESIDUAL_TOL relative to the summed rhs; if
+    it does not, or a separator block is singular, a SolveFallbackWarning
+    says why and None is returned."""
+    kp = Sr.shape[1] // 4
+    plan = box_plan(mesh.nx, mesh.ny)
+    try:
+        X = _condense_up(plan, Sr, kp)
+    except np.linalg.LinAlgError as exc:
+        why = f"a separator block is singular ({exc})"
+    else:
+        trace = np.zeros((mesh.n_edges, kp))
+        for level, X_level in zip(reversed(plan), reversed(X)):
+            for (bound, sep, _), Xg in zip(level, X_level):
+                # x_s = X_r - X_b x_b
+                xb = trace[bound].reshape(len(Xg), -1)
+                trace[sep] = _times_minus(Xg, xb).reshape(sep.shape + (kp,))
+        del X
+        # rhs_c - S_c t_c and rhs_c, summed onto the dofs of the edges
+        t = trace[mesh.cell_edges].reshape(len(Sr), -1)
+        dof = (mesh.cell_edges[:, :, None] * kp + np.arange(kp)).ravel()
+        inner = ~np.repeat(mesh.edge_boundary, kp)
+        res, b = (np.linalg.norm(np.bincount(dof, r.ravel(),
+                                             inner.size)[inner])
+                  for r in (_times_minus(Sr, t), Sr[:, :, -1]))
+        if res <= RESIDUAL_TOL * b:  # False for a NaN residual
+            return trace
+        why = (f"residual {res:.3e} exceeds {RESIDUAL_TOL:.1e} * ||b|| = "
+               f"{RESIDUAL_TOL * b:.3e}")
+    warnings.warn(f"box-tree solve failed: {why}; solving the assembled "
+                  "trace system instead", SolveFallbackWarning, stacklevel=2)
+    return None
+
+
+def _times_minus(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A[i] @ [-x[i], 1] for each i."""
+    v = np.concatenate([-x, np.ones((len(x), 1))], axis=1)
+    return (A @ v[:, :, None])[:, :, 0]
+
+
+def _condense_up(plan: tuple, Sr: np.ndarray, kp: int) -> list:
+    """X of each group of each level of plan, from the bottom up. A box's
+    merge matrix M, rows [bound | sep] and columns [bound | r | sep], sums
+    its halves' [S | r]; eliminating sep keeps X = M_ss^-1 [M_sb | r_s]
+    and leaves the box's [S | r] on bound for the level above."""
+    below, X, cells = None, [], Sr.reshape(len(Sr), -1)
+    for level in plan:
+        out, X_level = [], []
+        for bound, sep, group_halves in level:
+            nbox, nb, ns = len(bound), bound.shape[1] * kp, sep.shape[1] * kp
+            n = nb + ns
+            halves = []
+            for source, rows, take, pos in group_halves:
+                # the k+1 dofs of each edge
+                take, pos = ((a[:, None] * kp + np.arange(kp)).ravel()
+                             for a in (take, pos))
+                # entries (take, [take | r]) of the half's [S | r], all of
+                # a box's, and where they go in the flat M
+                src = slice(None) if source >= 0 else (take[:, None] * (
+                    4 * kp + 1) + np.append(take, 4 * kp)).ravel()
+                col = np.append(pos + (pos >= nb), nb)
+                halves.append((cells if source < 0 else below[source], rows,
+                               src, (pos[:, None] * (n + 1) + col).ravel()))
+            out.append(np.empty((nbox, nb * (nb + 1))))
+            X_level.append(np.empty((nbox, ns, nb + 1)))
+            step = max(1, MERGE_BYTES // (8 * n * (n + 1)))
+            for lo in range(0, nbox, step):
+                part = slice(lo, lo + step)
+                M = np.zeros((min(step, nbox - lo), n, n + 1))
+                flat = M.reshape(len(M), -1)
+                for half, rows, src, dst in halves:
+                    flat[:, dst] += half[rows[part]][:, src]
+                Xp = np.linalg.solve(M[:, nb:, nb + 1:], M[:, nb:, :nb + 1])
+                out[-1][part] = (M[:, :nb, :nb + 1]
+                                 - M[:, :nb, nb + 1:] @ Xp).reshape(len(M), -1)
+                X_level[-1][part] = Xp
+        below = out
+        X.append(X_level)
+    return X

@@ -7,6 +7,7 @@ import io
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,15 +32,26 @@ SIDES = ((0, -1.0), (0, 1.0), (1, -1.0), (1, 1.0))
 ND_LEAF_EDGES = 16
 
 
+def _split(i0, i1, j0, j1):
+    """(along_x, m, lower half, upper half) of boxes [i0, i1) x [j0, j1)
+    of cells (ints or int arrays), split at grid line m, the middle one of
+    the longer index direction (x on a tie); halves as (i0, i1, j0, j1)."""
+    along_x = i1 - i0 >= j1 - j0
+    m = np.where(along_x, (i0 + i1) // 2, (j0 + j1) // 2)
+    return along_x, m, (i0, np.where(along_x, m, i1), j0,
+                        np.where(along_x, j1, m)), \
+        (np.where(along_x, m, i0), i1, np.where(along_x, j0, m), j1)
+
+
 def _nested_dissection(nx: int, ny: int) -> np.ndarray:
     """Interior edge ids in grid-line nested-dissection order.
 
-    A box of cells [i0, i1) x [j0, j1) is split at the middle grid line of
-    its longer index direction: the interior edges of each half are
-    numbered first, then the edges lying on that line, which separate the
-    halves. A box with at most ND_LEAF_EDGES interior edges is numbered
-    whole. The edges on a box's sides belong to an enclosing separator or
-    to the boundary, so boundary edges are left out.
+    A box of cells [i0, i1) x [j0, j1) is split by _split: the interior
+    edges of each half are numbered first, then the edges lying on the
+    split line, which separate the halves. A box with at most
+    ND_LEAF_EDGES interior edges is numbered whole. The edges on a box's
+    sides belong to an enclosing separator or to the boundary, so boundary
+    edges are left out.
 
     The edges of one grid-line segment have consecutive ids, so the order
     is collected as runs (first id, length) and expanded once.
@@ -52,21 +64,94 @@ def _nested_dissection(nx: int, ny: int) -> np.ndarray:
         if (a - 1) * b + (b - 1) * a <= ND_LEAF_EDGES:
             runs.extend((i * ny + j0, b) for i in range(i0 + 1, i1))
             runs.extend((n_vert + j * nx + i0, a) for j in range(j0 + 1, j1))
-        elif a >= b:
-            m = (i0 + i1) // 2
-            box(i0, m, j0, j1)
-            box(m, i1, j0, j1)
-            runs.append((m * ny + j0, b))  # vertical line m
-        else:
-            m = (j0 + j1) // 2
-            box(i0, i1, j0, m)
-            box(i0, i1, m, j1)
-            runs.append((n_vert + m * nx + i0, a))  # horizontal line m
+            return
+        along_x, m, lo, hi = _split(i0, i1, j0, j1)
+        box(*map(int, lo))
+        box(*map(int, hi))
+        # the vertical line m, or the horizontal line m
+        runs.append((m * ny + j0, b) if along_x else (n_vert + m * nx + i0, a))
 
     box(0, nx, 0, ny)
     first, length = np.array(runs, dtype=np.int64).reshape(-1, 2).T
     offset = np.cumsum(length) - length  # position of each run in the order
     return np.repeat(first - offset, length) + np.arange(length.sum())
+
+
+def _box_sides(nx: int, ny: int, i0, i1, j0, j1) -> tuple:
+    """Edge ids of the sides W, E, S, N of boxes of one shape on the nx x
+    ny cell grid, each (boxes, side length) by ascending coordinate."""
+    n_vert = (nx + 1) * ny
+    a, b = np.arange(i1[0] - i0[0]), np.arange(j1[0] - j0[0])
+    return ((i0 * ny + j0)[:, None] + b, (i1 * ny + j0)[:, None] + b,
+            (n_vert + j0 * nx + i0)[:, None] + a,
+            (n_vert + j1 * nx + i0)[:, None] + a)
+
+
+def _boundary_edges(nx: int, ny: int) -> np.ndarray:
+    """Whether each edge id lies on the domain boundary: the vertical
+    lines x = 0 and 1 and the horizontal lines y = 0 and 1."""
+    n_vert = (nx + 1) * ny
+    out = np.zeros(n_vert + nx * (ny + 1), dtype=bool)
+    out[:ny] = out[n_vert - ny:n_vert] = out[n_vert:n_vert + nx] = True
+    out[-nx:] = True
+    return out
+
+
+@lru_cache(maxsize=8)
+def box_plan(nx: int, ny: int) -> tuple:
+    """The tree of boxes that _split makes of the nx x ny cell grid, by
+    level from the bottom up to the whole grid. A level is a tuple of
+    groups, (bound, sep, halves) each, of the boxes that share their shape
+    and the domain sides they touch (at most 9 at powers of two). Per box,
+    as edge ids: bound, its sides W, E, S, N by ascending coordinate
+    without those on the domain boundary, and sep, its split line. Per
+    half, (source, rows, take, pos): the half of box i is box rows[i] of
+    group source a level below (cell rows[i] for -1), whose edges take
+    sit at positions pos of [bound | sep]. Depends on the cell counts only."""
+    nc, on_boundary = nx * ny, _boundary_edges(nx, ny)
+    boxes, depths = np.array([[0, nx, 0, ny]]), []
+    while True:  # top-down: each depth's boxes that are not cells
+        i0, i1, j0, j1 = boxes.T
+        boxes = boxes[(i1 - i0) * (j1 - j0) > 1]
+        if not len(boxes):
+            break
+        depths.append(boxes)
+        _, _, lo, hi = _split(*boxes.T)
+        boxes = np.vstack([np.column_stack(lo), np.column_stack(hi)])
+    plan = []
+    # group and row of the box at each lower-left cell, a level below; a
+    # cell is its own box: group -1, row its id
+    group_of, row_of = np.full(nc, -1), np.arange(nc)
+    for boxes in reversed(depths):
+        i0, i1, j0, j1 = boxes.T
+        key = ((i1 - i0) * (ny + 1) + j1 - j0) * 16 + np.column_stack(
+            [i0 == 0, i1 == nx, j0 == 0, j1 == ny]) @ [8, 4, 2, 1]
+        group = np.unique(key, return_inverse=True)[1]
+        level, up_group, up_row = [], np.full(nc, -1), np.arange(nc)
+        for g in range(group.max() + 1):
+            box = boxes[group == g].T
+            sides = np.hstack(_box_sides(nx, ny, *box))
+            bound = sides[:, ~on_boundary[sides[0]]]
+            along_x, _, lo, hi = _split(*box)
+            # the split line is the W side of the upper half, or its S side
+            sep = _box_sides(nx, ny, *hi)[0 if along_x[0] else 2]
+            merged = np.concatenate([bound[0], sep[0]])
+            order = np.argsort(merged)
+            halves = []
+            for half in (lo, hi):
+                c0 = half[0] * ny + half[2]
+                source, rows = int(group_of[c0[0]]), row_of[c0]
+                edges = plan[-1][source][0][rows[0]] if source >= 0 else \
+                    np.hstack(_box_sides(nx, ny, *(h[:1] for h in half)))[0]
+                take = np.flatnonzero(~on_boundary[edges])
+                pos = order[np.searchsorted(merged, edges[take], sorter=order)]
+                halves.append((source, rows, take, pos))
+            c0 = box[0] * ny + box[2]
+            up_group[c0], up_row[c0] = g, np.arange(len(c0))
+            level.append((bound, sep, tuple(halves)))
+        plan.append(tuple(level))
+        group_of, row_of = up_group, up_row
+    return tuple(plan)
 
 
 @dataclass
@@ -82,11 +167,11 @@ class ShishkinMesh:
     segment i = 0..nx-1, id = n_vertical + j*nx + i). Cells are flattened
     as c = ix*ny + iy with 0-based (ix, iy).
 
-    The interior edges, whose traces are the unknowns of the condensed
-    system, are numbered separately: interior_index maps an edge id to its
-    place in grid-line nested-dissection order (_nested_dissection), and
-    to -1 on boundary edges. The trace system is numbered and factored in
-    that order.
+    The interior edges, whose traces are the unknowns of the assembled
+    trace system that SuperLU solves when the box-tree solve misses its
+    gate, are numbered separately: interior_index, built on first read,
+    maps an edge id to its place in grid-line nested-dissection order
+    (_nested_dissection), and to -1 on boundary edges.
     """
 
     x_nodes: np.ndarray
@@ -101,8 +186,7 @@ class ShishkinMesh:
     cell_hy: np.ndarray = field(init=False)
     cell_edges: np.ndarray = field(init=False)       # (ncells, 4): W, E, S, N
     half_side: np.ndarray = field(init=False)        # (ncells, 4) lengths / 2
-    interior_index: np.ndarray = field(init=False)   # ND order, -1 boundary
-    edge_boundary: np.ndarray = field(init=False)    # interior_index < 0
+    edge_boundary: np.ndarray = field(init=False)    # on x or y = 0 or 1
 
     def __post_init__(self):
         self.x_nodes = np.asarray(self.x_nodes, dtype=float)
@@ -115,21 +199,19 @@ class ShishkinMesh:
         self.cell_hx = np.repeat(self.hx, ny)
         self.cell_hy = np.tile(self.hy, nx)
 
-        n_vert = (nx + 1) * ny
         ix, iy = np.divmod(np.arange(nx * ny), ny)
-        self.cell_edges = np.column_stack([
-            ix * ny + iy,            # W: vertical line ix
-            (ix + 1) * ny + iy,      # E
-            n_vert + iy * nx + ix,   # S: horizontal line iy
-            n_vert + (iy + 1) * nx + ix,  # N
-        ])
+        self.cell_edges = np.hstack(_box_sides(nx, ny, ix, ix + 1, iy, iy + 1))
         # a W or E side is as long as its cell is high, S or N as it is wide
         self.half_side = np.column_stack(
             [self.cell_hy, self.cell_hy, self.cell_hx, self.cell_hx]) / 2.0
-        order = _nested_dissection(nx, ny)
-        self.interior_index = np.full(self.n_edges, -1, dtype=np.int64)
-        self.interior_index[order] = np.arange(len(order))
-        self.edge_boundary = self.interior_index < 0
+        self.edge_boundary = _boundary_edges(nx, ny)
+
+    @cached_property
+    def interior_index(self) -> np.ndarray:
+        order = _nested_dissection(self.nx, self.ny)
+        index = np.full(self.n_edges, -1, dtype=np.int64)
+        index[order] = np.arange(len(order))
+        return index
 
     @property
     def nx(self) -> int:

@@ -1,5 +1,6 @@
-"""Sparse matrix wrapper: solves, the COLAMD fallback and failure
-reporting."""
+"""The trace solves: the box-tree solve against an independent SuperLU
+solve, its fallback to the assembled system, and the sparse matrix
+wrapper's solves, COLAMD fallback and failure reporting."""
 
 import os
 import subprocess
@@ -14,7 +15,9 @@ from hypothesis import strategies as st
 
 from csc_arrays import csc_arrays
 from shishkin_hdg import assembly, linalg
-from shishkin_hdg.assembly import HdgConfig, assemble_trace_system
+from shishkin_hdg.assembly import (HdgConfig, assemble_and_solve,
+                                   assemble_trace_system, build_local_systems,
+                                   condense)
 from shishkin_hdg.linalg import SolveError, SolveFallbackWarning, SparseMatrix
 from shishkin_hdg.mesh import build_mesh
 from shishkin_hdg.problems import paper_problem
@@ -216,12 +219,77 @@ def _trace_system(k, N, eps):
 def test_condensed_solve_matches_colamd(k, N, eps):
     A, b = _trace_system(k, N, eps)
     x = A.solve(b)  # a fallback warning is an error (pyproject.toml)
-    # the reference: a COLAMD factor and two refinement steps on it
+    ref = _refined_colamd(A, b)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def _refined_colamd(A, b):
+    """The reference: a COLAMD factor and two refinement steps on it."""
     lu = spla.splu(A.csc, permc_spec="COLAMD")
     ref = lu.solve(b)
     for _ in range(2):
         ref += lu.solve(b - A.csc @ ref)
-    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+    return ref
+
+
+@settings(max_examples=20)
+@given(k=st.integers(1, 3), N=st.sampled_from([4, 8, 12, 16, 20, 32]),
+       eps=st.floats(-8.0, -2.0).map(lambda p: 10.0 ** p))  # log-uniform
+@example(k=3, N=8, eps=1e-8)
+def test_box_tree_solve_matches_colamd(k, N, eps):
+    # N = 12 and 20 split into boxes of several shapes per level
+    spec = paper_problem(eps)
+    mesh = build_mesh(N, eps, k + 1.0, 1.0, 2.0)
+    cfg = HdgConfig(k)
+    S, rhs, _, _ = condense(build_local_systems(mesh, spec, cfg))
+    trace = linalg.solve_box_tree(mesh, np.concatenate([S, rhs[:, :, None]],
+                                                       axis=2))
+    A, b = assemble_trace_system(mesh, spec, cfg)[:2]
+    x = _refined_colamd(A, b).reshape(-1, k + 1)
+    # boundary edges (index -1) read the zero row appended last
+    ref = np.vstack([x, np.zeros((1, k + 1))])[mesh.interior_index]
+    assert np.linalg.norm(trace - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def _scaled_eliminators(condense_up):
+    """The tree's eliminators off by 1e-6 relative: the traces miss the
+    gate."""
+    def scaled(*args):
+        return [[X * (1 + 1e-6) for X in level]
+                for level in condense_up(*args)]
+    return scaled
+
+
+def _zero_cells(condense_up):
+    """The tree run on zero cell systems: the first separator block is
+    exactly singular."""
+    def zero(plan, Sr, kp):
+        return condense_up(plan, np.zeros_like(Sr), kp)
+    return zero
+
+
+@pytest.mark.parametrize("broken, why", [
+    (_scaled_eliminators, "residual .* exceeds 1.0e-12"),
+    (_zero_cells, "separator block is singular")])
+def test_box_tree_falls_back_to_the_assembled_system(monkeypatch, broken,
+                                                     why):
+    spec = paper_problem(1e-6)
+    mesh = build_mesh(16, 1e-6, 3.0, 1.0, 2.0)
+    cfg = HdgConfig(2)
+    want = assemble_and_solve(mesh, spec, cfg)
+    monkeypatch.setattr(linalg, "_condense_up", broken(linalg._condense_up))
+    with pytest.warns(SolveFallbackWarning, match=why):
+        got = assemble_and_solve(mesh, spec, cfg)
+    # the answer of the fallback meets the gate on the assembled system
+    A, b = assemble_trace_system(mesh, spec, cfg)[:2]
+    x = np.zeros((mesh.n_interior_edges, cfg.k + 1))
+    inner = ~mesh.edge_boundary
+    x[mesh.interior_index[inner]] = got.trace[inner]
+    assert _meets_gate(A, x.ravel(), b)
+    for name in ("q1", "q2", "u", "trace"):
+        ref = getattr(want, name)
+        assert np.linalg.norm(getattr(got, name) - ref) <= \
+            1e-10 * np.linalg.norm(ref)
 
 
 def test_nested_dissection_order_cuts_fill(monkeypatch):

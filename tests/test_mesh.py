@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from edge_layout import edge_layout
 from shishkin_hdg.mesh import (MeshAssumptionWarning, Region,
-                               ShishkinMesh, build_mesh, dump_mesh)
+                               ShishkinMesh, box_plan, build_mesh, dump_mesh)
 
 
 def test_config_validation():
@@ -181,3 +181,23 @@ def test_interior_edges_numbered_by_nested_dissection():
         ((axis == 1) & (seg < N // 2))
     half = mesh.n_interior_edges // 2 - N // 2
     assert np.all(inside_left[:half]) and not np.any(inside_left[half:])
+
+
+@settings(max_examples=16)
+@given(N=st.integers(1, 16).map(lambda m: 4 * m))
+def test_box_tree_separates_every_interior_edge_once(N):
+    mesh = build_mesh(N, 1e-6, 2.0, 1.0, 2.0)
+    plan = box_plan(N, N)
+    groups = [group for level in plan for group in level]
+    seps = np.concatenate([sep.ravel() for _, sep, _ in groups])
+    assert np.array_equal(np.sort(seps), np.flatnonzero(~mesh.edge_boundary))
+    # no box carries a domain-boundary trace, and the whole grid none
+    assert not any(mesh.edge_boundary[bound].any() for bound, _, _ in groups)
+    [(bound, sep, _)] = plan[-1]
+    assert bound.size == 0
+    # the split rule is nested dissection's: its last separator is the
+    # whole grid's split line
+    order = np.argsort(mesh.interior_index)[mesh.edge_boundary.sum():]
+    assert set(order[-N:]) == set(sep.ravel())
+    if N & (N - 1) == 0:  # corner, side and inner boxes
+        assert max(map(len, plan)) <= 9
