@@ -313,49 +313,42 @@ def _entries(first: np.ndarray, step: np.ndarray, kp: int) -> np.ndarray:
     return first + i[:, None] + i * step
 
 
-def _condensed_blocks(mesh: ShishkinMesh, spec: ProblemSpec, cfg: HdgConfig,
-                      IF: np.ndarray, IC: np.ndarray):
-    """(cell slice, S, rhs) of each block of BLOCK_CELLS consecutive cells,
-    built and condensed one at a time, so the dense local systems of the
-    whole mesh never exist at once; the u-rows of the recovery operators
-    (condense) go to IF and IC."""
-    setup = _local_setup(mesh, spec, cfg)
-    for start in range(0, mesh.n_cells, BLOCK_CELLS):
-        cells = range(start, min(start + BLOCK_CELLS, mesh.n_cells))
-        sel = slice(cells.start, cells.stop)
-        S, rhs, IF[sel], IC[sel] = condense(
-            build_local_systems(mesh, spec, cfg, cells, setup))
-        yield sel, S, rhs
-
-
-def assemble_trace_system(mesh: ShishkinMesh, spec: ProblemSpec,
-                          cfg: HdgConfig) -> tuple[SparseMatrix, np.ndarray,
-                                                   np.ndarray, np.ndarray]:
-    """The global interior-trace system for SuperLU, the fallback of
-    assemble_and_solve. Each block's Schur blocks (_condensed_blocks) are
-    summed straight into its CSC arrays (_csc_layout), whose unknowns are
-    the k+1 dofs of each interior edge in mesh.interior_index order
-    (nested dissection along grid lines), the order SuperLU factors in. No
-    entry sums more than two terms, so the result does not depend on the
-    block size. Returns (A, b, IF, IC), with IF and IC the u-rows of the
-    recovery operators of every cell (condense)."""
+def _condensed_cells(mesh: ShishkinMesh, spec: ProblemSpec, cfg: HdgConfig):
+    """(Sr, IF, IC): [S | rhs] of every cell, (ncells, 4(k+1), 4(k+1) + 1),
+    and the u-rows of its recovery operators (condense), built and
+    condensed BLOCK_CELLS consecutive cells at a time, so the dense local
+    systems of the whole mesh never exist at once."""
     kp, nc = cfg.k + 1, mesh.n_cells
-    # the layout first, so its sort is freed before the accumulators exist
+    Sr = np.empty((nc, 4 * kp, 4 * kp + 1))
+    IF, IC = np.empty((nc, kp * kp)), np.empty((nc, kp * kp, 4 * kp))
+    setup = _local_setup(mesh, spec, cfg)
+    for start in range(0, nc, BLOCK_CELLS):
+        sel = slice(start, start + BLOCK_CELLS)
+        Sr[sel, :, :-1], Sr[sel, :, -1], IF[sel], IC[sel] = condense(
+            build_local_systems(mesh, spec, cfg, range(nc)[sel], setup))
+    return Sr, IF, IC
+
+
+def assemble_trace_system(mesh: ShishkinMesh,
+                          Sr: np.ndarray) -> tuple[SparseMatrix, np.ndarray]:
+    """(A, b): the global interior-trace system for SuperLU, the fallback of
+    assemble_and_solve, summed from the cells' [S | rhs] of solve_box_tree
+    straight into the CSC arrays (_csc_layout), whose unknowns are the k+1
+    dofs of each interior edge in mesh.interior_index order (nested
+    dissection along grid lines), the order SuperLU factors in. No entry
+    sums more than two terms, so the order of the cells does not matter."""
+    kp = Sr.shape[1] // 4
     first, step, indices, indptr = _csc_layout(mesh, kp)
-    edge_row = mesh.interior_index[mesh.cell_edges]  # (ncells, 4)
     # boundary edges (row -1, first = nnz) go to a discarded tail
     data = np.zeros(indptr[-1] + kp)
     rows = np.zeros((mesh.n_interior_edges + 1, kp))
-    IF, IC = np.empty((nc, kp * kp)), np.empty((nc, kp * kp, 4 * kp))
-    for sel, S, rhs in _condensed_blocks(mesh, spec, cfg, IF, IC):
-        # S as (row i, column j, cell, side a, side b), as _entries orders;
-        # the long axes last make both faster
-        S = S.reshape(-1, 4, kp, 4, kp).transpose(2, 4, 0, 1, 3).ravel()
-        at = _entries(first[sel], step[sel], kp).ravel()
-        np.add.at(data, at, S)
-        np.add.at(rows, edge_row[sel], rhs.reshape(-1, 4, kp))
-    A = SparseMatrix(data[:-kp], indices, indptr)
-    return A, rows[:-1].ravel(), IF, IC
+    # S as (row i, column j, cell, side a, side b), as _entries orders;
+    # the long axes last make both faster
+    S = Sr[:, :, :-1].reshape(-1, 4, kp, 4, kp).transpose(2, 4, 0, 1, 3)
+    np.add.at(data, _entries(first, step, kp).ravel(), S.ravel())
+    np.add.at(rows, mesh.interior_index[mesh.cell_edges],
+              Sr[:, :, -1].reshape(-1, 4, kp))
+    return SparseMatrix(data[:-kp], indices, indptr), rows[:-1].ravel()
 
 
 def assemble_and_solve(mesh: ShishkinMesh, spec: ProblemSpec,
@@ -364,14 +357,11 @@ def assemble_and_solve(mesh: ShishkinMesh, spec: ProblemSpec,
     solve on the box tree (falling back to SuperLU) with homogeneous
     boundary traces, recovery of u and of the flux from equation (i)."""
     kp, nc = cfg.k + 1, mesh.n_cells
-    Sr = np.empty((nc, 4 * kp, 4 * kp + 1))  # [S | rhs] of every cell
-    IF, IC = np.empty((nc, kp * kp)), np.empty((nc, kp * kp, 4 * kp))
-    for sel, S, rhs in _condensed_blocks(mesh, spec, cfg, IF, IC):
-        Sr[sel, :, :-1], Sr[sel, :, -1] = S, rhs
+    Sr, IF, IC = _condensed_cells(mesh, spec, cfg)
     trace = solve_box_tree(mesh, Sr)
     if trace is None:  # solve_box_tree warned why
-        del Sr
-        A, b, _, _ = assemble_trace_system(mesh, spec, cfg)
+        A, b = assemble_trace_system(mesh, Sr)
+        del Sr  # freed before SuperLU factors
         # boundary edges (index -1) read the zero row appended last
         trace = np.vstack([A.solve(b).reshape(-1, kp),
                            np.zeros((1, kp))])[mesh.interior_index]

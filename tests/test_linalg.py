@@ -2,6 +2,7 @@
 solve, its fallback to the assembled system, and the sparse matrix
 wrapper's solves, COLAMD fallback and failure reporting."""
 
+import json
 import os
 import subprocess
 import sys
@@ -205,10 +206,16 @@ def test_other_factorization_errors_propagate(monkeypatch):
         _laplacian_1d(4).solve(np.ones(4))
 
 
+def _assembled(mesh, spec, cfg):
+    """(A, b) of the fallback, from the cells condensed in blocks."""
+    return assemble_trace_system(
+        mesh, assembly._condensed_cells(mesh, spec, cfg)[0])
+
+
 def _trace_system(k, N, eps):
     spec = paper_problem(eps)
     mesh = build_mesh(N, eps, k + 1.0, 1.0, 2.0)
-    return assemble_trace_system(mesh, spec, HdgConfig(k))[:2]
+    return _assembled(mesh, spec, HdgConfig(k))
 
 
 @settings(max_examples=20)
@@ -242,9 +249,9 @@ def test_box_tree_solve_matches_colamd(k, N, eps):
     mesh = build_mesh(N, eps, k + 1.0, 1.0, 2.0)
     cfg = HdgConfig(k)
     S, rhs, _, _ = condense(build_local_systems(mesh, spec, cfg))
-    trace = linalg.solve_box_tree(mesh, np.concatenate([S, rhs[:, :, None]],
-                                                       axis=2))
-    A, b = assemble_trace_system(mesh, spec, cfg)[:2]
+    Sr = np.concatenate([S, rhs[:, :, None]], axis=2)
+    trace = linalg.solve_box_tree(mesh, Sr)
+    A, b = assemble_trace_system(mesh, Sr)
     x = _refined_colamd(A, b).reshape(-1, k + 1)
     # boundary edges (index -1) read the zero row appended last
     ref = np.vstack([x, np.zeros((1, k + 1))])[mesh.interior_index]
@@ -276,12 +283,21 @@ def test_box_tree_falls_back_to_the_assembled_system(monkeypatch, broken,
     spec = paper_problem(1e-6)
     mesh = build_mesh(16, 1e-6, 3.0, 1.0, 2.0)
     cfg = HdgConfig(2)
+    # the cells of each build_local_systems call, in blocks of 64
+    monkeypatch.setattr(assembly, "BLOCK_CELLS", 64)
+    built, build = [], assembly.build_local_systems
+    monkeypatch.setattr(assembly, "build_local_systems",
+                        lambda *args: built.append(args[3]) or build(*args))
     want = assemble_and_solve(mesh, spec, cfg)
+    blocks = list(built)
     monkeypatch.setattr(linalg, "_condense_up", broken(linalg._condense_up))
     with pytest.warns(SolveFallbackWarning, match=why):
         got = assemble_and_solve(mesh, spec, cfg)
+    # the fallback sums the cells the box tree was given: it builds each
+    # block once, as the solve that passes the gate does
+    assert len(blocks) == 4 and built == 2 * blocks
     # the answer of the fallback meets the gate on the assembled system
-    A, b = assemble_trace_system(mesh, spec, cfg)[:2]
+    A, b = _assembled(mesh, spec, cfg)
     x = np.zeros((mesh.n_interior_edges, cfg.k + 1))
     inner = ~mesh.edge_boundary
     x[mesh.interior_index[inner]] = got.trace[inner]
@@ -319,12 +335,14 @@ def test_panel_size_leaves_the_fill_alone(k, N, fill):
 # inherits its parent's peak through fork and exec.
 _HELD_FACTOR_PROBE = """
 import scipy.sparse.linalg as spla
-from shishkin_hdg import linalg
+from shishkin_hdg import assembly, linalg
 from shishkin_hdg.assembly import HdgConfig, assemble_trace_system
 from shishkin_hdg.mesh import build_mesh
 from shishkin_hdg.problems import paper_problem
-A = assemble_trace_system(build_mesh(64, 1e-6, 3.0, 1.0, 2.0),
-                          paper_problem(1e-6), HdgConfig(2))[0]
+mesh = build_mesh(64, 1e-6, 3.0, 1.0, 2.0)
+Sr = assembly._condensed_cells(mesh, paper_problem(1e-6), HdgConfig(2))[0]
+A = assemble_trace_system(mesh, Sr)[0]
+del Sr
 lu = spla.splu(A.csc, **linalg.GIVEN_ORDER)
 with open("/proc/self/status") as fh:
     kb = {k: int(v.split()[0]) for k, v in
@@ -338,8 +356,53 @@ print(kb["VmHWM"] - kb["VmRSS"])
 def test_factor_work_arrays_stay_below_the_held_factor():
     # at k=2, N=64 the process peaks with the factor held, not above it:
     # SuperLU's default 20-column panel put its work arrays 8 MB on top
-    out = subprocess.run([sys.executable, "-c", _HELD_FACTOR_PROBE],
-                         capture_output=True, text=True, check=True,
-                         timeout=120, env={**os.environ, "PYTHONPATH":
-                                           os.pathsep.join(sys.path)})
-    assert int(out.stdout) <= 2 * 1024
+    assert int(_fresh_python(_HELD_FACTOR_PROBE)) <= 2 * 1024
+
+
+def _fresh_python(code: str) -> str:
+    """What `code` prints when run by a new interpreter on this sys.path."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH":
+                               os.pathsep.join(sys.path)}).stdout
+
+
+# A small study cell, then a solve whose box tree misses the gate; prints
+# whether scipy was loaded after each, the warnings of the second and the
+# relative residual its answer leaves on the assembled system.
+_LAZY_SCIPY_PROBE = """
+import json, sys, warnings
+import numpy as np
+from shishkin_hdg import assembly, harness, linalg
+from shishkin_hdg.mesh import build_mesh
+from shishkin_hdg.problems import paper_problem
+harness.run_single(harness.StudyConfig(k_list=[1], eps_list=[1e-4],
+                                       n_list=[8], mode="both"))
+gated = "scipy" in sys.modules
+up = linalg._condense_up
+linalg._condense_up = lambda *args: [[X * (1 + 1e-6) for X in level]
+                                     for level in up(*args)]
+spec, cfg = paper_problem(1e-4), assembly.HdgConfig(1)
+mesh = build_mesh(8, 1e-4, 2.0, 1.0, 2.0)
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    got = assembly.assemble_and_solve(mesh, spec, cfg)
+fallback = "scipy" in sys.modules
+A, b = assembly.assemble_trace_system(
+    mesh, assembly._condensed_cells(mesh, spec, cfg)[0])
+x = np.zeros((mesh.n_interior_edges, cfg.k + 1))
+inner = ~mesh.edge_boundary
+x[mesh.interior_index[inner]] = got.trace[inner]
+print(json.dumps({"gated": gated, "fallback": fallback,
+                  "warnings": [w.category.__name__ for w in caught],
+                  "residual": float(np.linalg.norm(b - A.csc @ x.ravel())
+                                    / np.linalg.norm(b))}))
+"""
+
+
+def test_scipy_is_imported_by_the_fallback_alone():
+    # a fresh interpreter: this process has scipy loaded already
+    got = json.loads(_fresh_python(_LAZY_SCIPY_PROBE))
+    assert not got["gated"] and got["fallback"]
+    assert got["warnings"] == ["SolveFallbackWarning"]
+    assert got["residual"] <= linalg.RESIDUAL_TOL

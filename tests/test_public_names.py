@@ -161,22 +161,28 @@ def test_every_imported_name_is_used():
     assert not unused, unused
 
 
+def _imports_scipy(node) -> bool:
+    if isinstance(node, ast.Import):
+        modules = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        modules = [node.module or ""]
+    else:
+        return False
+    return any(m.split(".")[0] == "scipy" for m in modules)
+
+
 def test_only_linalg_imports_scipy():
     # an import of scipy.sparse in assembly once raised the set-up time by
     # 26 ms, so no module but linalg imports scipy, at the top or inside a
-    # function
-    importers = []
-    for path in PACKAGE.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                modules = [a.name for a in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                modules = [node.module or ""]
-            else:
-                continue
-            if any(m.split(".")[0] == "scipy" for m in modules):
-                importers.append(path.name)
+    # function; and linalg imports it inside the SuperLU fallback only, as
+    # importing scipy.sparse.linalg costs every process about 0.2 s and
+    # 32 MB that the box-tree solve never uses
+    importers = [path.name for path in PACKAGE.glob("*.py")
+                 if any(map(_imports_scipy,
+                            ast.walk(ast.parse(path.read_text()))))]
     assert set(importers) == {"linalg.py"}, importers
+    top = ast.parse((PACKAGE / "linalg.py").read_text()).body
+    assert not any(map(_imports_scipy, top))
 
 
 # span names the benchmark's tracer reads that name nothing in the package
@@ -221,6 +227,7 @@ RAISE_SITES = {
     "harness.one_cell": "single-cell commands take one k, eps and N",
     "layerquad.composite_layer_rule": "a scale <= 0 never ends its loop",
     "linalg.SparseMatrix.solve": "rhs size and the 1e-12 residual gate",
+    "linalg.__getattr__": "PEP 562: every name but the lazy spla is missing",
     "mesh.ShishkinMesh.N": "a non-square mesh has no single N",
     "mesh.ShishkinMesh.__post_init__": "exported: nodes must increase",
     "mesh.shishkin_nodes": "owns N, the positive mesh inputs, distinct nodes",
