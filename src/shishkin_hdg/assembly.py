@@ -1,8 +1,8 @@
 """HDG assembly for the three-field formulation: per-cell local systems,
 condensed one block of cells at a time onto each cell's edge traces, the
 trace solve up and down the mesh's box tree (linalg.solve_box_tree) and
-recovery. The global trace system in CSC storage (assemble_trace_system)
-is built only when that solve falls back to SuperLU.
+recovery. The global trace system (assemble_trace_system), numbered by the
+same tree, is built only when that solve falls back to SuperLU.
 
 Every coefficient, here and in the projection and norm modules, is in the
 pulled-back orthonormal bases: on a cell the reference Legendre tensor basis
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import layerquad
 from .linalg import SolveError, SparseMatrix, solve_box_tree
-from .mesh import SIDES, ShishkinMesh
+from .mesh import SIDES, ShishkinMesh, box_plan
 from .problems import ProblemSpec
 from .refelem import (MAX_GAUSS_POINTS, CellQuad, RefTables, gauss_rule,
                       legendre, ref_tables)
@@ -275,44 +275,6 @@ def condense(blocks: LocalBlocks) -> tuple:
     return S, r, IF[:, iu], IC[:, iu]
 
 
-def _csc_layout(mesh: ShishkinMesh, kp: int) -> tuple:
-    """(first, step, indices, indptr), all int32: the CSC arrays of the
-    trace system, one (kp, kp) block per ordered pair of interior edges
-    sharing a cell, and where each cell's Schur complement goes in them.
-    Block column J holds its cnt[J] blocks by increasing row from block
-    bptr[J] on; entry (i, j) of its block of rank r sits at kp^2 bptr[J] +
-    kp r + i + j kp cnt[J], so that of cell c's (side a, side b) block at
-    first[c, a, b] + i + j step[c, a, b] (first = nnz, step = 0: the kp
-    entries after the last, for a side on the boundary)."""
-    n, nc = mesh.n_interior_edges, mesh.n_cells
-    ie = mesh.interior_index[mesh.cell_edges]  # (ncells, 4)
-    row, col = np.broadcast_arrays(ie[:, :, None], ie[:, None, :])
-    inner = (row >= 0) & (col >= 0)
-    # sorted keys col * n + row: block columns in order, rows sorted in each
-    keys, slot = np.unique(col[inner] * n + row[inner], return_inverse=True)
-    bptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
-    cnt = np.diff(bptr)
-    J, I = (keys // n).astype(np.int32), (keys % n).astype(np.int32)
-    del keys
-    step = kp * cnt[J]  # entry (i, j) of each block at start + i + j step
-    start = kp * (kp * bptr[J] + np.arange(len(J), dtype=np.int32) - bptr[J])
-    nnz, i = kp * kp * len(J), np.arange(kp, dtype=np.int32)
-    indices = np.empty(nnz, dtype=np.int32)
-    indices[_entries(start, step, kp)] = kp * I + i[:, None, None]
-    indptr = np.append(kp * kp * bptr[:-1, None] + (kp * cnt)[:, None] * i,
-                       np.int32(nnz))
-    first = np.full((nc, 4, 4), nnz, dtype=np.int32)
-    cell_step = np.zeros_like(first)
-    first[inner], cell_step[inner] = start[slot], step[slot]
-    return first, cell_step, indices, indptr
-
-
-def _entries(first: np.ndarray, step: np.ndarray, kp: int) -> np.ndarray:
-    """(kp, kp, *first.shape): first + i + j step of block entry (i, j)."""
-    i = np.arange(kp, dtype=np.int32).reshape((kp,) + (1,) * first.ndim)
-    return first + i[:, None] + i * step
-
-
 def _condensed_cells(mesh: ShishkinMesh, spec: ProblemSpec, cfg: HdgConfig):
     """(Sr, IF, IC): [S | rhs] of every cell, (ncells, 4(k+1), 4(k+1) + 1),
     and the u-rows of its recovery operators (condense), built and
@@ -329,26 +291,34 @@ def _condensed_cells(mesh: ShishkinMesh, spec: ProblemSpec, cfg: HdgConfig):
     return Sr, IF, IC
 
 
-def assemble_trace_system(mesh: ShishkinMesh,
-                          Sr: np.ndarray) -> tuple[SparseMatrix, np.ndarray]:
-    """(A, b): the global interior-trace system for SuperLU, the fallback of
-    assemble_and_solve, summed from the cells' [S | rhs] of solve_box_tree
-    straight into the CSC arrays (_csc_layout), whose unknowns are the k+1
-    dofs of each interior edge in mesh.interior_index order (nested
-    dissection along grid lines), the order SuperLU factors in. No entry
-    sums more than two terms, so the order of the cells does not matter."""
+def assemble_trace_system(mesh: ShishkinMesh, Sr: np.ndarray) -> tuple:
+    """(A, b, pos): the global trace system for SuperLU, the fallback of
+    assemble_and_solve, summed from the cells' [S | rhs] of solve_box_tree.
+    Its unknowns are the k+1 dofs of every edge, edge e's from pos[e] (k+1)
+    on, in the order SuperLU factors in: the boundary edges, then each
+    level's separators of mesh.box_plan from the bottom up (nested
+    dissection along grid lines). The boundary dofs have identity rows and
+    a zero right-hand side; the cell entries that touch them are dropped.
+    No entry sums more than two terms, so the order of the cells does not
+    matter."""
     kp = Sr.shape[1] // 4
-    first, step, indices, indptr = _csc_layout(mesh, kp)
-    # boundary edges (row -1, first = nnz) go to a discarded tail
-    data = np.zeros(indptr[-1] + kp)
-    rows = np.zeros((mesh.n_interior_edges + 1, kp))
-    # S as (row i, column j, cell, side a, side b), as _entries orders;
-    # the long axes last make both faster
-    S = Sr[:, :, :-1].reshape(-1, 4, kp, 4, kp).transpose(2, 4, 0, 1, 3)
-    np.add.at(data, _entries(first, step, kp).ravel(), S.ravel())
-    np.add.at(rows, mesh.interior_index[mesh.cell_edges],
-              Sr[:, :, -1].reshape(-1, 4, kp))
-    return SparseMatrix(data[:-kp], indices, indptr), rows[:-1].ravel()
+    order = np.concatenate([np.flatnonzero(mesh.edge_boundary)] + [
+        sep.ravel() for level in box_plan(mesh.nx, mesh.ny)
+        for _, sep, _ in level])
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    n, nb = kp * len(pos), kp * int(mesh.edge_boundary.sum())
+    dof = (pos[mesh.cell_edges][:, :, None] * kp
+           + np.arange(kp)).reshape(len(Sr), -1)
+    row, col = np.broadcast_arrays(dof[:, :, None], dof[:, None, :])
+    inner = (row >= nb) & (col >= nb)
+    eye = np.arange(nb)
+    A = SparseMatrix(np.concatenate([np.ones(nb), Sr[:, :, :-1][inner]]),
+                     np.concatenate([eye, row[inner]]),
+                     np.concatenate([eye, col[inner]]), n)
+    b = np.bincount(dof.ravel(), Sr[:, :, -1].ravel(), n)
+    b[:nb] = 0.0
+    return A, b, pos
 
 
 def assemble_and_solve(mesh: ShishkinMesh, spec: ProblemSpec,
@@ -360,11 +330,9 @@ def assemble_and_solve(mesh: ShishkinMesh, spec: ProblemSpec,
     Sr, IF, IC = _condensed_cells(mesh, spec, cfg)
     trace = solve_box_tree(mesh, Sr)
     if trace is None:  # solve_box_tree warned why
-        A, b = assemble_trace_system(mesh, Sr)
+        A, b, pos = assemble_trace_system(mesh, Sr)
         del Sr  # freed before SuperLU factors
-        # boundary edges (index -1) read the zero row appended last
-        trace = np.vstack([A.solve(b).reshape(-1, kp),
-                           np.zeros((1, kp))])[mesh.interior_index]
+        trace = A.solve(b).reshape(-1, kp)[pos]
     t_local = trace[mesh.cell_edges]  # (ncells, 4, k+1)
     u = IF - np.einsum("cij,cj->ci", IC, t_local.reshape(nc, -1))
     q1, q2 = _recover_flux(mesh, spec, cfg, u, t_local)

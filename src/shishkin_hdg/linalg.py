@@ -8,21 +8,14 @@ substitution. The domain-boundary traces are 0 and in no box.
 
 If a separator block is singular or the residual gate is missed, a
 SolveFallbackWarning says why, and the caller assembles the global system
-in CSC storage for SuperLU with iterative refinement (SparseMatrix). Only
-the fallback imports scipy (0.2 s and 32 MB a process). Its unknowns are
-numbered by nested dissection along the mesh's grid lines
-(mesh.ShishkinMesh.interior_index), so SuperLU factors in the given order,
-keeps the pattern symmetric and pivots on the diagonal unless it is below
-a tenth of its column's largest entry (GIVEN_ORDER). If that fails or
-misses the gate, it factors once more with COLAMD and partial pivoting,
-under another SolveFallbackWarning. The dense monolithic oracle of both
-solves lives in `tests/dense_oracle.py`.
-
-Both SuperLU attempts factor in panels of two columns. The panel size bounds
-SuperLU's work arrays, which hold (16w + 36) bytes per unknown for a panel
-of w columns (dLUWorkInit) and are live until L+U is full size. At k=2,
-N=128 (97,536 unknowns) that is 33 MB under SuperLU's default of 20
-columns and 6 MB under two. The fill and the factor time do not move.
+for SuperLU with iterative refinement (SparseMatrix). Only the fallback
+imports scipy (0.2 s and 32 MB a process). Its unknowns are numbered by
+the same box tree, separators after the boxes they split, so SuperLU
+factors in the given order, keeps the pattern symmetric and pivots on the
+diagonal unless it is below a tenth of its column's largest entry
+(GIVEN_ORDER). If that fails or misses the gate, it factors once more with
+COLAMD and partial pivoting, under another SolveFallbackWarning. The dense
+monolithic oracle of both solves lives in `tests/dense_oracle.py`.
 """
 
 from __future__ import annotations
@@ -39,14 +32,11 @@ RESIDUAL_TOL = 1e-12
 # the box merges of a level are built and reduced about this many bytes
 # of merge matrix at a time
 MERGE_BYTES = 2 << 20
-# SuperLU options of both attempts: panels of two columns, not SuperLU's
-# default 20, to keep its work arrays small (see the docstring)
-_SHARED = dict(panel_size=2)
 # the first attempt: factor in the given order
-GIVEN_ORDER = dict(_SHARED, permc_spec="NATURAL", diag_pivot_thresh=0.1,
+GIVEN_ORDER = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1,
                    options=dict(SymmetricMode=True))
 # the fallback: COLAMD and partial pivoting
-_COLAMD = dict(_SHARED, permc_spec="COLAMD", diag_pivot_thresh=1.0)
+_COLAMD = dict(permc_spec="COLAMD", diag_pivot_thresh=1.0)
 
 
 def __getattr__(name: str):
@@ -72,13 +62,12 @@ class SparseMatrix:
     """Square sparse matrix with the gated direct solve. It keeps one copy,
     in the CSC storage SuperLU factors, which also serves the residuals."""
 
-    def __init__(self, data: np.ndarray, indices: np.ndarray,
-                 indptr: np.ndarray):
-        """The square matrix of the CSC arrays, kept without a copy."""
+    def __init__(self, data: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                 n: int):
+        """The n x n matrix of the coordinate triplets, duplicates summed."""
         import scipy.sparse as sp
-        self.n = len(indptr) - 1
-        self.csc = sp.csc_matrix((data, indices, indptr),
-                                 shape=(self.n, self.n))
+        self.n = n
+        self.csc = sp.csc_matrix((data, (rows, cols)), shape=(n, n))
 
     @property
     def nnz(self) -> int:
@@ -90,8 +79,8 @@ class SparseMatrix:
 
         The matrix is factored in the order given (GIVEN_ORDER). If that
         raises RuntimeError or misses the residual target, it is factored
-        once more with COLAMD and partial pivoting, in the same panels, and
-        a SolveFallbackWarning names the reason; if that misses too,
+        once more with COLAMD and partial pivoting, and a
+        SolveFallbackWarning names the reason; if that misses too,
         SolveError names both attempts. Other exceptions propagate."""
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):

@@ -1,5 +1,6 @@
 """Tensor-product Shishkin meshes on (0,1)^2: transition points, node
-coordinates, cell/edge topology and layer-region classification."""
+coordinates, cell/edge topology, layer-region classification and the
+nested-dissection box tree of the trace solves (box_plan)."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import io
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -28,53 +29,16 @@ class Region(Enum):
 # outward normal (0 for x, 1 for y) and its sign
 SIDES = ((0, -1.0), (0, 1.0), (1, -1.0), (1, 1.0))
 
-# a box of cells with at most this many interior edges is not split further
-ND_LEAF_EDGES = 16
-
 
 def _split(i0, i1, j0, j1):
-    """(along_x, m, lower half, upper half) of boxes [i0, i1) x [j0, j1)
-    of cells (ints or int arrays), split at grid line m, the middle one of
-    the longer index direction (x on a tie); halves as (i0, i1, j0, j1)."""
+    """(along_x, lower half, upper half) of boxes [i0, i1) x [j0, j1) of
+    cells (int arrays), split at the middle grid line of the longer index
+    direction (x on a tie); halves as (i0, i1, j0, j1)."""
     along_x = i1 - i0 >= j1 - j0
     m = np.where(along_x, (i0 + i1) // 2, (j0 + j1) // 2)
-    return along_x, m, (i0, np.where(along_x, m, i1), j0,
-                        np.where(along_x, j1, m)), \
+    return along_x, (i0, np.where(along_x, m, i1), j0,
+                     np.where(along_x, j1, m)), \
         (np.where(along_x, m, i0), i1, np.where(along_x, j0, m), j1)
-
-
-def _nested_dissection(nx: int, ny: int) -> np.ndarray:
-    """Interior edge ids in grid-line nested-dissection order.
-
-    A box of cells [i0, i1) x [j0, j1) is split by _split: the interior
-    edges of each half are numbered first, then the edges lying on the
-    split line, which separate the halves. A box with at most
-    ND_LEAF_EDGES interior edges is numbered whole. The edges on a box's
-    sides belong to an enclosing separator or to the boundary, so boundary
-    edges are left out.
-
-    The edges of one grid-line segment have consecutive ids, so the order
-    is collected as runs (first id, length) and expanded once.
-    """
-    n_vert = (nx + 1) * ny
-    runs = []
-
-    def box(i0, i1, j0, j1):
-        a, b = i1 - i0, j1 - j0
-        if (a - 1) * b + (b - 1) * a <= ND_LEAF_EDGES:
-            runs.extend((i * ny + j0, b) for i in range(i0 + 1, i1))
-            runs.extend((n_vert + j * nx + i0, a) for j in range(j0 + 1, j1))
-            return
-        along_x, m, lo, hi = _split(i0, i1, j0, j1)
-        box(*map(int, lo))
-        box(*map(int, hi))
-        # the vertical line m, or the horizontal line m
-        runs.append((m * ny + j0, b) if along_x else (n_vert + m * nx + i0, a))
-
-    box(0, nx, 0, ny)
-    first, length = np.array(runs, dtype=np.int64).reshape(-1, 2).T
-    offset = np.cumsum(length) - length  # position of each run in the order
-    return np.repeat(first - offset, length) + np.arange(length.sum())
 
 
 def _box_sides(nx: int, ny: int, i0, i1, j0, j1) -> tuple:
@@ -100,7 +64,9 @@ def _boundary_edges(nx: int, ny: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def box_plan(nx: int, ny: int) -> tuple:
     """The tree of boxes that _split makes of the nx x ny cell grid, by
-    level from the bottom up to the whole grid. A level is a tuple of
+    level from the bottom up to the whole grid: the nested dissection of
+    both trace solves, whose separators, level by level, number the
+    unknowns of the assembled system too. A level is a tuple of
     groups, (bound, sep, halves) each, of the boxes that share their shape
     and the domain sides they touch (at most 9 at powers of two). Per box,
     as edge ids: bound, its sides W, E, S, N by ascending coordinate
@@ -116,7 +82,7 @@ def box_plan(nx: int, ny: int) -> tuple:
         if not len(boxes):
             break
         depths.append(boxes)
-        _, _, lo, hi = _split(*boxes.T)
+        _, lo, hi = _split(*boxes.T)
         boxes = np.vstack([np.column_stack(lo), np.column_stack(hi)])
     plan = []
     # group and row of the box at each lower-left cell, a level below; a
@@ -132,7 +98,7 @@ def box_plan(nx: int, ny: int) -> tuple:
             box = boxes[group == g].T
             sides = np.hstack(_box_sides(nx, ny, *box))
             bound = sides[:, ~on_boundary[sides[0]]]
-            along_x, _, lo, hi = _split(*box)
+            along_x, lo, hi = _split(*box)
             # the split line is the W side of the upper half, or its S side
             sep = _box_sides(nx, ny, *hi)[0 if along_x[0] else 2]
             merged = np.concatenate([bound[0], sep[0]])
@@ -166,12 +132,6 @@ class ShishkinMesh:
     j = 0..ny-1, id = i*ny + j), then horizontal ones (line j = 0..ny,
     segment i = 0..nx-1, id = n_vertical + j*nx + i). Cells are flattened
     as c = ix*ny + iy with 0-based (ix, iy).
-
-    The interior edges, whose traces are the unknowns of the assembled
-    trace system that SuperLU solves when the box-tree solve misses its
-    gate, are numbered separately: interior_index, built on first read,
-    maps an edge id to its place in grid-line nested-dissection order
-    (_nested_dissection), and to -1 on boundary edges.
     """
 
     x_nodes: np.ndarray
@@ -206,13 +166,6 @@ class ShishkinMesh:
             [self.cell_hy, self.cell_hy, self.cell_hx, self.cell_hx]) / 2.0
         self.edge_boundary = _boundary_edges(nx, ny)
 
-    @cached_property
-    def interior_index(self) -> np.ndarray:
-        order = _nested_dissection(self.nx, self.ny)
-        index = np.full(self.n_edges, -1, dtype=np.int64)
-        index[order] = np.arange(len(order))
-        return index
-
     @property
     def nx(self) -> int:
         return len(self.x_nodes) - 1
@@ -234,10 +187,6 @@ class ShishkinMesh:
     @property
     def n_edges(self) -> int:
         return (self.nx + 1) * self.ny + self.nx * (self.ny + 1)
-
-    @property
-    def n_interior_edges(self) -> int:
-        return (self.nx - 1) * self.ny + self.nx * (self.ny - 1)
 
     def cell_region(self) -> np.ndarray:
         """Region of every cell as an integer array (Region order): the x

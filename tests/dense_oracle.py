@@ -18,14 +18,18 @@ def assemble_monolithic(mesh: ShishkinMesh, spec: ProblemSpec,
     kp, nb = k + 1, (k + 1) ** 2
     ni = 3 * nb
     nc = mesh.n_cells
-    n_tr = mesh.n_interior_edges * kp
+    inner = np.flatnonzero(~mesh.edge_boundary)
+    n_tr = len(inner) * kp
     dim = nc * ni + n_tr
     if dim > 20000:
         raise ValueError("monolithic oracle restricted to small meshes")
     M = np.zeros((dim, dim))
     b = np.zeros(dim)
-    # the cell's trace dof ids, -1 on boundary edges
-    ie = mesh.interior_index[mesh.cell_edges][:, :, None]
+    # the cell's trace dof ids, the interior edges numbered by id; -1 on
+    # boundary edges
+    index = np.full(mesh.n_edges, -1)
+    index[inner] = np.arange(len(inner))
+    ie = index[mesh.cell_edges][:, :, None]
     td = np.where(ie >= 0, ie * kp + np.arange(kp), -1).reshape(nc, 4 * kp)
     for c in range(nc):
         r0 = c * ni
@@ -51,7 +55,7 @@ def solve_monolithic(mesh: ShishkinMesh, spec: ProblemSpec,
     kp, nc = cfg.k + 1, mesh.n_cells
     nv = nc * 3 * kp * kp
     q1, q2, u = np.split(sol[:nv].reshape(nc, -1), 3, axis=1)
-    # boundary edges (index -1) carry zero traces
-    ie = mesh.interior_index
-    trace = np.where(ie[:, None] >= 0, sol[nv:].reshape(-1, kp)[ie], 0.0)
+    # boundary edges carry zero traces
+    trace = np.zeros((mesh.n_edges, kp))
+    trace[~mesh.edge_boundary] = sol[nv:].reshape(-1, kp)
     return SolutionFields(cfg.k, q1, q2, u, trace)

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admissible import admissible_problems, drawn_mesh
-from csc_arrays import csc_arrays
 from dense_oracle import assemble_monolithic, solve_monolithic
 from shishkin_hdg import assembly
 from shishkin_hdg.assembly import (HdgConfig, assemble_and_solve,
@@ -222,21 +221,30 @@ def test_zero_source_gives_zero_solution():
     assert np.max(np.abs(fields.trace)) < 1e-13
 
 
-def _trace_dofs(mesh, k):
-    """(ncells, 4(k+1)) trace dof ids of each cell, -1 on boundary edges."""
-    ie = mesh.interior_index[mesh.cell_edges][:, :, None]
+def _trace_dofs(mesh, k, index):
+    """(ncells, 4(k+1)) interior trace dof ids of each cell, the edge with
+    index i >= 0 holding dofs i(k+1) to i(k+1) + k; -1 on the edges with a
+    negative index, the boundary edges."""
+    ie = index[mesh.cell_edges][:, :, None]
     return np.where(ie >= 0, ie * (k + 1) + np.arange(k + 1),
                     -1).reshape(mesh.n_cells, -1)
 
 
-def _coo_trace_system(mesh, S, rhs, k):
-    """The trace system scattered from coordinate triplets of the whole
-    mesh's Schur blocks S and right-hand sides rhs, duplicates summed."""
-    td = _trace_dofs(mesh, k)
+def _by_id(mesh):
+    """The interior edges numbered by ascending id, -1 on boundary edges."""
+    inner = ~mesh.edge_boundary
+    return np.where(inner, np.cumsum(inner) - 1, -1)
+
+
+def _coo_trace_system(mesh, S, rhs, k, index):
+    """The interior-trace system scattered from coordinate triplets of the
+    whole mesh's Schur blocks S and right-hand sides rhs, duplicates
+    summed, its unknowns numbered by index (_trace_dofs)."""
+    td = _trace_dofs(mesh, k, index)
     rows = np.broadcast_to(td[:, :, None], S.shape)
     cols = np.broadcast_to(td[:, None, :], S.shape)
     keep = (rows >= 0) & (cols >= 0)
-    n = mesh.n_interior_edges * (k + 1)
+    n = int((~mesh.edge_boundary).sum()) * (k + 1)
     A = sp.coo_matrix((S[keep], (rows[keep], cols[keep])),
                       shape=(n, n)).tocsr()
     A.sum_duplicates()
@@ -247,6 +255,12 @@ def _coo_trace_system(mesh, S, rhs, k):
     return A, b
 
 
+def _sparse(matrix):
+    """linalg.SparseMatrix of a square scipy test matrix."""
+    coo = matrix.tocoo()
+    return SparseMatrix(coo.data, coo.row, coo.col, coo.shape[0])
+
+
 def _full_recovery_operators(blocks):
     """Every row of A^{-1} F and A^{-1} C of each cell, solved as condense
     solves them."""
@@ -255,46 +269,48 @@ def _full_recovery_operators(blocks):
 
 
 def _recover(mesh, IF, IC, k, x):
-    """Interior unknowns of every cell from the interior traces x and the
-    full recovery operators, split into (q1, q2, u) and the per-edge
-    traces, zero on boundary edges."""
+    """Interior unknowns of every cell from the interior traces x, numbered
+    by _by_id, and the full recovery operators, split into (q1, q2, u) and
+    the per-edge traces, zero on boundary edges."""
     v = IF - np.einsum("cij,cj->ci", IC,
-                       np.append(x, 0.0)[_trace_dofs(mesh, k)])
-    ie = mesh.interior_index
-    trace = np.where(ie[:, None] >= 0, x.reshape(-1, k + 1)[ie], 0.0)
+                       np.append(x, 0.0)[_trace_dofs(mesh, k, _by_id(mesh))])
+    trace = np.zeros((mesh.n_edges, k + 1))
+    trace[~mesh.edge_boundary] = x.reshape(-1, k + 1)
     return np.split(v, 3, axis=1) + [trace]
 
 
 @settings(max_examples=30)
 @given(k=st.integers(1, 3), N=st.integers(1, 16).map(lambda m: 4 * m))
 def test_csc_layout_places_every_cell_entry(k, N):
-    # the entries of the cells' (side, side) blocks, summed at first + i +
-    # j step, give the CSC arrays scipy builds from coordinate triplets
+    # the matrix of the cells' (side, side) blocks summed by scipy under
+    # the box tree's numbering equals the tests' own coordinate sum under
+    # the same numbering, entry for entry
     mesh = build_mesh(N, 1e-6, 2.0, 1.0, 2.0)
     kp = k + 1
-    first, step, indices, indptr = assembly._csc_layout(mesh, kp)
-    nnz = indptr[-1]
-    assert all(a.dtype == np.int32 for a in (first, step, indices, indptr))
-    # a pair with a boundary edge goes to the discarded tail
-    boundary = mesh.edge_boundary[mesh.cell_edges]
-    outside = boundary[:, :, None] | boundary[:, None, :]
-    assert np.all(first[outside] == nnz) and not step[outside].any()
     # distinct values per cell entry, so a misplaced one shows
     rng = np.random.default_rng(N * 4 + k)
-    S = rng.standard_normal((mesh.n_cells, 4 * kp, 4 * kp))
-    i = np.arange(kp)
-    at = first[:, :, None, :, None] + i[:, None, None] \
-        + step[:, :, None, :, None] * i
-    data = np.zeros(nnz + kp)
-    np.add.at(data, at, S.reshape(at.shape))
-    A, _ = _coo_trace_system(mesh, S, np.zeros((mesh.n_cells, 4 * kp)), k)
-    A = A.tocsc()
-    assert np.array_equal(indptr, A.indptr)
-    assert np.array_equal(indices, A.indices)
-    assert np.array_equal(data[:-kp], A.data)
-    # rows strictly increase within each column
-    column = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    assert np.all(np.diff(indices)[np.diff(column) == 0] > 0)
+    Sr = rng.standard_normal((mesh.n_cells, 4 * kp, 4 * kp + 1))
+    A, b, pos = assemble_trace_system(mesh, Sr)
+    # pos numbers every edge, the boundary edges first
+    nbe = int(mesh.edge_boundary.sum())
+    assert np.array_equal(np.sort(pos), np.arange(mesh.n_edges))
+    assert np.all(pos[mesh.edge_boundary] < nbe)
+    nb = kp * nbe
+    assert A.n == kp * mesh.n_edges and b.shape == (A.n,)
+    # the boundary dofs: identity rows and columns, zero right-hand side
+    edge = A.csc[:, :nb]
+    assert np.array_equal(edge.indptr, np.arange(nb + 1))
+    assert np.array_equal(edge.indices, np.arange(nb))
+    assert np.all(edge.data == 1.0)
+    assert A.csc[:nb, nb:].nnz == 0 and not b[:nb].any()
+    # the interior dofs
+    A_coo, b_coo = _coo_trace_system(mesh, Sr[:, :, :-1], Sr[:, :, -1], k,
+                                     pos - nbe)
+    inner = A.csc[nb:, nb:].tocsr()
+    inner.sort_indices()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(inner, name), getattr(A_coo, name))
+    assert np.array_equal(b[nb:], b_coo)
 
 
 @settings(max_examples=20)
@@ -308,10 +324,8 @@ def test_streamed_assembly_is_bit_identical_to_the_whole_mesh(k, N, eps):
     S, rhs, _, _ = condense(blocks)
     IF_full, IC_full = _full_recovery_operators(blocks)
     iu = slice(2 * (k + 1) ** 2, None)
-    A_coo, b_coo = _coo_trace_system(mesh, S, rhs, k)
-    ref = _recover(mesh, IF_full, IC_full, k,
-                   SparseMatrix(*csc_arrays(A_coo)).solve(b_coo))
-    A_csc = A_coo.tocsc()
+    A_coo, b_coo = _coo_trace_system(mesh, S, rhs, k, _by_id(mesh))
+    ref = _recover(mesh, IF_full, IC_full, k, _sparse(A_coo).solve(b_coo))
     fields = []
     # blocks of 7, 3 and 5 cells straddle mesh columns and mostly leave a
     # partial last one
@@ -321,10 +335,7 @@ def test_streamed_assembly_is_bit_identical_to_the_whole_mesh(k, N, eps):
             Sr, IF, IC = assembly._condensed_cells(mesh, spec, cfg)
             fields.append(assemble_and_solve(mesh, spec, cfg))
         assert np.array_equal(Sr[:, :, :-1], S)
-        A, b = assemble_trace_system(mesh, Sr)
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(A.csc, name), getattr(A_csc, name))
-        assert np.array_equal(b, b_coo)
+        assert np.array_equal(Sr[:, :, -1], rhs)
         # only the u-rows of the recovery operators are kept
         assert np.array_equal(IF, IF_full[:, iu])
         assert np.array_equal(IC, IC_full[:, iu])

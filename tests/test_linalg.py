@@ -14,7 +14,6 @@ import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from csc_arrays import csc_arrays
 from shishkin_hdg import assembly, linalg
 from shishkin_hdg.assembly import (HdgConfig, assemble_and_solve,
                                    assemble_trace_system, build_local_systems,
@@ -25,15 +24,14 @@ from shishkin_hdg.problems import paper_problem
 
 
 def _laplacian_1d(n):
-    return SparseMatrix(*csc_arrays(sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1],
-                                             shape=(n, n), format="csr")))
+    A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n), format="coo")
+    return SparseMatrix(A.data, A.row, A.col, n)
 
 
 def _diagonal(values):
     """Diagonal matrix that keeps its zero entries stored."""
     i = np.arange(len(values))
-    return SparseMatrix(*csc_arrays(sp.csr_matrix((values, (i, i)),
-                                                  shape=(len(i), len(i)))))
+    return SparseMatrix(np.asarray(values, dtype=float), i, i, len(i))
 
 
 def test_solve_matches_dense():
@@ -50,7 +48,7 @@ def test_solve_matches_dense():
 def test_zero_rhs_and_empty_matrix():
     A = _laplacian_1d(4)
     assert np.allclose(A.solve(np.zeros(4)), 0.0)
-    E = SparseMatrix(*csc_arrays(sp.csr_matrix((0, 0))))
+    E = SparseMatrix(np.zeros(0), np.zeros(0, int), np.zeros(0, int), 0)
     assert E.solve(np.zeros(0)).size == 0
 
 
@@ -63,19 +61,6 @@ def test_singular_matrix_raises():
 def test_validation_errors():
     with pytest.raises(ValueError):
         _diagonal([1.0, 1.0]).solve(np.zeros(3))
-
-
-def test_matrix_keeps_the_assembly_arrays_without_a_copy():
-    # the trace system is held once: the matrix wraps the arrays the
-    # assembly sums into, not a copy of them
-    mesh = build_mesh(16, 1e-6, 2.0, 1.0, 2.0)
-    _, _, indices, indptr = assembly._csc_layout(mesh, 2)  # k = 1
-    data = np.zeros(indptr[-1])
-    A = SparseMatrix(data, indices, indptr)
-    assert A.n == len(indptr) - 1 and A.nnz == len(data)
-    for name, arr in (("data", data), ("indices", indices),
-                      ("indptr", indptr)):
-        assert np.shares_memory(getattr(A.csc, name), arr), name
 
 
 def _meets_gate(A, x, b):
@@ -98,13 +83,11 @@ def _patch_first_splu(monkeypatch, first):
 
 
 def _first_given_then_colamd(calls):
-    # the given order first, then COLAMD and partial pivots; both in panels
-    # of two columns, so the fallback keeps the small work arrays
+    # the given order first, then COLAMD and partial pivots
     assert len(calls) == 2
     assert calls[0]["permc_spec"] == "NATURAL"
     assert calls[1].get("permc_spec", "COLAMD") == "COLAMD"
     assert calls[1].get("diag_pivot_thresh", 1.0) == 1.0
-    assert [kw.get("panel_size") for kw in calls] == [2, 2]
 
 
 def test_fallback_when_given_order_factorization_fails(monkeypatch):
@@ -207,7 +190,7 @@ def test_other_factorization_errors_propagate(monkeypatch):
 
 
 def _assembled(mesh, spec, cfg):
-    """(A, b) of the fallback, from the cells condensed in blocks."""
+    """(A, b, pos) of the fallback, from the cells condensed in blocks."""
     return assemble_trace_system(
         mesh, assembly._condensed_cells(mesh, spec, cfg)[0])
 
@@ -224,7 +207,7 @@ def _trace_system(k, N, eps):
 # unrefined, the COLAMD solve is off by about 2e-10 here (condition ~6e8)
 @example(k=3, N=8, eps=1e-8)
 def test_condensed_solve_matches_colamd(k, N, eps):
-    A, b = _trace_system(k, N, eps)
+    A, b, _ = _trace_system(k, N, eps)
     x = A.solve(b)  # a fallback warning is an error (pyproject.toml)
     ref = _refined_colamd(A, b)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
@@ -251,10 +234,8 @@ def test_box_tree_solve_matches_colamd(k, N, eps):
     S, rhs, _, _ = condense(build_local_systems(mesh, spec, cfg))
     Sr = np.concatenate([S, rhs[:, :, None]], axis=2)
     trace = linalg.solve_box_tree(mesh, Sr)
-    A, b = assemble_trace_system(mesh, Sr)
-    x = _refined_colamd(A, b).reshape(-1, k + 1)
-    # boundary edges (index -1) read the zero row appended last
-    ref = np.vstack([x, np.zeros((1, k + 1))])[mesh.interior_index]
+    A, b, pos = assemble_trace_system(mesh, Sr)
+    ref = _refined_colamd(A, b).reshape(-1, k + 1)[pos]
     assert np.linalg.norm(trace - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
@@ -296,12 +277,13 @@ def test_box_tree_falls_back_to_the_assembled_system(monkeypatch, broken,
     # the fallback sums the cells the box tree was given: it builds each
     # block once, as the solve that passes the gate does
     assert len(blocks) == 4 and built == 2 * blocks
-    # the answer of the fallback meets the gate on the assembled system
-    A, b = _assembled(mesh, spec, cfg)
-    x = np.zeros((mesh.n_interior_edges, cfg.k + 1))
-    inner = ~mesh.edge_boundary
-    x[mesh.interior_index[inner]] = got.trace[inner]
+    # the answer of the fallback meets the gate on the assembled system,
+    # with the boundary traces exactly 0
+    A, b, pos = _assembled(mesh, spec, cfg)
+    x = np.empty_like(got.trace)
+    x[pos] = got.trace
     assert _meets_gate(A, x.ravel(), b)
+    assert not got.trace[mesh.edge_boundary].any()
     for name in ("q1", "q2", "u", "trace"):
         ref = getattr(want, name)
         assert np.linalg.norm(getattr(got, name) - ref) <= \
@@ -309,54 +291,15 @@ def test_box_tree_falls_back_to_the_assembled_system(monkeypatch, broken,
 
 
 def test_nested_dissection_order_cuts_fill(monkeypatch):
-    # the trace unknowns come in nested-dissection order, which SuperLU
-    # keeps: the factor fills far less than under COLAMD (0.48 of it here)
-    A, b = _trace_system(1, 32, 1e-6)
+    # the trace unknowns come in the box tree's order, which SuperLU keeps:
+    # the factor fills far less than under COLAMD
+    A, b, _ = _trace_system(1, 32, 1e-6)
     colamd = spla.splu(A.csc).nnz
     fill = []
     calls = _patch_first_splu(monkeypatch,
                               lambda lu: fill.append(lu.nnz) or lu)
     A.solve(b)
     assert len(calls) == 1 and fill[0] < 0.6 * colamd
-
-
-@pytest.mark.parametrize("k, N, fill", [(1, 64, 1_169_072), (2, 32, 515_532)])
-def test_panel_size_leaves_the_fill_alone(k, N, fill):
-    # the panel bounds SuperLU's work arrays only: the factor is the one
-    # SuperLU's default panel of 20 columns gives, entry for entry
-    A, _ = _trace_system(k, N, 1e-6)
-    default_panel = {**linalg.GIVEN_ORDER, "panel_size": None}
-    assert spla.splu(A.csc, **default_panel).nnz == fill
-    assert spla.splu(A.csc, **linalg.GIVEN_ORDER).nnz == fill
-
-
-# Peak (VmHWM) minus current (VmRSS) resident size, in kB, with the
-# factor held. Not ru_maxrss: a child started from the test process
-# inherits its parent's peak through fork and exec.
-_HELD_FACTOR_PROBE = """
-import scipy.sparse.linalg as spla
-from shishkin_hdg import assembly, linalg
-from shishkin_hdg.assembly import HdgConfig, assemble_trace_system
-from shishkin_hdg.mesh import build_mesh
-from shishkin_hdg.problems import paper_problem
-mesh = build_mesh(64, 1e-6, 3.0, 1.0, 2.0)
-Sr = assembly._condensed_cells(mesh, paper_problem(1e-6), HdgConfig(2))[0]
-A = assemble_trace_system(mesh, Sr)[0]
-del Sr
-lu = spla.splu(A.csc, **linalg.GIVEN_ORDER)
-with open("/proc/self/status") as fh:
-    kb = {k: int(v.split()[0]) for k, v in
-          (line.split(":", 1) for line in fh) if k in ("VmHWM", "VmRSS")}
-print(kb["VmHWM"] - kb["VmRSS"])
-"""
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="reads the resident sizes from /proc")
-def test_factor_work_arrays_stay_below_the_held_factor():
-    # at k=2, N=64 the process peaks with the factor held, not above it:
-    # SuperLU's default 20-column panel put its work arrays 8 MB on top
-    assert int(_fresh_python(_HELD_FACTOR_PROBE)) <= 2 * 1024
 
 
 def _fresh_python(code: str) -> str:
@@ -388,11 +331,10 @@ with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     got = assembly.assemble_and_solve(mesh, spec, cfg)
 fallback = "scipy" in sys.modules
-A, b = assembly.assemble_trace_system(
+A, b, pos = assembly.assemble_trace_system(
     mesh, assembly._condensed_cells(mesh, spec, cfg)[0])
-x = np.zeros((mesh.n_interior_edges, cfg.k + 1))
-inner = ~mesh.edge_boundary
-x[mesh.interior_index[inner]] = got.trace[inner]
+x = np.empty_like(got.trace)
+x[pos] = got.trace
 print(json.dumps({"gated": gated, "fallback": fallback,
                   "warnings": [w.category.__name__ for w in caught],
                   "residual": float(np.linalg.norm(b - A.csc @ x.ravel())

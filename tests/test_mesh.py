@@ -83,7 +83,7 @@ def test_edge_counts_and_topology():
     mesh = build_mesh(N, 1e-3, 2.0, 1.0, 2.0)
     assert mesh.n_cells == N * N
     assert mesh.n_edges == 2 * N * (N + 1)
-    assert mesh.n_interior_edges == 2 * N * (N - 1)
+    assert np.count_nonzero(~mesh.edge_boundary) == 2 * N * (N - 1)
     # every interior edge is a side of two cells, every boundary edge of one
     count = np.bincount(mesh.cell_edges.ravel(), minlength=mesh.n_edges)
     assert np.array_equal(count, np.where(mesh.edge_boundary, 1, 2))
@@ -154,35 +154,6 @@ def test_dump_mesh_contents():
                     "dump_mesh_n4.txt").read_text()
 
 
-@settings(max_examples=32)
-@given(N=st.integers(1, 32).map(lambda m: 4 * m))
-def test_interior_index_is_a_bijection(N):
-    mesh = build_mesh(N, 1e-6, 2.0, 1.0, 2.0)
-    idx = mesh.interior_index
-    assert np.array_equal(np.sort(idx[~mesh.edge_boundary]),
-                          np.arange(mesh.n_interior_edges))
-    assert np.all(idx[mesh.edge_boundary] == -1)
-
-
-def test_interior_edges_numbered_by_nested_dissection():
-    N = 16
-    mesh = build_mesh(N, 1e-6, 2.0, 1.0, 2.0)
-    order = np.argsort(mesh.interior_index)[mesh.edge_boundary.sum():]
-    axis, line, seg = (a[order] for a in edge_layout(N, N))
-    # the middle vertical line separates the two halves and comes last
-    assert np.all(axis[-N:] == 0) and np.all(line[-N:] == N // 2)
-    # before it, the separator of the right half: the middle horizontal
-    # line right of x's middle
-    right = slice(-N - N // 2, -N)
-    assert np.all(axis[right] == 1) and np.all(line[right] == N // 2)
-    assert np.all(seg[right] >= N // 2)
-    # every edge inside the left half precedes every edge inside the right
-    inside_left = ((axis == 0) & (line < N // 2)) | \
-        ((axis == 1) & (seg < N // 2))
-    half = mesh.n_interior_edges // 2 - N // 2
-    assert np.all(inside_left[:half]) and not np.any(inside_left[half:])
-
-
 @settings(max_examples=16)
 @given(N=st.integers(1, 16).map(lambda m: 4 * m))
 def test_box_tree_separates_every_interior_edge_once(N):
@@ -195,9 +166,10 @@ def test_box_tree_separates_every_interior_edge_once(N):
     assert not any(mesh.edge_boundary[bound].any() for bound, _, _ in groups)
     [(bound, sep, _)] = plan[-1]
     assert bound.size == 0
-    # the split rule is nested dissection's: its last separator is the
-    # whole grid's split line
-    order = np.argsort(mesh.interior_index)[mesh.edge_boundary.sum():]
-    assert set(order[-N:]) == set(sep.ravel())
+    # the last separator, the whole grid's split line, is the middle
+    # vertical line
+    axis, line, _ = edge_layout(N, N)
+    assert sep.size == N
+    assert np.all(axis[sep] == 0) and np.all(line[sep] == N // 2)
     if N & (N - 1) == 0:  # corner, side and inner boxes
         assert max(map(len, plan)) <= 9
