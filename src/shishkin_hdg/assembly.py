@@ -1,8 +1,7 @@
 """HDG assembly for the three-field formulation: per-cell local systems,
 condensed one block of cells at a time onto each cell's edge traces, the
-trace solve up and down the mesh's box tree (linalg.solve_box_tree) and
-recovery. The global trace system (assemble_trace_system), numbered by the
-same tree, is built only when that solve falls back to SuperLU.
+trace solve (linalg.solve_box_tree, which owns its SuperLU fallback) on
+every cell's [S | rhs], and recovery of the cells from the traces.
 
 Every coefficient, here and in the projection and norm modules, is in the
 pulled-back orthonormal bases: on a cell the reference Legendre tensor basis
@@ -19,8 +18,8 @@ from typing import Optional
 import numpy as np
 
 from . import layerquad
-from .linalg import SolveError, SparseMatrix, solve_box_tree
-from .mesh import SIDES, ShishkinMesh, box_plan
+from .linalg import SolveError, solve_box_tree
+from .mesh import SIDES, ShishkinMesh
 from .problems import ProblemSpec
 from .refelem import (MAX_GAUSS_POINTS, CellQuad, RefTables, gauss_rule,
                       legendre, ref_tables)
@@ -291,50 +290,15 @@ def _condensed_cells(mesh: ShishkinMesh, spec: ProblemSpec, cfg: HdgConfig):
     return Sr, IF, IC
 
 
-def assemble_trace_system(mesh: ShishkinMesh, Sr: np.ndarray) -> tuple:
-    """(A, b, pos): the global trace system for SuperLU, the fallback of
-    assemble_and_solve, summed from the cells' [S | rhs] of solve_box_tree.
-    Its unknowns are the k+1 dofs of every edge, edge e's from pos[e] (k+1)
-    on, in the order SuperLU factors in: the boundary edges, then each
-    level's separators of mesh.box_plan from the bottom up (nested
-    dissection along grid lines). The boundary dofs have identity rows and
-    a zero right-hand side; the cell entries that touch them are dropped.
-    No entry sums more than two terms, so the order of the cells does not
-    matter."""
-    kp = Sr.shape[1] // 4
-    order = np.concatenate([np.flatnonzero(mesh.edge_boundary)] + [
-        sep.ravel() for level in box_plan(mesh.nx, mesh.ny)
-        for _, sep, _ in level])
-    pos = np.empty_like(order)
-    pos[order] = np.arange(len(order))
-    n, nb = kp * len(pos), kp * int(mesh.edge_boundary.sum())
-    dof = (pos[mesh.cell_edges][:, :, None] * kp
-           + np.arange(kp)).reshape(len(Sr), -1)
-    row, col = np.broadcast_arrays(dof[:, :, None], dof[:, None, :])
-    inner = (row >= nb) & (col >= nb)
-    eye = np.arange(nb)
-    A = SparseMatrix(np.concatenate([np.ones(nb), Sr[:, :, :-1][inner]]),
-                     np.concatenate([eye, row[inner]]),
-                     np.concatenate([eye, col[inner]]), n)
-    b = np.bincount(dof.ravel(), Sr[:, :, -1].ravel(), n)
-    b[:nb] = 0.0
-    return A, b, pos
-
-
 def assemble_and_solve(mesh: ShishkinMesh, spec: ProblemSpec,
                        cfg: HdgConfig) -> SolutionFields:
     """Full pipeline: local systems condensed in blocks of cells, the trace
     solve on the box tree (falling back to SuperLU) with homogeneous
     boundary traces, recovery of u and of the flux from equation (i)."""
-    kp, nc = cfg.k + 1, mesh.n_cells
     Sr, IF, IC = _condensed_cells(mesh, spec, cfg)
     trace = solve_box_tree(mesh, Sr)
-    if trace is None:  # solve_box_tree warned why
-        A, b, pos = assemble_trace_system(mesh, Sr)
-        del Sr  # freed before SuperLU factors
-        trace = A.solve(b).reshape(-1, kp)[pos]
     t_local = trace[mesh.cell_edges]  # (ncells, 4, k+1)
-    u = IF - np.einsum("cij,cj->ci", IC, t_local.reshape(nc, -1))
+    u = IF - np.einsum("cij,cj->ci", IC, t_local.reshape(mesh.n_cells, -1))
     q1, q2 = _recover_flux(mesh, spec, cfg, u, t_local)
     return SolutionFields(cfg.k, q1, q2, u, trace)
 

@@ -1,16 +1,15 @@
 """Solution of the condensed trace system.
 
-solve_box_tree condenses on up the mesh's box tree (mesh.box_plan): the
-cells' Schur complements are merged pairwise from single cells to the
-whole grid, each merge eliminating the traces on the line between its two
-halves with batched dense solves, and the traces come back down by
-substitution. The domain-boundary traces are 0 and in no box.
+solve_box_tree condenses on up the mesh's box tree (mesh.box_plan): each
+box sums its halves' Schur complements by slices of side blocks and
+eliminates the traces on its split line with batched dense solves, from
+single cells to the whole grid; the traces come back down by substitution.
 
 If a separator block is singular or the residual gate is missed, a
-SolveFallbackWarning says why, and the caller assembles the global system
-for SuperLU with iterative refinement (SparseMatrix). Only the fallback
-imports scipy (0.2 s and 32 MB a process). Its unknowns are numbered by
-the same box tree, separators after the boxes they split, so SuperLU
+SolveFallbackWarning says why, and SuperLU with iterative refinement
+solves the assembled system (assemble_trace_system, SparseMatrix), the
+only use of scipy (0.2 s and 32 MB a process). Its unknowns are numbered
+by the same box tree, separators after the boxes they split, so SuperLU
 factors in the given order, keeps the pattern symmetric and pivots on the
 diagonal unless it is below a tenth of its column's largest entry
 (GIVEN_ORDER). If that fails or misses the gate, it factors once more with
@@ -21,7 +20,6 @@ monolithic oracle of both solves lives in `tests/dense_oracle.py`.
 from __future__ import annotations
 
 import warnings
-from typing import Optional
 
 import numpy as np
 
@@ -126,14 +124,42 @@ class SparseMatrix:
             x = x + lu.solve(r)
 
 
-def solve_box_tree(mesh: ShishkinMesh, Sr: np.ndarray) -> Optional[np.ndarray]:
+def assemble_trace_system(mesh: ShishkinMesh, Sr: np.ndarray,
+                          plan: tuple) -> tuple:
+    """(A, b, pos): the global trace system of the cells' [S | rhs] for
+    SuperLU. The k+1 dofs of edge e start at pos[e] (k+1), in the order
+    SuperLU factors in: the boundary edges, then each level's separators
+    of plan (mesh.box_plan) from the bottom up. The boundary dofs have
+    identity rows and a zero right-hand side; the cell entries that touch
+    them are dropped. No entry sums more than two terms, so the order of
+    the cells does not matter."""
+    kp = Sr.shape[1] // 4
+    order = np.concatenate([np.flatnonzero(mesh.edge_boundary)] + [
+        sep.ravel() for level in plan for _, sep, _ in level])
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    n, nb = kp * len(pos), kp * int(mesh.edge_boundary.sum())
+    dof = (pos[mesh.cell_edges][:, :, None] * kp
+           + np.arange(kp)).reshape(len(Sr), -1)
+    row, col = np.broadcast_arrays(dof[:, :, None], dof[:, None, :])
+    inner = (row >= nb) & (col >= nb)
+    eye = np.arange(nb)
+    A = SparseMatrix(np.concatenate([np.ones(nb), Sr[:, :, :-1][inner]]),
+                     np.concatenate([eye, row[inner]]),
+                     np.concatenate([eye, col[inner]]), n)
+    b = np.bincount(dof.ravel(), Sr[:, :, -1].ravel(), n)
+    b[:nb] = 0.0
+    return A, b, pos
+
+
+def solve_box_tree(mesh: ShishkinMesh, Sr: np.ndarray) -> np.ndarray:
     """Traces (n_edges, k+1), 0 on the domain boundary, of the system
     summed from each cell's Schur complement and right-hand side on its
     sides W, E, S, N, Sr = [S | rhs] (ncells, 4(k+1), 4(k+1) + 1), with no
     global matrix. The residual, sum over cells of rhs_c - S_c t_c on the
     interior edges, must reach RESIDUAL_TOL relative to the summed rhs; if
     it does not, or a separator block is singular, a SolveFallbackWarning
-    says why and None is returned."""
+    says why and SuperLU solves the assembled system instead."""
     kp = Sr.shape[1] // 4
     plan = box_plan(mesh.nx, mesh.ny)
     try:
@@ -161,7 +187,8 @@ def solve_box_tree(mesh: ShishkinMesh, Sr: np.ndarray) -> Optional[np.ndarray]:
                f"{RESIDUAL_TOL * b:.3e}")
     warnings.warn(f"box-tree solve failed: {why}; solving the assembled "
                   "trace system instead", SolveFallbackWarning, stacklevel=2)
-    return None
+    A, b, pos = assemble_trace_system(mesh, Sr, plan)
+    return A.solve(b).reshape(-1, kp)[pos]
 
 
 def _times_minus(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -173,38 +200,32 @@ def _times_minus(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 def _condense_up(plan: tuple, Sr: np.ndarray, kp: int) -> list:
     """X of each group of each level of plan, from the bottom up. A box's
     merge matrix M, rows [bound | sep] and columns [bound | r | sep], sums
-    its halves' [S | r]; eliminating sep keeps X = M_ss^-1 [M_sb | r_s]
-    and leaves the box's [S | r] on bound for the level above."""
-    below, X, cells = None, [], Sr.reshape(len(Sr), -1)
+    its halves' [S | r], the low half first, side block by side block
+    (mesh.box_plan); eliminating sep keeps X = M_ss^-1 [M_sb | r_s] and
+    leaves the box's [S | r] on bound for the level above."""
+    below, X = None, []
     for level in plan:
         out, X_level = [], []
-        for bound, sep, group_halves in level:
+        for bound, sep, halves in level:
             nbox, nb, ns = len(bound), bound.shape[1] * kp, sep.shape[1] * kp
             n = nb + ns
-            halves = []
-            for source, rows, take, pos in group_halves:
-                # the k+1 dofs of each edge
-                take, pos = ((a[:, None] * kp + np.arange(kp)).ravel()
-                             for a in (take, pos))
-                # entries (take, [take | r]) of the half's [S | r], all of
-                # a box's, and where they go in the flat M
-                src = slice(None) if source >= 0 else (take[:, None] * (
-                    4 * kp + 1) + np.append(take, 4 * kp)).ravel()
-                col = np.append(pos + (pos >= nb), nb)
-                halves.append((cells if source < 0 else below[source], rows,
-                               src, (pos[:, None] * (n + 1) + col).ravel()))
-            out.append(np.empty((nbox, nb * (nb + 1))))
+            out.append(np.empty((nbox, nb, nb + 1)))
             X_level.append(np.empty((nbox, ns, nb + 1)))
             step = max(1, MERGE_BYTES // (8 * n * (n + 1)))
             for lo in range(0, nbox, step):
                 part = slice(lo, lo + step)
                 M = np.zeros((min(step, nbox - lo), n, n + 1))
-                flat = M.reshape(len(M), -1)
-                for half, rows, src, dst in halves:
-                    flat[:, dst] += half[rows[part]][:, src]
+                for source, rows, blocks in halves:
+                    H = (Sr if source < 0 else below[source])[rows[part]]
+                    blocks = (blocks * kp).tolist()
+                    for t, p, s in blocks:
+                        for u, q, w in blocks:
+                            q += q >= nb  # the rhs column sits at nb
+                            M[:, p:p + s, q:q + w] += H[:, t:t + s, u:u + w]
+                        M[:, p:p + s, nb] += H[:, t:t + s, -1]
+                    del H  # freed before the next half's H is gathered
                 Xp = np.linalg.solve(M[:, nb:, nb + 1:], M[:, nb:, :nb + 1])
-                out[-1][part] = (M[:, :nb, :nb + 1]
-                                 - M[:, :nb, nb + 1:] @ Xp).reshape(len(M), -1)
+                out[-1][part] = M[:, :nb, :nb + 1] - M[:, :nb, nb + 1:] @ Xp
                 X_level[-1][part] = Xp
         below = out
         X.append(X_level)

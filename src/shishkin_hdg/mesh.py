@@ -1,6 +1,6 @@
 """Tensor-product Shishkin meshes on (0,1)^2: transition points, node
 coordinates, cell/edge topology, layer-region classification and the
-nested-dissection box tree of the trace solves (box_plan)."""
+nested-dissection box tree of the trace solve (box_plan)."""
 
 from __future__ import annotations
 
@@ -65,15 +65,16 @@ def _boundary_edges(nx: int, ny: int) -> np.ndarray:
 def box_plan(nx: int, ny: int) -> tuple:
     """The tree of boxes that _split makes of the nx x ny cell grid, by
     level from the bottom up to the whole grid: the nested dissection of
-    both trace solves, whose separators, level by level, number the
-    unknowns of the assembled system too. A level is a tuple of
-    groups, (bound, sep, halves) each, of the boxes that share their shape
-    and the domain sides they touch (at most 9 at powers of two). Per box,
-    as edge ids: bound, its sides W, E, S, N by ascending coordinate
-    without those on the domain boundary, and sep, its split line. Per
-    half, (source, rows, take, pos): the half of box i is box rows[i] of
-    group source a level below (cell rows[i] for -1), whose edges take
-    sit at positions pos of [bound | sep]. Depends on the cell counts only."""
+    the trace solve, whose separators, level by level, number the unknowns
+    of its assembled fallback too. A level is a tuple of groups, (bound,
+    sep, halves) each, of the boxes that share their shape and the domain
+    sides they touch (at most 9 at powers of two). Per box, as edge ids:
+    bound, its sides W, E, S, N by ascending coordinate without those on
+    the domain boundary, and sep, its split line. Per half, (source, rows,
+    blocks): the half of box i is box rows[i] of group source a level
+    below (cell rows[i] for -1), and its at most four side blocks (t, p,
+    size) put its edges t to t + size at positions p to p + size of
+    [bound | sep], never across the two. Depends on the cell counts only."""
     nc, on_boundary = nx * ny, _boundary_edges(nx, ny)
     boxes, depths = np.array([[0, nx, 0, ny]]), []
     while True:  # top-down: each depth's boxes that are not cells
@@ -111,7 +112,13 @@ def box_plan(nx: int, ny: int) -> tuple:
                     np.hstack(_box_sides(nx, ny, *(h[:1] for h in half)))[0]
                 take = np.flatnonzero(~on_boundary[edges])
                 pos = order[np.searchsorted(merged, edges[take], sorter=order)]
-                halves.append((source, rows, take, pos))
+                # runs along which take and pos both step by 1, cut before
+                # the first sep edge: the merge puts the rhs column there
+                start = np.flatnonzero(np.append(True, (np.diff(take) != 1) | (
+                    np.diff(pos) != 1) | (pos[1:] == len(bound[0]))))
+                size = np.diff(start, append=len(take))
+                halves.append((source, rows, np.stack(
+                    [take[start], pos[start], size], axis=1)))
             c0 = box[0] * ny + box[2]
             up_group[c0], up_row[c0] = g, np.arange(len(c0))
             level.append((bound, sep, tuple(halves)))

@@ -16,10 +16,10 @@ from hypothesis import strategies as st
 
 from shishkin_hdg import assembly, linalg
 from shishkin_hdg.assembly import (HdgConfig, assemble_and_solve,
-                                   assemble_trace_system, build_local_systems,
-                                   condense)
-from shishkin_hdg.linalg import SolveError, SolveFallbackWarning, SparseMatrix
-from shishkin_hdg.mesh import build_mesh
+                                   build_local_systems, condense)
+from shishkin_hdg.linalg import (SolveError, SolveFallbackWarning,
+                                 SparseMatrix, assemble_trace_system)
+from shishkin_hdg.mesh import box_plan, build_mesh
 from shishkin_hdg.problems import paper_problem
 
 
@@ -192,7 +192,8 @@ def test_other_factorization_errors_propagate(monkeypatch):
 def _assembled(mesh, spec, cfg):
     """(A, b, pos) of the fallback, from the cells condensed in blocks."""
     return assemble_trace_system(
-        mesh, assembly._condensed_cells(mesh, spec, cfg)[0])
+        mesh, assembly._condensed_cells(mesh, spec, cfg)[0],
+        box_plan(mesh.nx, mesh.ny))
 
 
 def _trace_system(k, N, eps):
@@ -234,9 +235,24 @@ def test_box_tree_solve_matches_colamd(k, N, eps):
     S, rhs, _, _ = condense(build_local_systems(mesh, spec, cfg))
     Sr = np.concatenate([S, rhs[:, :, None]], axis=2)
     trace = linalg.solve_box_tree(mesh, Sr)
-    A, b, pos = assemble_trace_system(mesh, Sr)
+    A, b, pos = assemble_trace_system(mesh, Sr, box_plan(N, N))
     ref = _refined_colamd(A, b).reshape(-1, k + 1)[pos]
     assert np.linalg.norm(trace - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("k, N", [(1, 12), (1, 16), (2, 12), (2, 16)])
+def test_box_tree_traces_do_not_depend_on_the_merge_chunks(monkeypatch, k,
+                                                           N):
+    # one box per chunk and one chunk per group give the default's traces
+    # bit for bit: each box's merge and solves see the same entries in the
+    # same layout, whatever the batch
+    spec = paper_problem(1e-6)
+    mesh = build_mesh(N, 1e-6, k + 1.0, 1.0, 2.0)
+    Sr = assembly._condensed_cells(mesh, spec, HdgConfig(k))[0]
+    want = linalg.solve_box_tree(mesh, Sr)
+    for merge_bytes in (1, 1 << 30):
+        monkeypatch.setattr(linalg, "MERGE_BYTES", merge_bytes)
+        assert np.array_equal(linalg.solve_box_tree(mesh, Sr), want)
 
 
 def _scaled_eliminators(condense_up):
@@ -317,7 +333,7 @@ _LAZY_SCIPY_PROBE = """
 import json, sys, warnings
 import numpy as np
 from shishkin_hdg import assembly, harness, linalg
-from shishkin_hdg.mesh import build_mesh
+from shishkin_hdg.mesh import box_plan, build_mesh
 from shishkin_hdg.problems import paper_problem
 harness.run_single(harness.StudyConfig(k_list=[1], eps_list=[1e-4],
                                        n_list=[8], mode="both"))
@@ -331,8 +347,8 @@ with warnings.catch_warnings(record=True) as caught:
     warnings.simplefilter("always")
     got = assembly.assemble_and_solve(mesh, spec, cfg)
 fallback = "scipy" in sys.modules
-A, b, pos = assembly.assemble_trace_system(
-    mesh, assembly._condensed_cells(mesh, spec, cfg)[0])
+A, b, pos = linalg.assemble_trace_system(
+    mesh, assembly._condensed_cells(mesh, spec, cfg)[0], box_plan(8, 8))
 x = np.empty_like(got.trace)
 x[pos] = got.trace
 print(json.dumps({"gated": gated, "fallback": fallback,

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edge_layout import edge_layout
@@ -173,3 +173,38 @@ def test_box_tree_separates_every_interior_edge_once(N):
     assert np.all(axis[sep] == 0) and np.all(line[sep] == N // 2)
     if N & (N - 1) == 0:  # corner, side and inner boxes
         assert max(map(len, plan)) <= 9
+
+
+@settings(max_examples=16)
+@given(N=st.integers(1, 32).map(lambda m: 4 * m))
+@example(N=12)
+@example(N=20)
+@example(N=128)
+def test_box_halves_merge_as_at_most_four_side_blocks(N):
+    # each half reaches its box's [bound | sep] as side blocks (t, p, size),
+    # which the merge adds as slices: its edges t to t + size land at
+    # positions p to p + size, and the rhs column sits between bound and
+    # sep, so no block may straddle the two
+    mesh = build_mesh(N, 1e-6, 2.0, 1.0, 2.0)
+    plan = box_plan(N, N)
+    for depth, level in enumerate(plan):
+        for bound, sep, halves in level:
+            merged = np.hstack([bound, sep])
+            for source, rows, blocks in halves:
+                edges = mesh.cell_edges[rows] if source < 0 else \
+                    plan[depth - 1][source][0][rows]
+                assert 1 <= len(blocks) <= 4
+                t, p, size = blocks.T
+                assert np.all((p + size <= bound.shape[1])
+                              | (p >= bound.shape[1]))
+                t, p = (np.concatenate([a + np.arange(n)
+                                        for a, n in zip(start, size)])
+                        for start in (t, p))
+                # disjoint, and every interior edge of the half once
+                inner = ~mesh.edge_boundary[edges]
+                assert np.array_equal(np.sort(t), np.flatnonzero(inner[0]))
+                assert np.all(inner.sum(axis=1) == len(t))
+                assert len(np.unique(p)) == len(p)
+                # in every box of the group, the edge at each position p of
+                # its [bound | sep] is the half's edge t
+                assert np.array_equal(merged[:, p], edges[:, t])

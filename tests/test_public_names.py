@@ -3,8 +3,9 @@ public method and property of a public class, has a caller in the program
 itself (src/ or perfbench/), not only in the tests: code that only its own
 test calls belongs in tests/ or nowhere. Every stored field is read there
 too. Every span name the benchmark's tracer reads names a function of the
-package. Only linalg imports scipy. Every function that raises states why
-the check belongs there."""
+package. Only linalg imports scipy, and only linalg builds or solves the
+assembled trace system. Every function that raises states why the check
+belongs there."""
 
 import ast
 import importlib
@@ -185,10 +186,26 @@ def test_only_linalg_imports_scipy():
     assert not any(map(_imports_scipy, top))
 
 
+def test_only_linalg_builds_the_assembled_trace_system():
+    # the SuperLU fallback has one owner: solve_box_tree assembles and
+    # solves it itself, so no other module imports SparseMatrix or calls
+    # assemble_trace_system
+    owners = []
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        if {"SparseMatrix", "assemble_trace_system"} & (
+                _used_names(tree) | _imported_names(tree)):
+            owners.append(path.name)
+    assert owners == ["linalg.py"], owners
+
+
 # span names the benchmark's tracer reads that name nothing in the package
 TRACER_EXEMPT = {
     # retired with the per-cell rule; the tracer still reads it, as 0
     "layerquad.cell_rule": "retired; ROADMAP item 4",
+    # moved to linalg with the SuperLU fallback it assembles for; the
+    # tracer still reads it as assembly.scatter_s, 0 on every gated pass
+    "assembly.assemble_trace_system": "moved to linalg; ROADMAP item 8",
     # the tracer wraps the problem's fields under this name itself
     "problems.eval": "a span the tracer creates itself",
 }
