@@ -94,17 +94,18 @@ def cell_mesh(cfg: StudyConfig, spec: ProblemSpec, k: int, N: int):
 
 def solve_cell(cfg: StudyConfig, k: int, eps: float, N: int):
     """One grid cell of a study: mesh, solve, measure. Returns
-    (ErrorReport, SolutionFields, mesh)."""
+    (ErrorReport, SolutionFields, mesh). The measures, on the error rule,
+    project each block of the exact solution when the mode asks for the
+    supercloseness distance (norms.error_report)."""
     spec = get_problem(cfg.problem, eps)
     hdg = cfg.hdg(k)
     mesh = cell_mesh(cfg, spec, k, N)
     fields = assemble_and_solve(mesh, spec, hdg)
-    # the exact solution on the error rule, for projection and every measure
-    exact = norms.exact_values(CellQuad(mesh, hdg.n_error), spec, k)
-    projected = None
+    project = None
     if "supercloseness" in MODES[cfg.mode]:
-        projected = projections.project_exact(exact, k)
-    report = norms.error_report(exact, spec, hdg, fields, projected)
+        project = projections.project_exact
+    report = norms.error_report(CellQuad(mesh, hdg.n_error), spec, hdg,
+                                fields, project)
     return report, fields, mesh
 
 

@@ -90,6 +90,17 @@ class LayerBatch:
         """fn at the points of every batch cell, (cells, points)."""
         return on_lines(fn, self.xq, self.yq)
 
+    def columns(self, cells: range):
+        """Views of the batch cells in the mesh columns of `cells`, or None."""
+        nrows = len(self.yq)
+        i0, i1 = np.searchsorted(self.cells[::nrows], [cells.start,
+                                                       cells.stop])
+        if i0 == i1:
+            return None
+        part = slice(i0 * nrows, i1 * nrows)
+        return LayerBatch(self.cells[part], self.xq[i0:i1], self.yq,
+                          self.W[part], self.J[part], self.B[part])
+
 
 def _line_rules(nodes, idx, rule, scale):
     """1D rules on the mesh intervals [nodes[i], nodes[i+1]], i in idx, as

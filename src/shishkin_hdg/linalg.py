@@ -3,7 +3,9 @@
 solve_box_tree condenses on up the mesh's box tree (mesh.box_plan): each
 box sums its halves' Schur complements by slices of side blocks and
 eliminates the traces on its split line with batched dense solves, from
-single cells to the whole grid; the traces come back down by substitution.
+single cells to the whole grid, one quadrant after the other once the
+cells' systems exceed a merge chunk; the traces come back down by
+substitution.
 
 If a separator block is singular or the residual gate is missed, a
 SolveFallbackWarning says why, and SuperLU with iterative refinement
@@ -159,9 +161,12 @@ def solve_box_tree(mesh: ShishkinMesh, Sr: np.ndarray) -> np.ndarray:
     global matrix. The residual, sum over cells of rhs_c - S_c t_c on the
     interior edges, must reach RESIDUAL_TOL relative to the summed rhs; if
     it does not, or a separator block is singular, a SolveFallbackWarning
-    says why and SuperLU solves the assembled system instead."""
+    says why and SuperLU solves the assembled system instead. Once Sr
+    exceeds MERGE_BYTES the tree takes box_plan's quadrants."""
     kp = Sr.shape[1] // 4
-    plan = box_plan(mesh.nx, mesh.ny)
+    # the quadrant order lowers the peak of a grid that spans several merge
+    # chunks; on a smaller one its extra groups only cost time
+    plan = box_plan(mesh.nx, mesh.ny, Sr.nbytes > MERGE_BYTES)
     try:
         X = _condense_up(plan, Sr, kp)
     except np.linalg.LinAlgError as exc:
@@ -198,35 +203,51 @@ def _times_minus(A: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _condense_up(plan: tuple, Sr: np.ndarray, kp: int) -> list:
-    """X of each group of each level of plan, from the bottom up. A box's
+    """X of each group of each level of plan, as X[level][group]. A box's
     merge matrix M, rows [bound | sep] and columns [bound | r | sep], sums
     its halves' [S | r], the low half first, side block by side block
     (mesh.box_plan); eliminating sep keeps X = M_ss^-1 [M_sb | r_s] and
-    leaves the box's [S | r] on bound for the level above."""
-    below, X = None, []
-    for level in plan:
-        out, X_level = [], []
-        for bound, sep, halves in level:
-            nbox, nb, ns = len(bound), bound.shape[1] * kp, sep.shape[1] * kp
-            n = nb + ns
-            out.append(np.empty((nbox, nb, nb + 1)))
-            X_level.append(np.empty((nbox, ns, nb + 1)))
-            step = max(1, MERGE_BYTES // (8 * n * (n + 1)))
-            for lo in range(0, nbox, step):
-                part = slice(lo, lo + step)
-                M = np.zeros((min(step, nbox - lo), n, n + 1))
-                for source, rows, blocks in halves:
-                    H = (Sr if source < 0 else below[source])[rows[part]]
-                    blocks = (blocks * kp).tolist()
-                    for t, p, s in blocks:
-                        for u, q, w in blocks:
-                            q += q >= nb  # the rhs column sits at nb
-                            M[:, p:p + s, q:q + w] += H[:, t:t + s, u:u + w]
-                        M[:, p:p + s, nb] += H[:, t:t + s, -1]
-                    del H  # freed before the next half's H is gathered
-                Xp = np.linalg.solve(M[:, nb:, nb + 1:], M[:, nb:, :nb + 1])
-                out[-1][part] = M[:, :nb, :nb + 1] - M[:, :nb, nb + 1:] @ Xp
-                X_level[-1][part] = Xp
-        below = out
-        X.append(X_level)
+    leaves the box's [S | r] on bound for the level above, which frees it
+    once its last reader is built. Below the top two levels the groups go
+    level by level in passes, one for each group two levels below the top
+    (a quadrant of box_plan's), a group in the first pass that reads it."""
+    top = len(plan) - 2
+    passes = [[np.inf] * len(level) for level in plan]
+    if top > 0:
+        passes[top - 1] = list(range(len(plan[top - 1])))
+    for lv in range(top - 1, 0, -1):
+        for p, (_, _, halves) in zip(passes[lv], plan[lv]):
+            for source, _, _ in halves:
+                if source >= 0:
+                    passes[lv - 1][source] = min(passes[lv - 1][source], p)
+    order = sorted((p, lv, g) for lv, level in enumerate(passes)
+                   for g, p in enumerate(level))
+    last = {(lv - 1, source): i for i, (_, lv, g) in enumerate(order)
+            for source, _, _ in plan[lv][g][2]}
+    out, X = ([[None] * len(level) for level in plan] for _ in range(2))
+    for i, (_, lv, g) in enumerate(order):
+        bound, sep, halves = plan[lv][g]
+        nbox, nb, ns = len(bound), bound.shape[1] * kp, sep.shape[1] * kp
+        n = nb + ns
+        out[lv][g] = np.empty((nbox, nb, nb + 1))
+        X[lv][g] = np.empty((nbox, ns, nb + 1))
+        step = max(1, MERGE_BYTES // (8 * n * (n + 1)))
+        for lo in range(0, nbox, step):
+            part = slice(lo, lo + step)
+            M = np.zeros((min(step, nbox - lo), n, n + 1))
+            for source, rows, blocks in halves:
+                H = (Sr if source < 0 else out[lv - 1][source])[rows[part]]
+                blocks = (blocks * kp).tolist()
+                for t, p, s in blocks:
+                    for u, q, w in blocks:
+                        q += q >= nb  # the rhs column sits at nb
+                        M[:, p:p + s, q:q + w] += H[:, t:t + s, u:u + w]
+                    M[:, p:p + s, nb] += H[:, t:t + s, -1]
+                del H  # freed before the next half's H is gathered
+            Xp = np.linalg.solve(M[:, nb:, nb + 1:], M[:, nb:, :nb + 1])
+            out[lv][g][part] = M[:, :nb, :nb + 1] - M[:, :nb, nb + 1:] @ Xp
+            X[lv][g][part] = Xp
+        for source, _, _ in halves:
+            if source >= 0 and last[lv - 1, source] == i:
+                out[lv - 1][source] = None
     return X

@@ -62,13 +62,15 @@ def _boundary_edges(nx: int, ny: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def box_plan(nx: int, ny: int) -> tuple:
+def box_plan(nx: int, ny: int, quadrants: bool = False) -> tuple:
     """The tree of boxes that _split makes of the nx x ny cell grid, by
     level from the bottom up to the whole grid: the nested dissection of
     the trace solve, whose separators, level by level, number the unknowns
     of its assembled fallback too. A level is a tuple of groups, (bound,
     sep, halves) each, of the boxes that share their shape and the domain
-    sides they touch (at most 9 at powers of two). Per box, as edge ids:
+    sides they touch (at most 9 at powers of two); with quadrants, below
+    the top two levels also by the box of the second split they lie in
+    (at most 16). Per box, as edge ids:
     bound, its sides W, E, S, N by ascending coordinate without those on
     the domain boundary, and sep, its split line. Per half, (source, rows,
     blocks): the half of box i is box rows[i] of group source a level
@@ -76,23 +78,28 @@ def box_plan(nx: int, ny: int) -> tuple:
     size) put its edges t to t + size at positions p to p + size of
     [bound | sep], never across the two. Depends on the cell counts only."""
     nc, on_boundary = nx * ny, _boundary_edges(nx, ny)
-    boxes, depths = np.array([[0, nx, 0, ny]]), []
+    boxes, quadrant, depths = np.array([[0, nx, 0, ny]]), np.zeros(1, int), []
     while True:  # top-down: each depth's boxes that are not cells
         i0, i1, j0, j1 = boxes.T
-        boxes = boxes[(i1 - i0) * (j1 - j0) > 1]
+        keep = (i1 - i0) * (j1 - j0) > 1
+        boxes, quadrant = boxes[keep], quadrant[keep]
         if not len(boxes):
             break
-        depths.append(boxes)
+        if quadrants and len(depths) == 2:
+            quadrant = np.arange(len(boxes))
+        depths.append((boxes, quadrant))
         _, lo, hi = _split(*boxes.T)
         boxes = np.vstack([np.column_stack(lo), np.column_stack(hi)])
+        quadrant = np.concatenate([quadrant, quadrant])
     plan = []
     # group and row of the box at each lower-left cell, a level below; a
     # cell is its own box: group -1, row its id
     group_of, row_of = np.full(nc, -1), np.arange(nc)
-    for boxes in reversed(depths):
+    for boxes, quadrant in reversed(depths):
         i0, i1, j0, j1 = boxes.T
-        key = ((i1 - i0) * (ny + 1) + j1 - j0) * 16 + np.column_stack(
-            [i0 == 0, i1 == nx, j0 == 0, j1 == ny]) @ [8, 4, 2, 1]
+        key = (((quadrant * (nx + 1) + i1 - i0) * (ny + 1) + j1 - j0) * 16
+               + np.column_stack([i0 == 0, i1 == nx, j0 == 0, j1 == ny])
+               @ [8, 4, 2, 1])
         group = np.unique(key, return_inverse=True)[1]
         level, up_group, up_row = [], np.full(nc, -1), np.arange(nc)
         for g in range(group.max() + 1):

@@ -9,14 +9,14 @@ and the Galerkin-orthogonality residual; only the residual reads the
 outward normal flux r.n, and it evaluates that itself.
 Every function takes the CellQuad of its rule; the exact solution
 (ExactValues) and the energy-norm weights (EnergyWeights) are evaluated once
-per rule and shared by every measure. Discrete triples are read in the
-pulled-back orthonormal bases the solver computes in (assembly), straight
-from the reference tables.
+per rule and shared by every measure, one block of mesh columns at a time
+(BLOCK_CELLS). Discrete triples are read in the pulled-back orthonormal
+bases the solver computes in (assembly), straight from the reference tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -25,6 +25,9 @@ from . import layerquad
 from .mesh import SIDES
 from .problems import ProblemSpec
 from .refelem import CellQuad, gauss_rule, ref_tables
+
+# the error report measures blocks of max(1, BLOCK_CELLS // ny) mesh columns
+BLOCK_CELLS = 1024
 
 
 class StabilizationError(ValueError):
@@ -61,16 +64,17 @@ class TripleValues:
     mu: np.ndarray
 
 
-def triple_values_discrete(cq: CellQuad, flds) -> TripleValues:
+def triple_values_discrete(cq: CellQuad, flds, mu=None) -> TripleValues:
     """Evaluate a discrete triple given by SolutionFields-style coefficient
-    arrays (pulled-back orthonormal bases) on the rule cq."""
+    arrays (pulled-back orthonormal bases, cell rows of all cells or of a
+    block) on the rule cq; mu is the trace's edge values if known."""
     R = ref_tables(flds.k, cq.n)
     return TripleValues(
         *(np.einsum("ca,ag->cg", coef, R.B0)
           for coef in (flds.q1, flds.q2, flds.u)),
         np.stack([np.einsum("ca,ag->cg", flds.u, tab)
                   for tab in R.side_traces], axis=1),
-        np.einsum("ea,ag->eg", flds.trace, R.V))
+        np.einsum("ea,ag->eg", flds.trace, R.V) if mu is None else mu)
 
 
 def triple_values_exact(cq: CellQuad, spec: ProblemSpec) -> TripleValues:
@@ -85,76 +89,84 @@ def triple_values_exact(cq: CellQuad, spec: ProblemSpec) -> TripleValues:
 
 @dataclass
 class ExactValues:
-    """The exact triple evaluated once on the rule cq: on its cells, sides
-    and edges (vals), and on the composite layer batches of the same n,
-    with the basis of the solve's degree, as (LayerBatch, (q1, q2, u))
-    pairs. The projection of the exact solution and the error measures all
-    read these values."""
+    """The exact triple on the rule cq at the cells `cells`, a block of mesh
+    columns, their sides and every edge (vals), and on their share of the
+    composite layer batches of the same n, with the basis of the solve's
+    degree, as (LayerBatch, (q1, q2, u)) pairs. The projection of the exact
+    solution and the error measures all read these values."""
 
     cq: CellQuad
+    cells: range
     vals: TripleValues
     batches: list
 
 
-def exact_values(cq: CellQuad, spec: ProblemSpec, k: int) -> ExactValues:
-    """Evaluate the exact triple of a manufactured problem on the rule cq,
-    for a solve of degree k."""
-    vals = triple_values_exact(cq, spec)
-    ex = spec.exact
-    return ExactValues(cq, vals, [
-        (b, (b.on_cells(ex.q1), b.on_cells(ex.q2), b.on_cells(ex.u)))
-        for b in layerquad.layer_batches(cq.mesh, spec, cq.n, k)])
+def exact_values(cq: CellQuad, spec: ProblemSpec, k: int):
+    """The ExactValues of a manufactured problem on the rule cq, for a solve
+    of degree k, block by block (a generator); the edge values and the
+    layer batches are evaluated once."""
+    mesh, fns = cq.mesh, (spec.exact.q1, spec.exact.q2, spec.exact.u)
+    mu = cq.on_edges(spec.exact.u)
+    batches = layerquad.layer_batches(mesh, spec, cq.n, k)
+    step = max(1, BLOCK_CELLS // mesh.ny) * mesh.ny
+    for start in range(0, mesh.n_cells, step):
+        cells = range(mesh.n_cells)[start:start + step]
+        yield ExactValues(cq, cells, TripleValues(
+            *(cq.on_cells(f, cells) for f in fns),
+            mu[mesh.cell_edges[start:cells.stop]], mu),
+            [(s, [s.on_cells(f) for f in fns])
+             for s in (b.columns(cells) for b in batches) if s])
 
 
-def triple_sub(a: TripleValues, b: TripleValues) -> TripleValues:
+def triple_sub(a: TripleValues, b: TripleValues, mu=None) -> TripleValues:
+    """a - b; mu is the edge values of a - b if known."""
     return TripleValues(a.r1 - b.r1, a.r2 - b.r2, a.w - b.w,
-                        a.w_tr - b.w_tr, a.mu - b.mu)
+                        a.w_tr - b.w_tr, a.mu - b.mu if mu is None else mu)
 
 
 @dataclass
 class EnergyWeights:
     """The weights of the energy norm on the rule cq: c - div beta / 2 at
-    the cell points, (ncells, n*n), and tau - beta.n/2 at the side points,
-    (ncells, 4, n)."""
+    the points of the consecutive cells `cells`, (len(cells), n*n), and
+    tau - beta.n/2 at the side points of every cell, (ncells, 4, n)."""
 
     cq: CellQuad
     epsilon: float
+    cells: range
     reaction: np.ndarray
     jump: np.ndarray
 
 
-def energy_weights(cq: CellQuad, spec: ProblemSpec,
-                   tau: float) -> EnergyWeights:
-    """The energy-norm weights of a problem on the rule cq; raises
-    StabilizationError where tau - beta.n/2 is negative."""
-    weight = tau - 0.5 * edge_normal_beta(cq, spec)
-    if np.min(weight) < 0:
-        raise StabilizationError(
-            f"tau = {tau:g} gives a negative edge weight tau - beta.n/2 "
-            f"(min {np.min(weight):.3e}); energy norm undefined")
-    return EnergyWeights(cq, spec.epsilon, cq.on_cells(spec.c)
-                         - 0.5 * cq.on_cells(spec.div_beta), weight)
+def energy_weights(cq: CellQuad, spec: ProblemSpec, tau: float,
+                   cells: Optional[range] = None, jump=None) -> EnergyWeights:
+    """The energy-norm weights of a problem on the rule cq, the reaction
+    weight on the cells `cells` (all by default); the side weight is `jump`
+    if known, else evaluated, raising StabilizationError where negative."""
+    if jump is None:
+        jump = tau - 0.5 * edge_normal_beta(cq, spec)
+        if np.min(jump) < 0:
+            raise StabilizationError(
+                f"tau = {tau:g} gives a negative edge weight tau - beta.n/2 "
+                f"(min {np.min(jump):.3e}); energy norm undefined")
+    if cells is None:
+        cells = range(cq.mesh.n_cells)
+    return EnergyWeights(cq, spec.epsilon, cells, cq.on_cells(spec.c, cells)
+                         - 0.5 * cq.on_cells(spec.div_beta, cells), jump)
 
 
-def _cell_integrals(wts: EnergyWeights, vals: TripleValues):
+def _cell_terms(wts: EnergyWeights, vals: TripleValues):
     """Per-cell integrals of |r|^2, (c - div beta / 2) w^2 and w^2 of a
-    triple on the plain rule of the weights, (ncells,) each."""
-    cq = wts.cq
-    return (cq.J * np.einsum("g,cg->c", cq.W2, vals.r1**2 + vals.r2**2),
-            cq.J * np.einsum("cg,cg->c", cq.W2 * wts.reaction, vals.w**2),
-            cq.J * np.einsum("g,cg->c", cq.W2, vals.w**2))
-
-
-def _jump_sq(wts: EnergyWeights, vals: TripleValues) -> float:
-    """||(tau - beta.n/2)^{1/2} (w - mu)||^2 over the cell sides of vals.
-
-    Every cell side contributes, so interior edges are visited from both
-    sides (with that cell's outward normal) and boundary sides once.
-    """
-    mesh = wts.cq.mesh
-    jump = vals.w_tr - vals.mu[mesh.cell_edges]
-    return float((mesh.half_side[:, :, None] * wts.jump * jump**2
-                  * gauss_rule(wts.cq.n).weights).sum())
+    triple on the cells and plain rule of the weights, (cells,) each, and
+    the terms of ||(tau - beta.n/2)^{1/2} (w - mu)||^2 over their sides,
+    (cells, 4, n). Every cell side contributes, so interior edges are
+    visited from both sides (with that cell's outward normal)."""
+    cq, sel = wts.cq, slice(wts.cells.start, wts.cells.stop)
+    J, jump = cq.J[sel], vals.w_tr - vals.mu[cq.mesh.cell_edges[sel]]
+    return (J * np.einsum("g,cg->c", cq.W2, vals.r1**2 + vals.r2**2),
+            J * np.einsum("cg,cg->c", cq.W2 * wts.reaction, vals.w**2),
+            J * np.einsum("g,cg->c", cq.W2, vals.w**2),
+            cq.mesh.half_side[sel, :, None] * wts.jump[sel] * jump**2
+            * gauss_rule(cq.n).weights)
 
 
 def energy_norm(wts: EnergyWeights, vals: TripleValues) -> float:
@@ -163,9 +175,9 @@ def energy_norm(wts: EnergyWeights, vals: TripleValues) -> float:
     |||(r, w, mu)|||^2 = eps^-1 ||r||^2 + ||(c - div beta / 2)^{1/2} w||^2
                          + sum_cells sum_sides (tau - beta.n/2) (w - mu)^2.
     """
-    flux, react, _ = _cell_integrals(wts, vals)
+    flux, react, _, jump = _cell_terms(wts, vals)
     q_sq = float((flux / wts.epsilon).sum())
-    return float(np.sqrt(q_sq + float(react.sum()) + _jump_sq(wts, vals)))
+    return float(np.sqrt(q_sq + float(react.sum()) + float(jump.sum())))
 
 
 def bilinear_residual(cq: CellQuad, spec: ProblemSpec, cfg, fields) -> dict:
@@ -236,21 +248,23 @@ def load_vector_scale(cq: CellQuad, spec: ProblemSpec) -> float:
 
 
 def refined_error_corrections(exact: ExactValues, spec: ProblemSpec,
-                              wts: EnergyWeights, fields, cells) -> None:
+                              wts: EnergyWeights, fields, cells,
+                              plain: list) -> None:
     """Correct the per-cell integrals cells = (|r|^2, (c - div beta / 2)
-    w^2, w^2) of the error (_cell_integrals) on the layer-refined cells in
-    place, by adding the composite-rule integral and subtracting the
-    plain-rule one. The composite half reads the exact values on their
-    batches; the plain batches carry the points of the rule itself, so the
-    plain half reads the exact values and the weights already on the rule.
+    w^2, w^2) of the error (_cell_terms), (ncells,) each, on the
+    layer-refined cells of the block of exact in place, by adding the
+    composite-rule integral and subtracting the plain-rule one. The
+    composite half reads the exact values on their batches; plain holds
+    the batches with the plain rule (layer_batches with composite=False),
+    so the plain half reads the exact values and the weights of the block.
     """
-    ev, k = exact.vals, fields.k
+    ev = exact.vals
     composite = [(b, vals, b.on_cells(spec.c)
                   - 0.5 * b.on_cells(spec.div_beta))
                  for b, vals in exact.batches]
-    plain = [(b, (ev.r1[b.cells], ev.r2[b.cells], ev.w[b.cells]),
-              wts.reaction[b.cells]) for b in layerquad.layer_batches(
-                  exact.cq.mesh, spec, exact.cq.n, k, composite=False)]
+    shares = [b for b in (p.columns(exact.cells) for p in plain) if b]
+    plain = [(b, (ev.r1[i], ev.r2[i], ev.w[i]), wts.reaction[i])
+             for b, i in ((b, b.cells - exact.cells.start) for b in shares)]
     flux, react, l2u = cells
     for batches, sign in ((composite, 1.0), (plain, -1.0)):
         for b, exact_b, cw in batches:
@@ -279,29 +293,52 @@ class ErrorReport:
     supercloseness_error: Optional[float] = None
 
 
-def error_report(exact: ExactValues, spec: ProblemSpec, cfg, fields,
-                 projected=None) -> ErrorReport:
-    """Energy-norm and L2 errors of a solution, measured on the rule of the
-    exact values; if a projected-exact triple is supplied, also the
-    supercloseness distance |||(Pi q - q_h, Pi u - u_h, P u - u_hat)|||
-    between the discrete solution and the projection of the exact one. Both
-    distances share one set of energy-norm weights."""
-    cq = exact.cq
-    wts = energy_weights(cq, spec, cfg.tau)
-    diff = triple_sub(exact.vals, triple_values_discrete(cq, fields))
-    cells = _cell_integrals(wts, diff)
-    refined_error_corrections(exact, spec, wts, fields, cells)
-    flux, react, l2u = cells
-    cell_q = flux / wts.epsilon
-    q_sq, r_sq = float(cell_q.sum()), float(react.sum())
-    jump_sq = _jump_sq(wts, diff)
-    sc = None if projected is None else energy_norm(
-        wts, triple_values_discrete(cq, projected - fields))
-    return ErrorReport(cq.mesh.N, cfg.k, spec.epsilon,
+def error_report(cq: CellQuad, spec: ProblemSpec, cfg, fields,
+                 project=None) -> ErrorReport:
+    """Energy-norm and L2 errors of a solution, measured on the rule cq;
+    with project (projections.project_exact), also the supercloseness
+    distance |||(Pi q - q_h, Pi u - u_h, P u - u_hat)||| between the
+    discrete solution and the projection of the exact one. Both distances
+    share one set of energy-norm weights. Each block of exact_values writes
+    its cells' integrals and jump terms into arrays of the whole mesh,
+    (ncells,) and (ncells, 4, n), and each sum runs once over those."""
+    mesh, k, nc = cq.mesh, cfg.k, cq.mesh.n_cells
+    # |r|^2, (c - div beta / 2) w^2, w^2 and the jump terms per cell, of
+    # the error and of the supercloseness triple
+    err, sc = ([np.empty(nc) for _ in range(3)] + [np.empty((nc, 4, cq.n))]
+               for _ in range(2))
+    side = energy_weights(cq, spec, cfg.tau, range(0)).jump  # checked first
+    plain = layerquad.layer_batches(mesh, spec, cq.n, k, composite=False)
+    # edge values, from the first block on
+    mu = diff_mu = projected = sc_mu = None
+    for exact in exact_values(cq, spec, k):
+        wts = energy_weights(cq, spec, cfg.tau, exact.cells, side)
+        sel = slice(exact.cells.start, exact.cells.stop)
+        block = replace(fields, q1=fields.q1[sel], q2=fields.q2[sel],
+                        u=fields.u[sel])
+        vals = triple_values_discrete(cq, block, mu)
+        triples = [(triple_sub(exact.vals, vals, diff_mu), err)]
+        mu, diff_mu = vals.mu, triples[0][0].mu
+        if project is not None:
+            projected = project(exact, k, projected and projected.trace)
+            vals = triple_values_discrete(cq, projected - block, sc_mu)
+            sc_mu = vals.mu
+            triples.append((vals, sc))
+        for vals, out in triples:
+            for whole, part in zip(out, _cell_terms(wts, vals)):
+                whole[sel] = part
+        refined_error_corrections(exact, spec, wts, fields, err[:3], plain)
+        del exact, wts, vals, triples  # freed before the next block
+    flux, react, l2u, jump = err
+    cell_q = flux / spec.epsilon
+    q_sq, r_sq, jump_sq = (float(a.sum()) for a in (cell_q, react, jump))
+    return ErrorReport(mesh.N, k, spec.epsilon,
                        float(np.sqrt(q_sq + r_sq + jump_sq)),
                        float(np.sqrt(l2u.sum())), float(np.sqrt(flux.sum())),
-                       q_sq, r_sq, jump_sq,
-                       cq.mesh.region_sums(cell_q + react), sc)
+                       q_sq, r_sq, jump_sq, mesh.region_sums(cell_q + react),
+                       None if project is None else float(np.sqrt(
+                           float((sc[0] / spec.epsilon).sum())
+                           + float(sc[1].sum()) + float(sc[3].sum()))))
 
 
 def convergence_rate(e_coarse: float, e_fine: float, n_coarse: int) -> float:

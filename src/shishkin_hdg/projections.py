@@ -15,11 +15,12 @@ from .norms import ExactValues
 from .refelem import CellQuad, gauss_rule, ref_tables
 
 
-def project_cells(cq: CellQuad, values, k: int, batches) -> list:
+def project_cells(cq: CellQuad, values, k: int, batches,
+                  start: int = 0) -> list:
     """Per-cell L2 projections onto Q^k of functions given by their values
-    at the cell points of cq, (ncells, n*n) each; coefficients in the
-    pulled-back orthonormal tensor Legendre basis, one (ncells, (k+1)^2)
-    array per function.
+    at the points of consecutive cells of cq from cell `start` on, (cells,
+    n*n) each; coefficients in the pulled-back orthonormal tensor Legendre
+    basis, one (cells, (k+1)^2) array per function.
 
     batches holds (LayerBatch, values at its points) pairs: the cells of a
     batch are integrated with its refined composite rule instead (sub-cell
@@ -28,7 +29,8 @@ def project_cells(cq: CellQuad, values, k: int, batches) -> list:
     coefs = [np.einsum("cg,bg->cb", v * cq.W2, R.B0) for v in values]
     for b, bvals in batches:
         for coef, v in zip(coefs, bvals):
-            coef[b.cells] = np.einsum("cbg,cg->cb", b.B, b.W * v) / b.J[:, None]
+            coef[b.cells - start] = np.einsum("cbg,cg->cb", b.B,
+                                              b.W * v) / b.J[:, None]
     return coefs
 
 
@@ -40,11 +42,14 @@ def project_edge(cq: CellQuad, edge_values, k: int) -> np.ndarray:
                      ref_tables(k, cq.n).V)
 
 
-def project_exact(exact: ExactValues, k: int) -> SolutionFields:
+def project_exact(exact: ExactValues, k: int, trace=None) -> SolutionFields:
     """Componentwise projection (Pi q, Pi u, P u) of the exact solution from
-    its values, with homogeneous boundary traces."""
-    v = exact.vals
-    q1, q2, u = project_cells(exact.cq, (v.r1, v.r2, v.w), k, exact.batches)
-    trace = project_edge(exact.cq, exact.vals.mu, k)
-    trace[exact.cq.mesh.edge_boundary] = 0.0
+    its values, Pi on the block's cells, P on every edge with homogeneous
+    boundary traces (`trace` if another block has projected it)."""
+    v, cq = exact.vals, exact.cq
+    q1, q2, u = project_cells(cq, (v.r1, v.r2, v.w), k, exact.batches,
+                              exact.cells.start)
+    if trace is None:
+        trace = project_edge(cq, v.mu, k)
+        trace[cq.mesh.edge_boundary] = 0.0
     return SolutionFields(k, q1, q2, u, trace)

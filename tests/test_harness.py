@@ -6,10 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from shishkin_hdg import cli, harness, layerquad, problems
+from shishkin_hdg import cli, harness, layerquad, norms, problems, projections
+from shishkin_hdg.assembly import assemble_and_solve
 from shishkin_hdg.harness import (DiagnosticReport, StudyConfig, run_diagnostics,
                                   run_single, run_sweep)
 from shishkin_hdg.mesh import build_mesh
+from shishkin_hdg.refelem import CellQuad
 
 
 def _cfg(**kw):
@@ -108,10 +110,16 @@ def test_sweep_propagates_programming_errors(monkeypatch):
         run_sweep(_cfg(n_list=[4]))
 
 
+# measure blocks at N = 16: the default's one, and four of 5, 5, 5 and 1
+# columns
+BLOCKS = (norms.BLOCK_CELLS, 80)
+
+
 def test_solve_cell_evaluates_each_point_set_once(monkeypatch):
     # the projection and every error measure share one evaluation of the
     # exact solution and of the coefficients: within one solve cell no
-    # field is evaluated twice on the same point array
+    # field is evaluated twice on the same point array, however many
+    # measure blocks there are
     seen = Counter()
     on_edge_lines = set()  # the fields evaluated on edges
 
@@ -138,23 +146,27 @@ def test_solve_cell_evaluates_each_point_set_once(monkeypatch):
             for f in ("beta1", "beta2", "c", "div_beta", "f")})
 
     monkeypatch.setattr(harness, "get_problem", get_problem)
-    # eps = 1e-6 at N = 16 has layer batches at both rules
-    harness.solve_cell(_cfg(mode="both"), 1, 1e-6, 16)
-    assert {key[0] for key in seen} == {"u", "u_x", "u_y", "beta1", "beta2",
-                                        "c", "div_beta", "f"}
-    repeated = sorted((key[0], key[1]) for key, count in seen.items()
-                      if count > 1)
-    assert not repeated, repeated
-    # only the residual reads the normal flux r.n, so no error measure
-    # evaluates the exact flux on the edges; u is, as the trace
-    assert "u" in on_edge_lines
-    assert not on_edge_lines & {"u_x", "u_y"}, on_edge_lines
+    for block_cells in BLOCKS:
+        monkeypatch.setattr(norms, "BLOCK_CELLS", block_cells)
+        seen.clear()
+        on_edge_lines.clear()
+        # eps = 1e-6 at N = 16 has layer batches at both rules
+        harness.solve_cell(_cfg(mode="both"), 1, 1e-6, 16)
+        assert {key[0] for key in seen} == {"u", "u_x", "u_y", "beta1",
+                                            "beta2", "c", "div_beta", "f"}
+        repeated = sorted((key[0], key[1]) for key, count in seen.items()
+                          if count > 1)
+        assert not repeated, repeated
+        # only the residual reads the normal flux r.n, so no error measure
+        # evaluates the exact flux on the edges; u is, as the trace
+        assert "u" in on_edge_lines
+        assert not on_edge_lines & {"u_x", "u_y"}, on_edge_lines
 
 
 def test_solve_cell_evaluates_each_layer_basis_once(monkeypatch):
     # the projection and the error corrections read the same composite
     # batches: each batch's basis table is evaluated once (two 1D
-    # evaluations, x and y), however many readers it has
+    # evaluations, x and y), however many readers and measure blocks it has
     built, evals = [], []
 
     def layer_batches(*args, **kw):
@@ -170,8 +182,36 @@ def test_solve_cell_evaluates_each_layer_basis_once(monkeypatch):
     real_legendre = layerquad.legendre
     monkeypatch.setattr(layerquad, "layer_batches", layer_batches)
     monkeypatch.setattr(layerquad, "legendre", legendre)
-    harness.solve_cell(_cfg(mode="both"), 1, 1e-6, 16)
-    assert built and len(evals) == 2 * len(built)
+    for block_cells in BLOCKS:
+        monkeypatch.setattr(norms, "BLOCK_CELLS", block_cells)
+        built.clear()
+        evals.clear()
+        harness.solve_cell(_cfg(mode="both"), 1, 1e-6, 16)
+        assert built and len(evals) == 2 * len(built)
+
+
+@pytest.mark.parametrize("k, N", [(k, N) for k in (1, 2, 3)
+                                  for N in (12, 16, 20)])
+def test_error_report_does_not_depend_on_the_measure_blocks(monkeypatch, k,
+                                                            N):
+    # blocks of one column, of three (the last one shorter at N = 16 and
+    # 20) and of the whole mesh give the same report to the bit: each
+    # block writes its cells' terms, and each sum runs once over the mesh
+    cfg = _cfg(k_list=[k], eps_list=[1e-6], n_list=[N])
+    spec = problems.get_problem(cfg.problem, 1e-6)
+    mesh = harness.cell_mesh(cfg, spec, k, N)
+    hdg = cfg.hdg(k)
+    fields = assemble_and_solve(mesh, spec, hdg)
+    cq = CellQuad(mesh, hdg.n_error)
+    assert layerquad.layer_batches(mesh, spec, cq.n, k)
+    reports = []
+    for columns in (1, 3, N):
+        monkeypatch.setattr(norms, "BLOCK_CELLS", columns * N)
+        reports.append([norms.error_report(cq, spec, hdg, fields, project)
+                        for project in (projections.project_exact, None)])
+    assert reports[0][0].supercloseness_error is not None
+    assert reports[0][1].supercloseness_error is None
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 def test_skips_rates_for_non_doubling_pairs():

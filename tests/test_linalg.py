@@ -255,6 +255,43 @@ def test_box_tree_traces_do_not_depend_on_the_merge_chunks(monkeypatch, k,
         assert np.array_equal(linalg.solve_box_tree(mesh, Sr), want)
 
 
+@pytest.mark.parametrize("k, N", [(1, 12), (1, 16), (1, 64), (2, 12),
+                                  (2, 16), (2, 64)])
+def test_box_tree_traces_do_not_depend_on_the_quadrant_order(monkeypatch, k,
+                                                             N):
+    # the quadrant plan splits the groups of the lower levels by quadrant
+    # and condenses one quadrant at a time: each box still merges and
+    # solves the same entries, so the traces are the same to the bit
+    spec = paper_problem(1e-6)
+    mesh = build_mesh(N, 1e-6, k + 1.0, 1.0, 2.0)
+    Sr = assembly._condensed_cells(mesh, spec, HdgConfig(k))[0]
+    traces = []
+    for quadrants in (False, True):
+        monkeypatch.setattr(linalg, "box_plan",
+                            lambda nx, ny, _: box_plan(nx, ny, quadrants))
+        traces.append(linalg.solve_box_tree(mesh, Sr))
+    assert np.array_equal(traces[0], traces[1])
+
+
+def test_box_tree_falls_back_on_the_quadrant_plan(monkeypatch):
+    # at N = 64 the cells' systems exceed a merge chunk, so the tree takes
+    # the quadrant plan; a missed gate still returns SuperLU's traces of
+    # the system numbered by that plan, 0 on the domain boundary
+    spec = paper_problem(1e-6)
+    mesh = build_mesh(64, 1e-6, 2.0, 1.0, 2.0)
+    Sr = assembly._condensed_cells(mesh, spec, HdgConfig(1))[0]
+    assert Sr.nbytes > linalg.MERGE_BYTES
+    monkeypatch.setattr(linalg, "_condense_up",
+                        _scaled_eliminators(linalg._condense_up))
+    with pytest.warns(SolveFallbackWarning, match="residual .* exceeds"):
+        trace = linalg.solve_box_tree(mesh, Sr)
+    A, b, pos = assemble_trace_system(mesh, Sr, box_plan(64, 64, True))
+    x = A.solve(b)
+    assert _meets_gate(A, x, b)
+    assert np.array_equal(trace, x.reshape(-1, 2)[pos])
+    assert not trace[mesh.edge_boundary].any()
+
+
 def _scaled_eliminators(condense_up):
     """The tree's eliminators off by 1e-6 relative: the traces miss the
     gate."""

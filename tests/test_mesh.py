@@ -158,21 +158,43 @@ def test_dump_mesh_contents():
 @given(N=st.integers(1, 16).map(lambda m: 4 * m))
 def test_box_tree_separates_every_interior_edge_once(N):
     mesh = build_mesh(N, 1e-6, 2.0, 1.0, 2.0)
-    plan = box_plan(N, N)
-    groups = [group for level in plan for group in level]
-    seps = np.concatenate([sep.ravel() for _, sep, _ in groups])
-    assert np.array_equal(np.sort(seps), np.flatnonzero(~mesh.edge_boundary))
-    # no box carries a domain-boundary trace, and the whole grid none
-    assert not any(mesh.edge_boundary[bound].any() for bound, _, _ in groups)
-    [(bound, sep, _)] = plan[-1]
-    assert bound.size == 0
-    # the last separator, the whole grid's split line, is the middle
-    # vertical line
-    axis, line, _ = edge_layout(N, N)
-    assert sep.size == N
-    assert np.all(axis[sep] == 0) and np.all(line[sep] == N // 2)
-    if N & (N - 1) == 0:  # corner, side and inner boxes
-        assert max(map(len, plan)) <= 9
+    for quadrants in (False, True):
+        plan = box_plan(N, N, quadrants)
+        groups = [group for level in plan for group in level]
+        seps = np.concatenate([sep.ravel() for _, sep, _ in groups])
+        assert np.array_equal(np.sort(seps),
+                              np.flatnonzero(~mesh.edge_boundary))
+        # no box carries a domain-boundary trace, and the whole grid none
+        assert not any(mesh.edge_boundary[bound].any()
+                       for bound, _, _ in groups)
+        [(bound, sep, _)] = plan[-1]
+        assert bound.size == 0
+        # the last separator, the whole grid's split line, is the middle
+        # vertical line
+        axis, line, _ = edge_layout(N, N)
+        assert sep.size == N
+        assert np.all(axis[sep] == 0) and np.all(line[sep] == N // 2)
+        if N & (N - 1) == 0:  # corner, side and inner boxes, per quadrant
+            assert max(map(len, plan)) <= (16 if quadrants else 9)
+
+
+@settings(max_examples=16)
+@given(N=st.integers(2, 32).map(lambda m: 4 * m))
+@example(N=128)
+def test_quadrant_plan_groups_lie_in_one_quadrant(N):
+    # the second split cuts the grid at x = N/2 and y = N/2; below the top
+    # two levels no group of the quadrant plan has boxes on both sides of
+    # either line, so each quadrant's groups can be condensed on their own
+    axis, line, seg = edge_layout(N, N)
+    # a separator edge lies strictly inside its box, so off both lines
+    x = np.where(axis == 0, 2 * line, 2 * seg + 1)
+    y = np.where(axis == 0, 2 * seg + 1, 2 * line)
+    quadrant = 2 * (x > N) + (y > N)
+    for quadrants in (False, True):
+        mixed = [len(np.unique(quadrant[sep])) > 1
+                 for level in box_plan(N, N, quadrants)[:-2]
+                 for _, sep, _ in level]
+        assert any(mixed) != quadrants
 
 
 @settings(max_examples=16)
@@ -186,25 +208,26 @@ def test_box_halves_merge_as_at_most_four_side_blocks(N):
     # positions p to p + size, and the rhs column sits between bound and
     # sep, so no block may straddle the two
     mesh = build_mesh(N, 1e-6, 2.0, 1.0, 2.0)
-    plan = box_plan(N, N)
-    for depth, level in enumerate(plan):
-        for bound, sep, halves in level:
-            merged = np.hstack([bound, sep])
-            for source, rows, blocks in halves:
-                edges = mesh.cell_edges[rows] if source < 0 else \
-                    plan[depth - 1][source][0][rows]
-                assert 1 <= len(blocks) <= 4
-                t, p, size = blocks.T
-                assert np.all((p + size <= bound.shape[1])
-                              | (p >= bound.shape[1]))
-                t, p = (np.concatenate([a + np.arange(n)
-                                        for a, n in zip(start, size)])
-                        for start in (t, p))
-                # disjoint, and every interior edge of the half once
-                inner = ~mesh.edge_boundary[edges]
-                assert np.array_equal(np.sort(t), np.flatnonzero(inner[0]))
-                assert np.all(inner.sum(axis=1) == len(t))
-                assert len(np.unique(p)) == len(p)
-                # in every box of the group, the edge at each position p of
-                # its [bound | sep] is the half's edge t
-                assert np.array_equal(merged[:, p], edges[:, t])
+    for plan in (box_plan(N, N), box_plan(N, N, quadrants=True)):
+        for depth, level in enumerate(plan):
+            for bound, sep, halves in level:
+                merged = np.hstack([bound, sep])
+                for source, rows, blocks in halves:
+                    edges = mesh.cell_edges[rows] if source < 0 else \
+                        plan[depth - 1][source][0][rows]
+                    assert 1 <= len(blocks) <= 4
+                    t, p, size = blocks.T
+                    assert np.all((p + size <= bound.shape[1])
+                                  | (p >= bound.shape[1]))
+                    t, p = (np.concatenate([a + np.arange(n)
+                                            for a, n in zip(start, size)])
+                            for start in (t, p))
+                    # disjoint, and every interior edge of the half once
+                    inner = ~mesh.edge_boundary[edges]
+                    assert np.array_equal(np.sort(t),
+                                          np.flatnonzero(inner[0]))
+                    assert np.all(inner.sum(axis=1) == len(t))
+                    assert len(np.unique(p)) == len(p)
+                    # in every box of the group, the edge at each position
+                    # p of its [bound | sep] is the half's edge t
+                    assert np.array_equal(merged[:, p], edges[:, t])

@@ -1,6 +1,7 @@
 """Energy norm, error reports and convergence-rate formulas."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shishkin_hdg import norms
+from shishkin_hdg import layerquad, norms
 from shishkin_hdg.assembly import HdgConfig, SolutionFields, assemble_and_solve, random_fields
 from shishkin_hdg.mesh import MeshAssumptionWarning, build_mesh
 from shishkin_hdg.norms import (StabilizationError, convergence_rate,
@@ -93,9 +94,10 @@ def test_constant_one_reaction_weight(setting):
     # ||q|| = eps ||grad u|| = eps sqrt(2 * 1/3 * 1/30) = eps / sqrt(45)
     spec = polynomial_problem(1e-2)
     cfg = HdgConfig(1)
-    exact = exact_values(CellQuad(mesh, cfg.n_error), spec, cfg.k)
-    assert exact.batches  # the layer cells are corrected too
-    rep = error_report(exact, spec, cfg, _zero_fields(mesh, 1))
+    # the layer cells are corrected too
+    assert layerquad.layer_batches(mesh, spec, cfg.n_error, cfg.k)
+    rep = error_report(CellQuad(mesh, cfg.n_error), spec, cfg,
+                       _zero_fields(mesh, 1))
     assert np.isclose(rep.l2_error_u, 1.0 / 30.0, rtol=1e-12, atol=0.0)
     assert np.isclose(rep.l2_error_q, 1e-2 / np.sqrt(45.0), rtol=1e-12,
                       atol=0.0)
@@ -107,8 +109,8 @@ def test_region_breakdown_sums_to_cell_parts(setting):
     mesh, spec = setting
     rng = np.random.default_rng(4)
     cfg = HdgConfig(1)
-    exact = exact_values(CellQuad(mesh, cfg.n_error), spec, cfg.k)
-    rep = error_report(exact, spec, cfg, random_fields(mesh, 1, rng))
+    rep = error_report(CellQuad(mesh, cfg.n_error), spec, cfg,
+                       random_fields(mesh, 1, rng))
     cell_total = rep.q_part_sq + rep.reaction_part_sq
     assert np.isclose(sum(rep.region_cell_sq.values()), cell_total,
                       rtol=1e-12)
@@ -128,9 +130,7 @@ def test_error_report_consistency(setting):
     cfg = HdgConfig(1)
     fields = assemble_and_solve(mesh, spec, cfg)
     cq = CellQuad(mesh, cfg.n_error)
-    exact = exact_values(cq, spec, cfg.k)
-    proj = project_exact(exact, 1)
-    rep = error_report(exact, spec, cfg, fields, projected=proj)
+    rep = error_report(cq, spec, cfg, fields, project_exact)
     assert rep.N == 8 and rep.k == 1 and rep.epsilon == 1e-2
     assert np.isclose(rep.energy_error**2,
                       rep.q_part_sq + rep.reaction_part_sq + rep.jump_part_sq,
@@ -141,8 +141,10 @@ def test_error_report_consistency(setting):
     assert 0 < rep.supercloseness_error < rep.energy_error + 1.0
     assert rep.l2_error_u > 0 and rep.l2_error_q > 0
     # triangle inequality of the error decomposition:
-    # |||e||| <= |||exact - projection||| + |||projection - discrete|||
-    pvals = triple_values_discrete(cq, proj)
+    # |||e||| <= |||exact - projection||| + |||projection - discrete|||;
+    # the 64 cells are one block
+    [exact] = exact_values(cq, spec, cfg.k)
+    pvals = triple_values_discrete(cq, project_exact(exact, 1))
     eta = energy_norm(energy_weights(cq, spec, cfg.tau),
                       triple_sub(exact.vals, pvals))
     assert rep.energy_error <= eta + rep.supercloseness_error + 1e-10
@@ -157,8 +159,8 @@ def test_error_report_parts_add_up(k, N, eps):
         warnings.simplefilter("ignore", MeshAssumptionWarning)
         mesh = build_mesh(N, eps, k + 1.0, *spec.beta_lb)
     cfg = HdgConfig(k)
-    exact = exact_values(CellQuad(mesh, cfg.n_error), spec, cfg.k)
-    rep = error_report(exact, spec, cfg, assemble_and_solve(mesh, spec, cfg))
+    rep = error_report(CellQuad(mesh, cfg.n_error), spec, cfg,
+                       assemble_and_solve(mesh, spec, cfg))
     cell_sq = rep.q_part_sq + rep.reaction_part_sq
     assert np.isclose(rep.energy_error**2, cell_sq + rep.jump_part_sq,
                       rtol=1e-12, atol=0.0)
@@ -168,32 +170,67 @@ def test_error_report_parts_add_up(k, N, eps):
                       atol=0.0)
 
 
-def test_error_report_evaluates_no_exact_field():
-    # the exact solution is evaluated once per rule, by exact_values; the
-    # error measures, the layer-cell corrections included, only read it
+def test_error_report_evaluates_no_exact_field(monkeypatch):
+    # the exact solution is evaluated once per rule, block by block, by
+    # exact_values; the projection and the error measures, the layer-cell
+    # corrections included, only read it
     spec = paper_problem(1e-6)
     mesh = build_mesh(8, 1e-6, 2.0, *spec.beta_lb)
     cfg = HdgConfig(1)
+    cq = CellQuad(mesh, cfg.n_error)
     fields = assemble_and_solve(mesh, spec, cfg)
-    exact = exact_values(CellQuad(mesh, cfg.n_error), spec, cfg.k)
-    proj = project_exact(exact, 1)
-    assert exact.batches
+    want = error_report(cq, spec, cfg, fields, project_exact)
+    monkeypatch.setattr(norms, "BLOCK_CELLS", 3 * mesh.ny)  # three blocks
+    blocks = list(exact_values(cq, spec, cfg.k))
+    assert len(blocks) == 3 and all(b.batches for b in blocks)
 
     def evaluated(x, y):
         raise AssertionError("exact solution evaluated again")
 
     bare = dataclasses.replace(spec, exact=dataclasses.replace(
         spec.exact, u=evaluated, u_x=evaluated, u_y=evaluated))
-    rep = error_report(exact, bare, cfg, fields, projected=proj)
-    assert rep == error_report(exact, spec, cfg, fields, projected=proj)
+    # exact_values reads the whole problem; everything else the bare one
+    real = norms.exact_values
+    monkeypatch.setattr(norms, "exact_values",
+                        lambda cq, _, k: real(cq, spec, k))
+    assert error_report(cq, bare, cfg, fields, project_exact) == want
+
+
+def test_error_report_never_holds_the_whole_mesh_point_values():
+    # the values at the cell points exist for one block of whole columns
+    # at a time; only per-cell arrays and edge values span the whole mesh.
+    # At k = 2, N = 64 the traced peak of the measures above the solved
+    # fields reads 16.9 MB, 6.3 MB of it the composite layer batches; the
+    # whole mesh at once read 28.2 MB.
+    k, N, eps = 2, 64, 1e-6
+    spec = paper_problem(eps)
+    mesh = build_mesh(N, eps, k + 1.0, *spec.beta_lb)
+    cfg = HdgConfig(k)
+    cq = CellQuad(mesh, cfg.n_error)
+    fields = assemble_and_solve(mesh, spec, cfg)
+    # the reference tables and rules are cached on first use, not per solve
+    error_report(cq, spec, cfg, fields, project_exact)
+    tracemalloc.start()
+    try:
+        error_report(cq, spec, cfg, fields, project_exact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 19e6, peak
 
 
 def test_supercloseness_zero_for_identical_fields(setting):
     mesh, spec = setting
     cfg = HdgConfig(1)
     fields = assemble_and_solve(mesh, spec, cfg)
-    exact = exact_values(CellQuad(mesh, cfg.n_error), spec, cfg.k)
-    rep = error_report(exact, spec, cfg, fields, projected=fields)
+
+    def project(exact, k, trace=None):  # the fields' rows of the block
+        rows = slice(exact.cells.start, exact.cells.stop)
+        return dataclasses.replace(fields, q1=fields.q1[rows],
+                                   q2=fields.q2[rows], u=fields.u[rows])
+
+    rep = error_report(CellQuad(mesh, cfg.n_error), spec, cfg, fields,
+                       project)
     assert rep.supercloseness_error == 0.0
 
 

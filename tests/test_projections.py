@@ -113,7 +113,7 @@ def test_edge_projection_zero_boundary(mesh):
     # edge projection itself does not zero them
     spec = paper_problem(1e-2)
     cq = CellQuad(mesh, 4)
-    coef = project_exact(exact_values(cq, spec, 1), 1).trace
+    coef = project_exact(next(exact_values(cq, spec, 1)), 1).trace
     assert np.all(coef[mesh.edge_boundary] == 0.0)
     assert np.any(coef[~mesh.edge_boundary] != 0.0)
     assert np.any(_project_edge(mesh, lambda x, y: x + y, 1, 4)
@@ -124,7 +124,8 @@ def test_componentwise_vector_projection(mesh):
     # projecting the flux componentwise equals the scalar projection of
     # each, and the edge traces are the projection of u on the edges
     spec = paper_problem(1e-2)
-    pf = project_exact(exact_values(CellQuad(mesh, 6), spec, 1), 1)
+    [exact] = exact_values(CellQuad(mesh, 6), spec, 1)  # one block
+    pf = project_exact(exact, 1)
     assert np.array_equal(pf.q1, _project(mesh, spec.exact.q1, 1, 6, spec))
     assert np.array_equal(pf.q2, _project(mesh, spec.exact.q2, 1, 6, spec))
     assert np.array_equal(pf.u, _project(mesh, spec.exact.u, 1, 6, spec))
