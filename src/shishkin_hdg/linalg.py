@@ -12,11 +12,10 @@ SolveFallbackWarning says why, and SuperLU with iterative refinement
 solves the assembled system (assemble_trace_system, SparseMatrix), the
 only use of scipy (0.2 s and 32 MB a process). Its unknowns are numbered
 by the same box tree, separators after the boxes they split, so SuperLU
-factors in the given order, keeps the pattern symmetric and pivots on the
-diagonal unless it is below a tenth of its column's largest entry
-(GIVEN_ORDER). If that fails or misses the gate, it factors once more with
-COLAMD and partial pivoting, under another SolveFallbackWarning. The dense
-monolithic oracle of both solves lives in `tests/dense_oracle.py`.
+factors once, in the given order, keeps the pattern symmetric and pivots
+on the diagonal unless it is below a tenth of its column's largest entry
+(GIVEN_ORDER). If that fails or misses the gate, SolveError says why. The
+dense monolithic oracle of both solves lives in `tests/dense_oracle.py`.
 """
 
 from __future__ import annotations
@@ -32,11 +31,9 @@ RESIDUAL_TOL = 1e-12
 # the box merges of a level are built and reduced about this many bytes
 # of merge matrix at a time
 MERGE_BYTES = 2 << 20
-# the first attempt: factor in the given order
+# SuperLU's options: factor in the given order
 GIVEN_ORDER = dict(permc_spec="NATURAL", diag_pivot_thresh=0.1,
                    options=dict(SymmetricMode=True))
-# the fallback: COLAMD and partial pivoting
-_COLAMD = dict(permc_spec="COLAMD", diag_pivot_thresh=1.0)
 
 
 def __getattr__(name: str):
@@ -49,13 +46,13 @@ def __getattr__(name: str):
 
 
 class SolveFallbackWarning(RuntimeWarning):
-    """A solve failed or missed the residual gate and is being repeated by
-    the next method: the box tree by SuperLU in the given order, that by
-    COLAMD and partial pivoting."""
+    """The box-tree solve failed or missed the residual gate and SuperLU
+    solves the assembled system instead."""
 
 
 class SolveError(RuntimeError):
-    """Factorization or iteration failure, with diagnostics in the message."""
+    """A failed factorization or a missed residual gate, named in the
+    message."""
 
 
 class SparseMatrix:
@@ -74,56 +71,35 @@ class SparseMatrix:
         return self.csc.nnz
 
     def solve(self, b) -> np.ndarray:
-        """Solve Ax = b to a relative residual <= RESIDUAL_TOL (2-norm) with
-        SuperLU plus iterative refinement.
-
-        The matrix is factored in the order given (GIVEN_ORDER). If that
-        raises RuntimeError or misses the residual target, it is factored
-        once more with COLAMD and partial pivoting, and a
-        SolveFallbackWarning names the reason; if that misses too,
-        SolveError names both attempts. Other exceptions propagate."""
+        """Solve Ax = b to a relative residual <= RESIDUAL_TOL (2-norm):
+        SuperLU factors once, in the order given (GIVEN_ORDER), and up to
+        two steps of iterative refinement follow. Each residual is computed
+        once, so a solve that meets the gate at once takes one
+        matrix-vector product; the factor is released on return. If the
+        factorization raises RuntimeError or the residual misses the gate,
+        SolveError names the reason. Other exceptions propagate."""
+        import scipy.sparse.linalg as spla
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
             raise ValueError(f"rhs dimension mismatch: {b.shape} vs {self.n}")
-        if self.n == 0:
-            return np.zeros(0)
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
-            return np.zeros(self.n)
-        tol = RESIDUAL_TOL * bnorm
-        failed = []
-        for name, opts in (("given order", GIVEN_ORDER), ("COLAMD", _COLAMD)):
-            try:
-                x, res = self._refined_solve(opts, b, tol)
-            except RuntimeError as exc:  # singular factorization
-                failed.append(f"{name}: sparse LU factorization failed: "
-                              f"{exc}")
-                continue
-            if res <= tol:  # False for a NaN residual
-                if failed:
-                    warnings.warn(f"fell back to COLAMD after {failed[0]}",
-                                  SolveFallbackWarning, stacklevel=2)
-                return x
-            failed.append(f"{name}: residual {res:.3e} exceeds "
-                          f"{RESIDUAL_TOL:.1e} * ||b|| = {tol:.3e}")
-        raise SolveError(f"direct solve failed (n={self.n}, nnz={self.nnz}); "
-                         + "; ".join(failed))
-
-    def _refined_solve(self, opts, b, tol):
-        """Factor with SuperLU options opts and solve, with up to two steps
-        of iterative refinement toward tol; returns (x, residual 2-norm).
-        Each residual is computed once, so a solve that meets tol at once
-        takes one matrix-vector product. The factor is released on
-        return."""
-        import scipy.sparse.linalg as spla
-        lu = spla.splu(self.csc, **opts)
-        x = lu.solve(b)
-        for step in range(3):
-            r = b - self.csc @ x
-            res = np.linalg.norm(r)
-            if res <= tol or step == 2:
-                return x, res
-            x = x + lu.solve(r)
+        tol = RESIDUAL_TOL * np.linalg.norm(b)
+        try:
+            lu = spla.splu(self.csc, **GIVEN_ORDER)
+        except RuntimeError as exc:  # singular factorization
+            why = f"sparse LU factorization failed: {exc}"
+        else:
+            x = lu.solve(b)
+            for step in range(3):
+                r = b - self.csc @ x
+                res = np.linalg.norm(r)
+                if res <= tol:  # False for a NaN residual
+                    return x
+                if step < 2:
+                    x = x + lu.solve(r)
+            why = (f"residual {res:.3e} exceeds {RESIDUAL_TOL:.1e} * ||b|| = "
+                   f"{tol:.3e}")
+        raise SolveError(f"direct solve failed (n={self.n}, nnz={self.nnz}): "
+                         f"{why}")
 
 
 def assemble_trace_system(mesh: ShishkinMesh, Sr: np.ndarray,
@@ -161,8 +137,9 @@ def solve_box_tree(mesh: ShishkinMesh, Sr: np.ndarray) -> np.ndarray:
     global matrix. The residual, sum over cells of rhs_c - S_c t_c on the
     interior edges, must reach RESIDUAL_TOL relative to the summed rhs; if
     it does not, or a separator block is singular, a SolveFallbackWarning
-    says why and SuperLU solves the assembled system instead. Once Sr
-    exceeds MERGE_BYTES the tree takes box_plan's quadrants."""
+    says why and SuperLU solves the assembled system instead (SolveError if
+    that fails too). Once Sr exceeds MERGE_BYTES the tree takes box_plan's
+    quadrants."""
     kp = Sr.shape[1] // 4
     # the quadrant order lowers the peak of a grid that spans several merge
     # chunks; on a smaller one its extra groups only cost time

@@ -1,7 +1,8 @@
 """Shared test plumbing: collects acceptance-criterion results so that one
 pass/fail line per criterion is printed at the end of the run. Every
 warning a test does not expect with pytest.warns is an error (pyproject's
-filterwarnings), so a solve that falls back to COLAMD fails the test.
+filterwarnings), so a box-tree solve that falls back to SuperLU fails the
+test.
 Every hypothesis property runs under one profile: no deadline, and
 derandomized, so a run draws the same examples each time."""
 

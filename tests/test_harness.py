@@ -6,10 +6,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from shishkin_hdg import cli, harness, layerquad, norms, problems, projections
+from shishkin_hdg import (cli, harness, layerquad, linalg, norms, problems,
+                          projections)
 from shishkin_hdg.assembly import assemble_and_solve
 from shishkin_hdg.harness import (DiagnosticReport, StudyConfig, run_diagnostics,
                                   run_single, run_sweep)
+from shishkin_hdg.linalg import SolveFallbackWarning
 from shishkin_hdg.mesh import build_mesh
 from shishkin_hdg.refelem import CellQuad
 
@@ -99,6 +101,33 @@ def test_sweep_records_failed_cells():
     assert isinstance(t.cells[1e-2][4], str)
     assert t.rates[1e-2] == {}
     assert "error" in t.to_csv()
+
+
+def test_sweep_records_a_failed_trace_solve(monkeypatch):
+    # the box tree misses its gate in every cell, and SuperLU's
+    # factorization fails at N = 8 alone (k = 1: 2 dofs on each of the
+    # 2 N (N + 1) edges): that cell is recorded as a SolveError with the
+    # fallback's message, and N = 4 keeps its report
+    up = linalg._condense_up
+    monkeypatch.setattr(linalg, "_condense_up", lambda *args: [
+        [X * (1 + 1e-6) for X in level] for level in up(*args)])
+    splu = linalg.spla.splu
+
+    def singular_at_8(csc, **kw):
+        if csc.shape[0] == 2 * 2 * 8 * 9:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(csc, **kw)
+
+    monkeypatch.setattr(linalg.spla, "splu", singular_at_8)
+    with pytest.warns(SolveFallbackWarning):
+        res = run_sweep(_cfg(n_list=[4, 8]))
+    [(k, eps, n, msg)] = res.failures
+    assert (k, eps, n) == (1, 1e-2, 8)
+    assert "factorization failed: Factor is exactly singular" in msg
+    cells = res.tables[0].cells[1e-2]
+    assert cells[8] == f"SolveError: {msg}"
+    assert isinstance(cells[4], norms.ErrorReport)
+    assert cells[4].N == 4 and cells[4].energy_error > 0
 
 
 def test_sweep_propagates_programming_errors(monkeypatch):

@@ -1,6 +1,6 @@
 """The trace solves: the box-tree solve against an independent SuperLU
 solve, its fallback to the assembled system, and the sparse matrix
-wrapper's solves, COLAMD fallback and failure reporting."""
+wrapper's solves and failure reporting."""
 
 import json
 import os
@@ -68,39 +68,37 @@ def _meets_gate(A, x, b):
         linalg.RESIDUAL_TOL * np.linalg.norm(b)
 
 
-def _patch_first_splu(monkeypatch, first):
-    """linalg's splu with the factor of its first call passed through
-    first; returns the keyword arguments of every call."""
+def _patch_splu(monkeypatch, wrap):
+    """linalg's splu with each factor passed through wrap; returns the
+    keyword arguments of every call."""
     real = spla.splu
     calls = []
 
     def splu(csc, **kw):
         calls.append(kw)
-        return first(real(csc, **kw)) if len(calls) == 1 else real(csc, **kw)
+        return wrap(real(csc, **kw))
 
     monkeypatch.setattr(linalg.spla, "splu", splu)
     return calls
 
 
-def _first_given_then_colamd(calls):
-    # the given order first, then COLAMD and partial pivots
-    assert len(calls) == 2
+def _one_given_order_call(calls):
+    # one factorization, in the given order, and no second attempt
+    assert len(calls) == 1
     assert calls[0]["permc_spec"] == "NATURAL"
-    assert calls[1].get("permc_spec", "COLAMD") == "COLAMD"
-    assert calls[1].get("diag_pivot_thresh", 1.0) == 1.0
 
 
-def test_fallback_when_given_order_factorization_fails(monkeypatch):
+def test_solve_error_when_the_factorization_fails(monkeypatch):
     def singular(lu):
         raise RuntimeError("Factor is exactly singular")
 
-    calls = _patch_first_splu(monkeypatch, singular)
+    calls = _patch_splu(monkeypatch, singular)
     A = _laplacian_1d(40)
     b = np.random.default_rng(1).standard_normal(40)
-    with pytest.warns(SolveFallbackWarning, match="exactly singular"):
-        x = A.solve(b)
-    assert _meets_gate(A, x, b)
-    _first_given_then_colamd(calls)
+    with pytest.raises(SolveError, match="n=40, nnz=118.*factorization "
+                       "failed: Factor is exactly singular"):
+        A.solve(b)
+    _one_given_order_call(calls)
 
 
 class _HalfSolve:
@@ -114,14 +112,13 @@ class _HalfSolve:
         return 0.5 * self.lu.solve(r)
 
 
-def test_fallback_when_given_order_misses_the_gate(monkeypatch):
-    calls = _patch_first_splu(monkeypatch, _HalfSolve)
+def test_solve_error_when_the_solve_misses_the_gate(monkeypatch):
+    calls = _patch_splu(monkeypatch, _HalfSolve)
     A = _laplacian_1d(40)
     b = np.random.default_rng(2).standard_normal(40)
-    with pytest.warns(SolveFallbackWarning, match="residual"):
-        x = A.solve(b)
-    assert _meets_gate(A, x, b)
-    _first_given_then_colamd(calls)
+    with pytest.raises(SolveError, match="residual .* exceeds 1.0e-12"):
+        A.solve(b)
+    _one_given_order_call(calls)
 
 
 class _CountedCsc(sp.csc_matrix):
@@ -174,9 +171,12 @@ def test_each_residual_is_computed_once(monkeypatch):
     assert np.allclose(y, x, rtol=0, atol=1e-10 * np.abs(x).max())
 
 
-def test_solve_error_names_both_attempts():
+def test_solve_error_names_the_one_attempt():
+    # the singular diagonal fails its one factorization, and the message
+    # names that attempt alone
     A = _diagonal([1.0, 0.0])
-    with pytest.raises(SolveError, match="given order.*COLAMD"):
+    with pytest.raises(SolveError, match=r"^direct solve failed \(n=2, "
+                       r"nnz=2\): sparse LU factorization failed: [^;]*$"):
         A.solve(np.array([1.0, 1.0]))
 
 
@@ -349,8 +349,7 @@ def test_nested_dissection_order_cuts_fill(monkeypatch):
     A, b, _ = _trace_system(1, 32, 1e-6)
     colamd = spla.splu(A.csc).nnz
     fill = []
-    calls = _patch_first_splu(monkeypatch,
-                              lambda lu: fill.append(lu.nnz) or lu)
+    calls = _patch_splu(monkeypatch, lambda lu: fill.append(lu.nnz) or lu)
     A.solve(b)
     assert len(calls) == 1 and fill[0] < 0.6 * colamd
 

@@ -243,7 +243,7 @@ RAISE_SITES = {
     "harness.StudyConfig.__post_init__": "owns the mode and non-empty lists",
     "harness.one_cell": "single-cell commands take one k, eps and N",
     "layerquad.composite_layer_rule": "a scale <= 0 never ends its loop",
-    "linalg.SparseMatrix.solve": "rhs size and the 1e-12 residual gate",
+    "linalg.SparseMatrix.solve": "rhs size, its one LU and the 1e-12 gate",
     "linalg.__getattr__": "PEP 562: every name but the lazy spla is missing",
     "mesh.ShishkinMesh.N": "a non-square mesh has no single N",
     "mesh.ShishkinMesh.__post_init__": "exported: nodes must increase",
